@@ -3,9 +3,11 @@
 Outputs are CSV (data) or JSON (reports) with the fully resolved config
 echoed in `# key=value` header comments, so re-running the header reproduces
 the file byte for byte.  Numeric formatting uses shortest round-trip floats;
-an empty measure's maximum is written as the string -inf.  `kpp` leaves the
-c_extrapolated and uncertainty cells empty when it stores fewer than two
-checkpoints, since the 1/t extrapolation needs two.
+an empty measure's maximum is written as the string -inf, and an unset
+optional flag as an empty value.  `kpp` leaves the c_extrapolated and
+uncertainty cells empty when it stores fewer than two checkpoints, since the
+1/t extrapolation needs two, and for rho = 1, where c(rho) has no 1/t
+extrapolation; a rho below 1 is a usage error.
 
 `--config PATH` (or `--config=PATH`) names a JSON file of flag values, keyed
 by flag name without the leading dashes; they act as defaults, so a flag the
@@ -44,8 +46,12 @@ SCHEMA = 1
 
 
 def _fmt(v) -> str:
+    if v is None:
+        return ""  # an unset flag
     if isinstance(v, float):
         return repr(float(v))  # shortest round-trip decimal
+    if isinstance(v, (list, tuple)):
+        return ",".join(map(_fmt, v))
     return str(v)
 
 
@@ -87,8 +93,8 @@ def cmd_estimate_c(args) -> int:
     for rho, horizon, res in zip(grid, horizons, results):
         rows.append([float(rho), res.estimate, res.stderr, res.n_samples,
                      horizon, res.n_accepted, res.warning or ""])
-    keys = ["rho_min", "rho_max", "steps", "horizon_eps", "replicas", "seed",
-            "coupled"]
+    keys = ["rho_min", "rho_max", "steps", "horizon_eps", "horizon_t", "replicas",
+            "seed", "coupled"]
     _write_table(args.output, [("command", "estimate-c")] + _config_pairs(args, keys),
                  ["rho", "c_estimate", "stderr", "n", "horizon_T", "accepted",
                   "warning"], rows)
@@ -103,6 +109,10 @@ def _default_horizon(rho: float, eps: float, at_one: float = 10.0) -> float:
 
 def cmd_kpp(args) -> int:
     rhos = args.rho
+    if not all(rho >= 1.0 for rho in rhos):
+        print(f"bouex kpp: error: --rho must be >= 1, got {_fmt(rhos)}",
+              file=sys.stderr)
+        return 2
     params = KppParams(dx=args.dx, dt=args.dt, t_max=args.t_max,
                        rho_max=max(rhos), ic_mode=args.ic_mode,
                        ic_slope=args.ic_slope,
@@ -113,16 +123,14 @@ def cmd_kpp(args) -> int:
     rows = []
     for rho in rhos:
         extrapolated = ["", ""]
-        if len(field.times) >= 2:
+        if len(field.times) >= 2 and rho > 1.0:
             res = estimate_C_pde(field, rho)
             extrapolated = [res.estimate, res.stderr]
         for t in field.times:
             rows.append([rho, t, front_tail(field, rho, t),
                          prefactor_of_t(field, rho, t)] + extrapolated)
-    keys = ["t_max", "dx", "dt", "ic_mode", "ic_slope"]
-    _write_table(args.output,
-                 [("command", "kpp"), ("rho", ",".join(map(_fmt, rhos)))]
-                 + _config_pairs(args, keys),
+    keys = ["rho", "t_max", "dx", "dt", "checkpoints", "ic_mode", "ic_slope"]
+    _write_table(args.output, [("command", "kpp")] + _config_pairs(args, keys),
                  ["rho", "t", "w_probe", "c_of_t", "c_extrapolated", "uncertainty"],
                  rows)
     return 0

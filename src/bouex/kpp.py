@@ -14,6 +14,10 @@ ray, so this does not touch the extracted front values.  A log-ramp IC mode
 is kept for sensitivity studies; note that a ramp of slope b inflates the
 tail on the ray x = sqrt(2) rho t by roughly 1 + sqrt(2) rho/(b - sqrt(2) rho),
 which is why it is not the default.
+
+The implicit matrix of each phase is constant, so it is LU-factored once
+and every time step is a banded triangular solve against those factors;
+results therefore match a per-step `scipy.linalg.solve_banded` exactly.
 """
 
 from __future__ import annotations
@@ -23,11 +27,12 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.special import log_ndtr
 
 from .errors import NumericalFailureError
 from .gaussian import SQRT2
+from .results import EstimatorResult
 
 _SWITCH_FLOOR = 1e-11
 
@@ -122,6 +127,34 @@ def _banded_matrix(n: int, r: float, right_extrapolation: bool) -> np.ndarray:
     return ab
 
 
+def _banded_solver(ab: np.ndarray):
+    """Factor the (2, 1)-banded matrix `ab` once; return its per-step solve.
+
+    The factors are those `solve_banded((2, 1), ab, rhs)` computes at every
+    call (LAPACK gbsv is gbtrf then gbtrs), so each solve is bit-identical to
+    it.  The returned `solve(rhs, t, step)` rejects a non-finite right-hand
+    side, as `solve_banded` does, but with a NumericalFailureError naming
+    the time and step.
+    """
+    padded = np.zeros((6, ab.shape[1]))
+    padded[2:] = ab
+    lu, piv, info = dgbtrf(padded, 2, 1, overwrite_ab=True)
+    if info != 0:
+        raise NumericalFailureError(f"banded LU factorization failed (info={info})")
+
+    def solve(rhs: np.ndarray, t: float, step: int) -> np.ndarray:
+        if not np.isfinite(rhs).all():
+            raise NumericalFailureError(
+                f"non-finite right-hand side at t={t:.4f} (step {step})")
+        x, info = dgbtrs(lu, 2, 1, rhs, piv)
+        if info != 0:
+            raise NumericalFailureError(
+                f"banded solve failed at t={t:.4f} (step {step}, info={info})")
+        return x
+
+    return solve
+
+
 def _log_tail(x: np.ndarray, t: float) -> np.ndarray:
     """log of the exact linearized tail e^t P(N(0, t) > x)."""
     return t + log_ndtr(-x / math.sqrt(t))
@@ -133,8 +166,6 @@ def solve_kpp(params: KppParams) -> KppField:
     n = int(round((params.x_hi - params.x_lo) / dx)) + 1
     x = params.x_lo + dx * np.arange(n)
     r = 0.5 * dt / dx**2
-    ab_u = _banded_matrix(n, r, right_extrapolation=False)
-    ab_w = _banded_matrix(n, r, right_extrapolation=True)
     nonlin = params.nonlinear
 
     cps = list(params.checkpoint_times)
@@ -157,11 +188,12 @@ def solve_kpp(params: KppParams) -> KppField:
         i0 = int(np.argmin(np.abs(x)))
         u[i0] = 0.5
         n_u = int(round(params.t_switch / dt))
-        for _ in range(n_u):
+        solve_u = _banded_solver(_banded_matrix(n, r, right_extrapolation=False))
+        for k in range(n_u):
             rhs = u + dt * (u - (u * u if nonlin else 0.0))
             rhs[0] = math.exp(left_bc_w(t + dt))
             rhs[-1] = 0.0
-            u = solve_banded((2, 1), ab_u, rhs)
+            u = solve_u(rhs, t + dt, k)
             t += dt
         w = np.where(u > _SWITCH_FLOOR, np.log(np.maximum(u, 1e-300)), 0.0)
         w_tail = np.minimum(_log_tail(x, t), math.log(_SWITCH_FLOOR))
@@ -178,12 +210,13 @@ def solve_kpp(params: KppParams) -> KppField:
     total_steps = int(round((params.t_max - t) / dt))
     check_every = max(1, total_steps // 50)
     wx = np.zeros(n)
+    solve_w = _banded_solver(_banded_matrix(n, r, right_extrapolation=True))
     for k in range(total_steps):
         wx[1:-1] = (w[2:] - w[:-2]) / (2.0 * dx)
         rhs = w + dt * (0.5 * wx * wx + 1.0 - (np.exp(np.minimum(w, 50.0)) if nonlin else 0.0))
         rhs[0] = left_bc_w(t + dt)
         rhs[-1] = 0.0
-        w = solve_banded((2, 1), ab_w, rhs)
+        w = solve_w(rhs, t + dt, k)
         t += dt
         if k % check_every == 0 or k == total_steps - 1:
             tail = w[int(0.9 * n):]
@@ -226,8 +259,6 @@ def estimate_C_pde(field: KppField, rho: float, t_list=None):
     Fits c(t) = C + a/t on the last three checkpoints; the uncertainty is
     the spread between the two most recent pairwise 1/t extrapolations.
     """
-    from .spine import EstimatorResult
-
     if rho <= 1.0:
         raise ValueError("rho must be > 1")
     ts = list(t_list) if t_list is not None else list(field.times)

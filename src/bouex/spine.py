@@ -14,7 +14,7 @@ displacement; conditioning on that void event samples the decoration law.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -23,6 +23,7 @@ from .cloud import simulate_forest, additive_martingale_per_rep
 from .errors import RejectionBudgetError
 from .gaussian import SQRT2, INV_SQRT_4PI, gamma_constants
 from .measure import PointMeasure
+from .results import EstimatorResult
 from .rng import substream, spawn_seed
 from .window import collect_atoms_above
 
@@ -41,17 +42,6 @@ class SpineRealization:
     def __post_init__(self):
         if self.atoms.count_above(self.window_a) != len(self.atoms):
             raise ValueError("atoms below the window")
-
-
-@dataclass(frozen=True)
-class EstimatorResult:
-    estimate: float
-    stderr: float
-    n_samples: int
-    n_accepted: int = 0
-    warning: Optional[str] = None
-    pruned_mass: float = 0.0
-    extra: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)

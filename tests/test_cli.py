@@ -40,6 +40,13 @@ class TestEstimateC:
         assert a.read_bytes().replace(b"a.csv", b"") == \
             b.read_bytes().replace(b"b.csv", b"")
 
+    def test_header_echoes_horizon_t(self, tmp_path):
+        out = tmp_path / "c.csv"
+        assert run(["estimate-c", "--rho-min", "2.0", "--rho-max", "2.0",
+                    "--steps", "1", "--replicas", "100", "--seed", "4",
+                    "--horizon-t", "5.0", "-o", str(out)]) == 0
+        assert "# horizon_t=5.0\n" in out.read_text()
+
     def test_rho_one_warning_row(self, tmp_path):
         out = tmp_path / "c.csv"
         run(["estimate-c", "--rho-min", "1.0", "--rho-max", "1.0", "--steps",
@@ -96,6 +103,34 @@ class TestKpp:
         assert lines[0] == "t,x,w"
         assert len(lines) > 1
         assert all(float(ln.split(",")[0]) == 4.0 for ln in lines[1:])
+
+
+    def test_header_echoes_checkpoints(self, tmp_path):
+        out = tmp_path / "kpp.csv"
+        assert run(["kpp", "--rho", "1.5", "--t-max", "4.0", "--dx", "0.2",
+                    "--checkpoints", "3.0", "4.0", "-o", str(out)]) == 0
+        assert "# checkpoints=3.0,4.0\n" in out.read_text()
+
+    def test_rho_one_rows_without_extrapolation(self, tmp_path):
+        out = tmp_path / "kpp.csv"
+        code = run(["kpp", "--rho", "1.0", "--t-max", "4.0", "--dx", "0.1",
+                    "-o", str(out)])
+        assert code == 0
+        rows = [ln.split(",") for ln in out.read_text().strip().split("\n")
+                if not ln.startswith("#")][1:]
+        assert [float(r[1]) for r in rows] == [2.0, 3.0, 4.0]
+        for rho, t, w_probe, c_of_t, c_ext, unc in rows:
+            assert float(rho) == 1.0
+            assert math.isfinite(float(w_probe)) and float(c_of_t) > 0
+            assert (c_ext, unc) == ("", "")
+
+    def test_rho_below_one_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "kpp.csv"
+        code = run(["kpp", "--rho", "1.5", "--rho", "0.5", "--t-max", "4.0",
+                    "--dx", "0.1", "-o", str(out)])
+        assert code == 2
+        assert "--rho must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSimulate:

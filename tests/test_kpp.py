@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from scipy.linalg import solve_banded
+
 from bouex.errors import NumericalFailureError
-from bouex.kpp import (KppField, KppParams, dump_checkpoints, estimate_C_pde,
-                       front_tail, phi_conversion, prefactor_of_t, solve_kpp)
+from bouex.kpp import (KppField, KppParams, _banded_matrix, _banded_solver,
+                       dump_checkpoints, estimate_C_pde, front_tail,
+                       phi_conversion, prefactor_of_t, solve_kpp)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -103,6 +106,29 @@ class TestSolver:
         design = np.vstack([ts, np.ones_like(ts)]).T
         coef, *_ = np.linalg.lstsq(design, corrected, rcond=None)
         assert coef[0] == pytest.approx(SQRT2, rel=0.02)
+
+
+class TestBandedSolver:
+    # the benchmark grid: dx=0.05, t_max=10, rho_max=2 gives 887 points
+    N = 887
+    R = 0.5 * KppParams(dx=0.05, t_max=10.0, rho_max=2.0).dt_value / 0.05**2
+
+    @pytest.mark.parametrize("right_extrapolation", [False, True])
+    def test_matches_solve_banded_exactly(self, right_extrapolation):
+        ab = _banded_matrix(self.N, self.R, right_extrapolation)
+        solve = _banded_solver(ab)
+        rng = np.random.default_rng(11)
+        for k in range(4):
+            rhs = rng.normal(scale=10.0 ** k, size=self.N)
+            assert np.array_equal(solve(rhs, 0.0, k),
+                                  solve_banded((2, 1), ab, rhs))
+
+    def test_non_finite_rhs_is_a_numerical_failure(self):
+        solve = _banded_solver(_banded_matrix(self.N, self.R, True))
+        rhs = np.zeros(self.N)
+        rhs[100] = np.nan
+        with pytest.raises(NumericalFailureError, match=r"t=1\.2500 \(step 7\)"):
+            solve(rhs, 1.25, 7)
 
 
 class TestFrontTail:
