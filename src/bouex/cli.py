@@ -36,10 +36,10 @@ from .errors import NumericalFailureError, RejectionBudgetError, ResourceLimitEr
 from .kpp import KppParams, dump_checkpoints, estimate_C_pde, prefactor_of_t, \
     front_tail, solve_kpp
 from .measure import Centering
-from .rng import substream
+from .rng import chunks, substream
 from .spine import estimate_C, estimate_C_curve, sample_decoration, \
     sample_limit_process, truncation_horizon
-from .suite import run_suite, suite_names
+from .suite import run_suite
 from .window import windowed_extremal_atoms
 
 SCHEMA = 1
@@ -113,10 +113,14 @@ def cmd_kpp(args) -> int:
         print(f"bouex kpp: error: --rho must be >= 1, got {_fmt(rhos)}",
               file=sys.stderr)
         return 2
-    params = KppParams(dx=args.dx, dt=args.dt, t_max=args.t_max,
-                       rho_max=max(rhos), ic_mode=args.ic_mode,
-                       ic_slope=args.ic_slope,
-                       checkpoints=tuple(args.checkpoints or ()))
+    try:
+        params = KppParams(dx=args.dx, dt=args.dt, t_max=args.t_max,
+                           rho_max=max(rhos), ic_mode=args.ic_mode,
+                           ic_slope=args.ic_slope,
+                           checkpoints=tuple(args.checkpoints or ()))
+    except ValueError as exc:
+        print(f"bouex kpp: error: {exc}", file=sys.stderr)
+        return 2
     field = solve_kpp(params)
     if args.dump_field:
         dump_checkpoints(field, args.dump_field)
@@ -137,51 +141,36 @@ def cmd_kpp(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.emit == "martingales" and args.mu != 0.0:
+        print("bouex simulate: error: --emit martingales requires --mu 0",
+              file=sys.stderr)
+        return 2
     centering = Centering(args.centering, args.t)
     rows = []
     columns = []
     if args.emit == "max":
         columns = ["replica", "max"]
-        done = 0
-        j = 0
-        while done < args.replicas:
-            m = min(4096, args.replicas - done)
+        for j, start, m in chunks(args.replicas, 4096):
             res = windowed_extremal_atoms(args.mu, args.t, centering, args.window,
                                           m, substream(args.seed, j))
-            mx = np.full(m, -math.inf)
-            if res.group.size:
-                np.maximum.at(mx, res.group, res.atoms)
-            rows += [[done + i, float(mx[i])] for i in range(m)]
-            done += m
-            j += 1
+            mx = res.max_per_group()
+            rows += [[start + i, float(mx[i])] for i in range(m)]
     elif args.emit == "atoms-above":
         columns = ["replica", "atom"]
-        done = 0
-        j = 0
-        while done < args.replicas:
-            m = min(4096, args.replicas - done)
+        for j, start, m in chunks(args.replicas, 4096):
             res = windowed_extremal_atoms(args.mu, args.t, centering, args.window,
                                           m, substream(args.seed, j))
             order = np.lexsort((res.atoms, res.group))
-            rows += [[done + int(res.group[i]), float(res.atoms[i])] for i in order]
-            done += m
-            j += 1
+            rows += [[start + int(res.group[i]), float(res.atoms[i])] for i in order]
     else:  # martingales
-        if args.mu != 0.0:
-            raise SystemExit("martingales require --mu 0")
         betas = args.betas
         columns = ["replica"] + [f"W_beta_{_fmt(b)}" for b in betas] + ["Z"]
-        done = 0
-        j = 0
-        while done < args.replicas:
-            m = min(1024, args.replicas - done)
+        for j, start, m in chunks(args.replicas, 1024):
             forest = simulate_forest(0.0, args.t, m, substream(args.seed, j))
             ws = [additive_martingale_per_rep(forest, b) for b in betas]
             z = derivative_martingale_per_rep(forest)
             for i in range(m):
-                rows.append([done + i] + [float(w[i]) for w in ws] + [float(z[i])])
-            done += m
-            j += 1
+                rows.append([start + i] + [float(w[i]) for w in ws] + [float(z[i])])
     keys = ["mu", "t", "replicas", "centering", "emit", "window", "seed"]
     _write_table(args.output, [("command", "simulate")] + _config_pairs(args, keys),
                  columns, rows)
@@ -193,11 +182,9 @@ def cmd_decorate(args) -> int:
         truncation_horizon(args.rho, args.window_a, args.horizon_eps)
     rng = substream(args.seed, 0)
     rows = []
-    attempts_used = 0
     for k in range(args.samples):
         measure = sample_decoration(args.rho, horizon, args.window_a,
                                     args.max_attempts, rng)
-        attempts_used += 1
         rows += [[k, float(a)] for a in measure.atoms]
     keys = ["rho", "window_a", "samples", "max_attempts", "seed"]
     _write_table(args.output, [("command", "decorate"), ("horizon_T", horizon)]
@@ -290,7 +277,6 @@ def _build_parser(config=None) -> argparse.ArgumentParser:
         p.add_argument("--config", type=str, default=None,
                        help="JSON file with default parameter values")
         p.add_argument("--output", "-o", type=str, default="-")
-        p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
 
     p = sub.add_parser("estimate-c", help="spine Monte Carlo prefactor curve")
     p.add_argument("--rho-min", type=float, required=True)

@@ -206,19 +206,12 @@ def extremal_measure(cloud: ParticleCloud, centering: Centering) -> PointMeasure
 
 def additive_martingale(cloud: ParticleCloud, beta: float) -> float:
     """Sum of exp(beta X - (beta^2/2 + 1) t) over leaves (Brownian clouds only)."""
-    if cloud.spring.mu != 0.0:
-        raise ValueError("the additive martingale is defined for mu = 0")
-    t = cloud.spring.horizon_t
-    return float(np.sum(np.exp(beta * cloud.leaf_positions - (0.5 * beta * beta + 1.0) * t)))
+    return float(additive_martingale_per_rep(cloud.forest, beta)[0])
 
 
 def derivative_martingale(cloud: ParticleCloud) -> float:
     """Sum of (sqrt(2) t - X) exp(sqrt(2) X - 2t) over leaves (mu = 0 only)."""
-    if cloud.spring.mu != 0.0:
-        raise ValueError("the derivative martingale is defined for mu = 0")
-    t = cloud.spring.horizon_t
-    x = cloud.leaf_positions
-    return float(np.sum((SQRT2 * t - x) * np.exp(SQRT2 * x - 2.0 * t)))
+    return float(derivative_martingale_per_rep(cloud.forest)[0])
 
 
 def additive_martingale_per_rep(forest: Forest, beta: float) -> np.ndarray:

@@ -59,6 +59,8 @@ class KppParams:
             raise ValueError(f"unknown ic_mode {self.ic_mode!r}")
         if self.ic_mode == "uniform" and not 0.0 < self.ic_value < 1.0:
             raise ValueError("uniform IC level must lie in (0, 1)")
+        if self.dt is not None and not self.dt > 0:
+            raise ValueError(f"dt must be positive, got {self.dt}")
         if self.dt is not None and self.dt > self.stability_dt * (1 + 1e-9):
             raise ValueError(
                 f"dt={self.dt} exceeds the gradient-CFL stability bound "

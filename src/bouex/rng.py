@@ -1,10 +1,11 @@
 """Counter-based random streams.
 
 Every unit of Monte Carlo work draws from a Philox stream keyed by
-``(seed, index)``.  Streams with distinct keys are independent, so the
-mapping from work unit to randomness never depends on how work is
-scheduled across workers: identical ``(seed, config)`` gives bit-identical
-output under any parallel schedule.
+``(seed, index)``.  Streams with distinct keys are independent.  `chunks`
+is the only mapping from work unit to stream: it cuts n replicas into
+consecutive units of a fixed size, and unit j draws from
+``substream(seed, j)`` (or from indices derived from j), so identical
+``(seed, config, size)`` gives bit-identical output.
 """
 
 from __future__ import annotations
@@ -25,3 +26,13 @@ def substream(seed: int, index: int = 0) -> np.random.Generator:
 def spawn_seed(rng: np.random.Generator) -> int:
     """Derive a fresh 63-bit seed from an existing generator."""
     return int(rng.integers(0, 2**63 - 1))
+
+
+def chunks(n: int, size: int):
+    """Yield (j, start, m): unit j covers replicas [start, start + m).
+
+    Units are consecutive, of `size` replicas each except a shorter last
+    one; unit j is meant to draw from ``substream(seed, j)``.
+    """
+    for j, start in enumerate(range(0, n, size)):
+        yield j, start, min(size, n - start)

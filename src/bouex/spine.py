@@ -24,7 +24,7 @@ from .errors import RejectionBudgetError
 from .gaussian import SQRT2, INV_SQRT_4PI, gamma_constants
 from .measure import PointMeasure
 from .results import EstimatorResult
-from .rng import substream, spawn_seed
+from .rng import chunks, substream, spawn_seed
 from .window import collect_atoms_above
 
 CHUNK = 4096
@@ -137,6 +137,24 @@ def _draw_branches(n_reps: int, horizon_T: float, rng):
     return rep, sigma, b, b_T
 
 
+def _spine_atoms(m: int, horizon_T: float, speed: float, window_a: float, rng,
+                 prune_tol: float, stop_level=None):
+    """Branch atoms >= window_a of m spine realizations drifting at -speed.
+
+    Branch k's leaves X land at B_k - speed sigma_k + X.  Returns the
+    collected atoms (grouped by realization) and the spine value at the
+    horizon of each realization.
+    """
+    rep, sigma, b, b_T = _draw_branches(m, horizon_T, rng)
+    drift = speed * sigma
+    res = collect_atoms_above(
+        mu=0.0, horizons=sigma, x0=np.zeros(sigma.size),
+        levels=window_a + drift - b, scales=np.ones(sigma.size),
+        offsets=b - drift, groups=rep, n_groups=m, rng=rng,
+        prune_tol=prune_tol, stop_level=stop_level)
+    return res, b_T
+
+
 def sample_spine(rho: float, horizon_T: float, window_a: float, rng,
                  prune_tol: float = 1e-9) -> SpineRealization:
     """One spine realization truncated at horizon_T, atoms kept above window_a."""
@@ -144,12 +162,7 @@ def sample_spine(rho: float, horizon_T: float, window_a: float, rng,
         raise ValueError("rho must be >= 1")
     if not horizon_T > 0:
         raise ValueError("horizon_T must be positive")
-    rep, sigma, b, _ = _draw_branches(1, horizon_T, rng)
-    drift = SQRT2 * rho * sigma
-    res = collect_atoms_above(
-        mu=0.0, horizons=sigma, x0=np.zeros(sigma.size),
-        levels=window_a + drift - b, scales=np.ones(sigma.size),
-        offsets=b - drift, groups=rep, n_groups=1, rng=rng, prune_tol=prune_tol)
+    res, _ = _spine_atoms(1, horizon_T, SQRT2 * rho, window_a, rng, prune_tol)
     atoms = np.concatenate(([0.0], res.atoms)) if window_a <= 0.0 else res.atoms
     pm = PointMeasure(atoms)
     return SpineRealization(rho=rho, horizon_T=horizon_T, window_a=window_a,
@@ -158,7 +171,7 @@ def sample_spine(rho: float, horizon_T: float, window_a: float, rng,
 
 
 def estimate_C(rho: float, horizon_T: float, n: int, seed: int,
-               prune_tol: float = 1e-8, chunk: int = CHUNK) -> EstimatorResult:
+               prune_tol: float = 1e-8) -> EstimatorResult:
     """Monte Carlo estimate of the large-deviation prefactor c(rho).
 
     estimate = P(no strictly positive atom) / sqrt(4 pi); the void check
@@ -170,26 +183,15 @@ def estimate_C(rho: float, horizon_T: float, n: int, seed: int,
         raise ValueError("need n >= 1")
     void_total = 0
     pruned_total = 0.0
-    done = 0
-    j = 0
-    while done < n:
-        m = min(chunk, n - done)
-        rng = substream(seed, j)
-        rep, sigma, b, _ = _draw_branches(m, horizon_T, rng)
-        drift = SQRT2 * rho * sigma
-        res = collect_atoms_above(
-            mu=0.0, horizons=sigma, x0=np.zeros(sigma.size),
-            levels=drift - b, scales=np.ones(sigma.size),
-            offsets=b - drift, groups=rep, n_groups=m, rng=rng,
-            prune_tol=prune_tol, stop_level=0.0)
+    for j, _, m in chunks(n, CHUNK):
+        res, _ = _spine_atoms(m, horizon_T, SQRT2 * rho, 0.0, substream(seed, j),
+                              prune_tol, stop_level=0.0)
         nonvoid = res.stopped.copy()
         # atoms emitted exactly at 0 do not break voidness
         pos = res.atoms > 0.0
         np.logical_or.at(nonvoid, res.group[pos], True)
         void_total += int(m - np.count_nonzero(nonvoid))
         pruned_total += float(res.pruned_mass.sum())
-        done += m
-        j += 1
     p = void_total / n
     se = math.sqrt(max(p * (1.0 - p), 1e-300) / n)
     warning = "rho_at_one" if rho <= 1.0 + 1e-12 else None
@@ -199,7 +201,7 @@ def estimate_C(rho: float, horizon_T: float, n: int, seed: int,
 
 
 def estimate_C_curve(rho_grid, horizon_T: float, n: int, seed: int,
-                     prune_tol: float = 1e-8, chunk: int = CHUNK):
+                     prune_tol: float = 1e-8):
     """Coupled estimates over an ascending rho grid (common random numbers).
 
     Each realization is summarized by its critical speed
@@ -216,11 +218,7 @@ def estimate_C_curve(rho_grid, horizon_T: float, n: int, seed: int,
     rho_min = float(grid[0])
     void_counts = np.zeros(grid.size, dtype=np.int64)
     pruned_total = 0.0
-    rho_star_all = []
-    done = 0
-    j = 0
-    while done < n:
-        m = min(chunk, n - done)
+    for j, _, m in chunks(n, CHUNK):
         rng = substream(seed, j)
         rep, sigma, b, _ = _draw_branches(m, horizon_T, rng)
         sig = np.maximum(sigma, 1e-300)
@@ -229,15 +227,9 @@ def estimate_C_curve(rho_grid, horizon_T: float, n: int, seed: int,
             levels=SQRT2 * rho_min * sig - b,
             scales=1.0 / (SQRT2 * sig), offsets=b / (SQRT2 * sig),
             groups=rep, n_groups=m, rng=rng, prune_tol=prune_tol)
-        rho_star = np.full(m, -np.inf)
-        if res.group.size:
-            np.maximum.at(rho_star, res.group, res.atoms)
+        rho_star = res.max_per_group()
         void_counts += (grid[None, :] >= rho_star[:, None]).sum(axis=0)
-        rho_star_all.append(rho_star)
         pruned_total += float(res.pruned_mass.sum())
-        done += m
-        j += 1
-    rho_star_all = np.concatenate(rho_star_all)
     results = []
     slope = _right_derivative_at_one(grid, void_counts / n)
     for i, rho in enumerate(grid):
@@ -276,14 +268,9 @@ def sample_decoration(rho: float, horizon_T: float, window_a: float,
         raise ValueError("window_a must be <= 0 (decorations live on (-inf, 0])")
     if max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
-    for attempt in range(1, max_attempts + 1):
-        rep, sigma, b, _ = _draw_branches(1, horizon_T, rng)
-        drift = SQRT2 * rho * sigma
-        res = collect_atoms_above(
-            mu=0.0, horizons=sigma, x0=np.zeros(sigma.size),
-            levels=window_a + drift - b, scales=np.ones(sigma.size),
-            offsets=b - drift, groups=rep, n_groups=1, rng=rng,
-            prune_tol=prune_tol, stop_level=0.0)
+    for _ in range(max_attempts):
+        res, _ = _spine_atoms(1, horizon_T, SQRT2 * rho, window_a, rng, prune_tol,
+                              stop_level=0.0)
         if res.stopped[0] or np.any(res.atoms > 0.0):
             continue
         return PointMeasure(np.concatenate(([0.0], res.atoms)))

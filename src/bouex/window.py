@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import log_ndtr
 
 from .errors import ResourceLimitError
-from .gaussian import ou_variance
+from .gaussian import normalization_factor, ou_variance
 
 _DEFAULT_NODE_CAP = 200_000_000
 
@@ -39,6 +39,12 @@ class CollectedAtoms:
 
     def atoms_of(self, g: int) -> np.ndarray:
         return self.atoms[self.group == g]
+
+    def max_per_group(self) -> np.ndarray:
+        """Largest atom of each group, -inf for a group with none."""
+        mx = np.full(self.pruned_mass.size, -np.inf)
+        np.maximum.at(mx, self.group, self.atoms)
+        return mx
 
 
 def _exceedance_log_bound(mu, tau, x, level):
@@ -161,8 +167,6 @@ def windowed_extremal_atoms(mu: float, t: float, centering, window: float,
     Output coordinates are lambda_{mu t} X - centering.value; the raw
     collection level is the window mapped back through that affine map.
     """
-    from .gaussian import normalization_factor
-
     lam = normalization_factor(mu, t)
     level_raw = (window + centering.value) / lam
     ids = np.arange(n_reps)

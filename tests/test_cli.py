@@ -132,6 +132,14 @@ class TestKpp:
         assert "--rho must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_positive_dt_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "kpp.csv"
+        code = run(["kpp", "--rho", "1.5", "--t-max", "3", "--dx", "0.2",
+                    "--dt", "0", "-o", str(out)])
+        assert code == 2
+        assert "dt must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_emit_max(self, tmp_path):
@@ -177,6 +185,14 @@ class TestSimulate:
                  if not ln.startswith("#")]
         assert lines[0] == "replica,W_beta_0.0,W_beta_0.5,Z"
         assert len(lines) == 31
+
+    def test_martingales_need_mu_zero(self, tmp_path, capsys):
+        out = tmp_path / "sim.csv"
+        code = run(["simulate", "--mu", "1.0", "--t", "1.0", "--replicas", "1",
+                    "--emit", "martingales", "-o", str(out)])
+        assert code == 2
+        assert "--emit martingales requires --mu 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_resource_cap_exit_3(self, tmp_path):
         code = run(["simulate", "--mu", "0.0", "--t", "30.0", "--replicas", "1",

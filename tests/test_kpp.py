@@ -83,8 +83,9 @@ class TestSolver:
             solve_kpp(params)
 
     def test_dt_validation(self):
-        with pytest.raises(ValueError):
-            KppParams(dx=0.05, dt=0.1, t_max=4.0, rho_max=2.0)
+        for dt in (0.1, 0.0, -0.01):
+            with pytest.raises(ValueError):
+                KppParams(dx=0.05, dt=dt, t_max=4.0, rho_max=2.0)
 
     def test_front_speed_with_log_correction(self):
         # the half-level set follows sqrt2 t - (3/(2 sqrt2)) log t + O(1);

@@ -9,7 +9,7 @@ from scipy import stats
 from bouex.errors import RejectionBudgetError
 from bouex.gaussian import INV_SQRT_4PI, SQRT2
 from bouex.rng import substream
-from bouex.spine import (estimate_C, estimate_C_curve, sample_decoration,
+from bouex.spine import (CHUNK, estimate_C, estimate_C_curve, sample_decoration,
                          sample_limit_process, sample_spine, truncation_horizon,
                          truncation_miss_bound, _draw_branches)
 
@@ -132,9 +132,11 @@ class TestEstimateC:
         assert a.estimate == b.estimate
 
     def test_chunking_invariance(self):
-        # replica-to-stream mapping is fixed by the chunk grid, not the worker
-        a = estimate_C(1.5, 6.0, 3000, seed=61, chunk=4096)
-        b = estimate_C(1.5, 6.0, 3000, seed=61, chunk=4096)
+        # the replica-to-stream mapping is fixed by the chunk grid, which is
+        # the constant spine.CHUNK; n crosses one chunk boundary
+        n = CHUNK + 1000
+        a = estimate_C(1.5, 6.0, n, seed=61)
+        b = estimate_C(1.5, 6.0, n, seed=61)
         assert a.estimate == b.estimate
 
 

@@ -11,8 +11,8 @@ from bouex.errors import ResourceLimitError
 from bouex.gaussian import normalization_factor, ou_variance
 from bouex.measure import Centering
 from bouex.rng import substream
-from bouex.window import (collect_atoms_above, subtree_exceedance_bound,
-                          windowed_extremal_atoms)
+from bouex.window import (CollectedAtoms, collect_atoms_above,
+                          subtree_exceedance_bound, windowed_extremal_atoms)
 
 
 def brute_force_counts(mu, t, level_raw, n, seed):
@@ -125,6 +125,18 @@ class TestCollector:
         se = counts.std(ddof=1) / math.sqrt(n)
         deficit = target - counts.mean()
         assert deficit < 4.0 * se + res.pruned_mass.mean()
+
+    def test_max_per_group_empty_groups_are_minus_inf(self):
+        res = CollectedAtoms(group=np.array([1, 3, 1, 3, 3]),
+                             atoms=np.array([0.5, -2.0, 1.5, -1.0, -3.0]),
+                             pruned_mass=np.zeros(5), stopped=np.zeros(5, bool),
+                             n_nodes=0)
+        np.testing.assert_array_equal(res.max_per_group(),
+                                      [-np.inf, 1.5, -np.inf, -1.0, -np.inf])
+        none = CollectedAtoms(group=np.zeros(0, np.int64), atoms=np.zeros(0),
+                              pruned_mass=np.zeros(3), stopped=np.zeros(3, bool),
+                              n_nodes=0)
+        np.testing.assert_array_equal(none.max_per_group(), np.full(3, -np.inf))
 
     def test_node_cap(self):
         with pytest.raises(ResourceLimitError):
