@@ -23,7 +23,7 @@ from scipy.special import expit, ndtri
 
 from .cloud import simulate_forest
 from .gaussian import SQRT2, normalization_factor, ou_variance
-from .measure import Centering, PointMeasure
+from .measure import Centering, PointMeasure, group_max
 from .rng import chunks, substream
 from .spine import _spine_atoms, sample_limit_process
 from .window import windowed_extremal_atoms
@@ -389,8 +389,7 @@ def spine_identity_sides(rho: float, t: float, n: int, seed: int,
     for j, _, m in chunks(n, 4096):
         forest = simulate_forest(0.0, t, m, substream(seed, 2 * j))
         rep, x = forest.leaf_positions()
-        mx = np.full(m, -np.inf)
-        np.maximum.at(mx, rep, x)
+        mx = group_max(rep, x, m)
         centred = x - mx[rep]
         keep = centred >= _SPINE_WINDOW
         vals = _functional_values(rep[keep], centred[keep], m, battery)

@@ -13,8 +13,9 @@ extrapolation; a rho below 1 is a usage error.
 by flag name without the leading dashes; they act as defaults, so a flag the
 file supplies is no longer required and a flag given on the command line wins.
 
-Exit codes: 0 ok, 1 failed verification check, 2 usage error, 3 resource
-cap, 4 numerical failure, 5 rejection budget exhausted.
+Exit codes: 0 ok, 1 failed verification check, 2 usage error (a bad flag, or
+a ValueError from the library), 3 resource cap, 4 numerical failure, 5
+rejection budget exhausted.
 """
 
 from __future__ import annotations
@@ -110,17 +111,10 @@ def _default_horizon(rho: float, eps: float, at_one: float = 10.0) -> float:
 def cmd_kpp(args) -> int:
     rhos = args.rho
     if not all(rho >= 1.0 for rho in rhos):
-        print(f"bouex kpp: error: --rho must be >= 1, got {_fmt(rhos)}",
-              file=sys.stderr)
-        return 2
-    try:
-        params = KppParams(dx=args.dx, dt=args.dt, t_max=args.t_max,
-                           rho_max=max(rhos), ic_mode=args.ic_mode,
-                           ic_slope=args.ic_slope,
-                           checkpoints=tuple(args.checkpoints or ()))
-    except ValueError as exc:
-        print(f"bouex kpp: error: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--rho must be >= 1, got {_fmt(rhos)}")
+    params = KppParams(dx=args.dx, dt=args.dt, t_max=args.t_max, rho_max=max(rhos),
+                       ic_mode=args.ic_mode, ic_slope=args.ic_slope,
+                       checkpoints=tuple(args.checkpoints or ()))
     field = solve_kpp(params)
     if args.dump_field:
         dump_checkpoints(field, args.dump_field)
@@ -142,9 +136,7 @@ def cmd_kpp(args) -> int:
 
 def cmd_simulate(args) -> int:
     if args.emit == "martingales" and args.mu != 0.0:
-        print("bouex simulate: error: --emit martingales requires --mu 0",
-              file=sys.stderr)
-        return 2
+        raise ValueError("--emit martingales requires --mu 0")
     centering = Centering(args.centering, args.t)
     rows = []
     columns = []
@@ -372,9 +364,12 @@ def _merge_config(argv) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    args = _merge_config(argv).parse_args(argv)
     try:
-        args = _merge_config(argv).parse_args(argv)
         return args.func(args)
+    except ValueError as exc:  # an invalid value that argparse cannot see
+        print(f"bouex {args.command}: error: {exc}", file=sys.stderr)
+        return 2
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3

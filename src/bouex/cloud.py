@@ -5,6 +5,11 @@ exact OU transition, so there is no time discretization anywhere.  Trees are
 stored as flat node arrays in wave (generation) order, which keeps the
 genealogy available for ancestry queries while letting everything vectorize.
 
+`_waves` is the one wave core that samples this law, for `simulate_forest`
+and for the windowed collector in `window.py` alike.  Its clock is each
+node's remaining time tau: a node is a leaf when its exponential lifetime is
+at least tau, and its children start with tau minus that lifetime.
+
 A Forest batches many independent replicas into one set of arrays; a
 ParticleCloud is the single-replica view required by the public API.
 """
@@ -72,9 +77,7 @@ class Forest:
         N(0, horizon_t) leaves that the tree supports in that limit.
         """
         if math.isinf(mu):
-            out = np.empty(self.n_nodes)
-            out[self.is_leaf] = math.sqrt(self.horizon_t) * self.xi[self.is_leaf]
-            return out[self.is_leaf]
+            return math.sqrt(self.horizon_t) * self.xi[self.is_leaf]
         x = np.empty(self.n_nodes)
         sd = np.sqrt(ou_variance(np.full(self.n_nodes, mu), self.duration))
         decay = np.exp(-mu * self.duration)
@@ -86,65 +89,60 @@ class Forest:
         return x[self.is_leaf]
 
 
+def _waves(mu, tau, x, rng, node_cap, expand=None):
+    """Expand a batch of subtrees generation by generation.
+
+    Root i starts at position x[i] with remaining time tau[i] > 0.  Before
+    each wave is drawn, `expand(tau, x, root)` may return a mask of the
+    nodes to keep.  Yields one wave at a time:
+    (root, parent, tau, life, xi, leaf, dur, x_new), where parent is the
+    node id (in yield order) of the node's parent, -1 for roots.
+    """
+    root = np.arange(tau.size, dtype=np.int64)
+    parent = np.full(tau.size, -1, dtype=np.int64)
+    n = 0
+    while tau.size:
+        if expand is not None:
+            keep = expand(tau, x, root)
+            if not keep.all():
+                tau, x, root, parent = tau[keep], x[keep], root[keep], parent[keep]
+                if not tau.size:
+                    return
+        m = tau.size
+        if n + m > node_cap:
+            raise ResourceLimitError(
+                f"tree traversal exceeds node cap {node_cap}; a shorter horizon, "
+                "a higher window or a larger prune_tol expands fewer nodes")
+        life = rng.exponential(size=m)
+        xi = rng.standard_normal(m)
+        leaf = life >= tau
+        dur = np.where(leaf, tau, life)
+        x_new = x * np.exp(-mu * dur) + np.sqrt(ou_variance(np.full(m, mu), dur)) * xi
+        yield root, parent, tau, life, xi, leaf, dur, x_new
+        split = ~leaf
+        parent = np.repeat(np.arange(n, n + m, dtype=np.int64)[split], 2)
+        n += m
+        tau = np.repeat(tau[split] - life[split], 2)
+        x = np.repeat(x_new[split], 2)
+        root = np.repeat(root[split], 2)
+
+
 def simulate_forest(mu: float, horizon_t: float, n_reps: int, rng,
                     horizon_cap: float = HORIZON_CAP) -> Forest:
     """Draw n_reps independent clouds with one exact-law batched traversal."""
-    if not horizon_t > 0:
-        raise ValueError("horizon_t must be positive")
-    if mu < 0:
-        raise ValueError("negative spring constant is out of scope")
+    SpringParams(mu, horizon_t)  # raises ValueError for a bad mu or horizon_t
     if horizon_t > horizon_cap:
         raise ResourceLimitError(
             f"horizon {horizon_t} exceeds cap {horizon_cap}: expected leaf count "
             f"is e^t = {math.exp(horizon_t):.3g} per replica")
-
-    rep_parts, par_parts, tend_parts, dur_parts, xi_parts, xend_parts, leaf_parts = \
-        [], [], [], [], [], [], []
-    wave_edges = []
-    n_nodes = 0
-
-    w_rep = np.arange(n_reps, dtype=np.int64)
-    w_parent = np.full(n_reps, -1, dtype=np.int64)
-    w_birth = np.zeros(n_reps)
-    w_x = np.zeros(n_reps)
-
-    while w_rep.size:
-        m = w_rep.size
-        if n_nodes + m > _NODE_CAP:
-            raise ResourceLimitError(
-                f"forest exceeds node cap {_NODE_CAP} (mu={mu}, t={horizon_t}, "
-                f"n_reps={n_reps})")
-        life = rng.exponential(size=m)
-        xi = rng.standard_normal(m)
-        leaf = w_birth + life >= horizon_t
-        dur = np.where(leaf, horizon_t - w_birth, life)
-        sd = np.sqrt(ou_variance(np.full(m, mu), dur))
-        x_new = w_x * np.exp(-mu * dur) + sd * xi
-        t_end = np.where(leaf, horizon_t, w_birth + life)
-
-        ids = np.arange(n_nodes, n_nodes + m, dtype=np.int64)
-        rep_parts.append(w_rep)
-        par_parts.append(w_parent)
-        tend_parts.append(t_end)
-        dur_parts.append(dur)
-        xi_parts.append(xi)
-        xend_parts.append(x_new)
-        leaf_parts.append(leaf)
-        wave_edges.append((n_nodes, n_nodes + m))
-        n_nodes += m
-
-        splitting = ~leaf
-        w_rep = np.repeat(w_rep[splitting], 2)
-        w_parent = np.repeat(ids[splitting], 2)
-        w_birth = np.repeat(t_end[splitting], 2)
-        w_x = np.repeat(x_new[splitting], 2)
-
-    return Forest(
-        mu=mu, horizon_t=horizon_t, n_reps=n_reps,
-        rep=np.concatenate(rep_parts), parent=np.concatenate(par_parts),
-        t_end=np.concatenate(tend_parts), duration=np.concatenate(dur_parts),
-        xi=np.concatenate(xi_parts), x_end=np.concatenate(xend_parts),
-        is_leaf=np.concatenate(leaf_parts), wave_edges=wave_edges)
+    waves = []  # the seven node columns of each wave
+    for rep, parent, tau, life, xi, leaf, dur, x_new in _waves(
+            mu, np.full(n_reps, float(horizon_t)), np.zeros(n_reps), rng, _NODE_CAP):
+        t_end = np.where(leaf, horizon_t, horizon_t - tau + life)
+        waves.append((rep, parent, t_end, dur, xi, x_new, leaf))
+    ends = np.cumsum([w[0].size for w in waves]).tolist()
+    return Forest(mu, horizon_t, n_reps, *(np.concatenate(col) for col in zip(*waves)),
+                  wave_edges=list(zip([0] + ends[:-1], ends)))
 
 
 class ParticleCloud:
@@ -245,13 +243,11 @@ def variable_speed_view(cloud: ParticleCloud, gamma: float, s: float, rng) -> np
     if not 0.0 <= s <= t:
         raise ValueError("s must lie in [0, horizon_t]")
     scale = gamma_constants(gamma).c_gamma * math.exp(gamma * s / t)
-    f = cloud.forest
-    birth = f.t_birth
     if s == 0.0:
         return np.zeros(1)
-    alive = (birth < s) & (s <= f.t_end)
-    if s == t:
-        alive = f.is_leaf.copy()
+    f = cloud.forest
+    birth = f.t_birth
+    alive = f.is_leaf if s == t else (birth < s) & (s <= f.t_end)
     idx = np.flatnonzero(alive)
     x_birth = np.where(f.parent[idx] >= 0, f.x_end[np.maximum(f.parent[idx], 0)], 0.0)
     at_end = np.isclose(f.t_end[idx], s)

@@ -56,6 +56,13 @@ class PointMeasure:
         return PointMeasure(self.atoms + c)
 
 
+def group_max(group, atoms, n_groups: int) -> np.ndarray:
+    """Largest atom of each group 0..n_groups-1; -inf for a group with none."""
+    mx = np.full(n_groups, -np.inf)
+    np.maximum.at(mx, group, atoms)
+    return mx
+
+
 def max_and_counts(measure: PointMeasure, z: float):
     """(max atom, number of atoms >= z); max is -inf when empty."""
     return measure.max, measure.count_above(z)

@@ -11,6 +11,10 @@ leaves,
 an exact Markov bound on the exceedance probability, is at most prune_tol.
 Every dropped bound is added to the root group's `pruned_mass`, so the
 one-sided miss probability of each group is reported exactly.
+
+The trees are drawn by `cloud._waves`, the one wave core that also builds
+`simulate_forest`'s trees, on the same remaining-time clock tau; this module
+only decides which nodes to expand and which leaves to emit.
 """
 
 from __future__ import annotations
@@ -21,8 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import log_ndtr
 
-from .errors import ResourceLimitError
+from .cloud import _waves
 from .gaussian import normalization_factor, ou_variance
+from .measure import group_max
 
 _DEFAULT_NODE_CAP = 200_000_000
 
@@ -42,9 +47,7 @@ class CollectedAtoms:
 
     def max_per_group(self) -> np.ndarray:
         """Largest atom of each group, -inf for a group with none."""
-        mx = np.full(self.pruned_mass.size, -np.inf)
-        np.maximum.at(mx, self.group, self.atoms)
-        return mx
+        return group_max(self.group, self.atoms, self.pruned_mass.size)
 
 
 def _exceedance_log_bound(mu, tau, x, level):
@@ -73,90 +76,48 @@ def collect_atoms_above(mu, horizons, x0, levels, scales, offsets, groups, n_gro
     When stop_level is given, a group is abandoned as soon as it emits an
     atom strictly above it (used by void-probability estimators).
     """
-    tau = np.asarray(horizons, dtype=float).copy()
-    x = np.asarray(x0, dtype=float).copy()
-    lvl = np.asarray(levels, dtype=float).copy()
-    scl = np.asarray(scales, dtype=float).copy()
-    off = np.asarray(offsets, dtype=float).copy()
-    grp = np.asarray(groups, dtype=np.int64).copy()
+    tau = np.asarray(horizons, dtype=float)
+    x = np.asarray(x0, dtype=float)
+    lvl, scl, off = (np.asarray(a, dtype=float) for a in (levels, scales, offsets))
+    grp = np.asarray(groups, dtype=np.int64)
 
     pruned = np.zeros(n_groups)
     stopped = np.zeros(n_groups, dtype=bool)
     out_groups, out_atoms = [], []
     n_nodes = 0
+    log_tol = math.log(prune_tol) if prune_tol > 0 else None
 
-    # roots with tau == 0 are immediate leaves
-    if tau.size:
-        done = tau <= 0.0
-        if np.any(done):
-            hit = done & (x >= lvl)
-            if np.any(hit):
-                out_groups.append(grp[hit])
-                out_atoms.append(scl[hit] * x[hit] + off[hit])
-                if stop_level is not None:
-                    emitted = scl[hit] * x[hit] + off[hit]
-                    over = emitted > stop_level
-                    if np.any(over):
-                        np.logical_or.at(stopped, grp[hit][over], True)
-            keep = ~done
-            tau, x, lvl, scl, off, grp = (a[keep] for a in (tau, x, lvl, scl, off, grp))
+    def emit(x_leaf, root):
+        hit = x_leaf >= lvl[root]
+        g = grp[root[hit]]
+        emitted = scl[root[hit]] * x_leaf[hit] + off[root[hit]]
+        out_groups.append(g)
+        out_atoms.append(emitted)
+        if stop_level is not None:
+            stopped[g[emitted > stop_level]] = True
 
-    while tau.size:
-        if stop_level is not None and stopped.any():
-            keep = ~stopped[grp]
-            if not keep.all():
-                tau, x, lvl, scl, off, grp = (a[keep] for a in (tau, x, lvl, scl, off, grp))
-                if not tau.size:
-                    break
+    def expand(tau, x, root):
+        keep = ~stopped[grp[root]] if stop_level is not None else np.ones(tau.size, bool)
+        if log_tol is not None:
+            log_bound = _exceedance_log_bound(mu, tau, x, lvl[root])
+            drop = keep & (log_bound <= log_tol)
+            np.add.at(pruned, grp[root[drop]], np.exp(log_bound[drop]))
+            keep &= ~drop
+        return keep
 
-        log_bound = _exceedance_log_bound(mu, tau, x, lvl)
-        drop = log_bound <= math.log(prune_tol) if prune_tol > 0 else np.zeros(tau.size, bool)
-        if np.any(drop):
-            np.add.at(pruned, grp[drop], np.exp(log_bound[drop]))
-            keep = ~drop
-            tau, x, lvl, scl, off, grp = (a[keep] for a in (tau, x, lvl, scl, off, grp))
-            if not tau.size:
-                break
+    # a root with tau <= 0 is a leaf already; the wave core expands the rest,
+    # whose root ids index the per-root arrays restricted to the live roots
+    done = np.flatnonzero(tau <= 0.0)
+    emit(x[done], done)
+    live = np.flatnonzero(tau > 0.0)
+    lvl, scl, off, grp = (a[live] for a in (lvl, scl, off, grp))
+    for root, _, tau, _, _, leaf, _, x_new in _waves(mu, tau[live], x[live], rng,
+                                                    node_cap, expand):
+        n_nodes += tau.size
+        emit(x_new[leaf], root[leaf])
 
-        m = tau.size
-        n_nodes += m
-        if n_nodes > node_cap:
-            raise ResourceLimitError(
-                f"windowed traversal exceeded node cap {node_cap}; "
-                "raise prune_tol or the window level")
-        life = rng.exponential(size=m)
-        xi = rng.standard_normal(m)
-        leaf = life >= tau
-        dur = np.where(leaf, tau, life)
-        sd = np.sqrt(ou_variance(np.full(m, mu), dur))
-        x_new = x * np.exp(-mu * dur) + sd * xi
-
-        hit = leaf & (x_new >= lvl)
-        if np.any(hit):
-            emitted = scl[hit] * x_new[hit] + off[hit]
-            out_groups.append(grp[hit])
-            out_atoms.append(emitted)
-            if stop_level is not None:
-                over = emitted > stop_level
-                if np.any(over):
-                    np.logical_or.at(stopped, grp[hit][over], True)
-
-        split = ~leaf
-        tau = np.repeat(tau[split] - life[split], 2)
-        x = np.repeat(x_new[split], 2)
-        lvl = np.repeat(lvl[split], 2)
-        scl = np.repeat(scl[split], 2)
-        off = np.repeat(off[split], 2)
-        grp = np.repeat(grp[split], 2)
-
-    if out_groups:
-        g = np.concatenate(out_groups)
-        a = np.concatenate(out_atoms)
-    else:
-        g = np.zeros(0, dtype=np.int64)
-        a = np.zeros(0)
-    return CollectedAtoms(group=g, atoms=a, pruned_mass=pruned,
-                          stopped=stopped, n_nodes=n_nodes)
+    return CollectedAtoms(group=np.concatenate(out_groups), atoms=np.concatenate(out_atoms),
+                          pruned_mass=pruned, stopped=stopped, n_nodes=n_nodes)
 
 
 def windowed_extremal_atoms(mu: float, t: float, centering, window: float,

@@ -252,8 +252,9 @@ class TestChecksReduced:
 
 
 class TestSuite:
-    def test_smoke_suite_runs_and_reports_all(self):
-        reports = suite.run_suite("smoke", seed=123)
+    def test_smoke_suite_runs_and_reports_all(self, smoke_run):
+        # the reports of the session's one suite.run_suite("smoke", seed=123)
+        reports = smoke_run.reports
         names = {r.name for r in reports}
         assert names == set(suite.suite_names("smoke"))
         failed = [r.name for r in reports if r.failed]

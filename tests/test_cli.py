@@ -241,13 +241,28 @@ class TestDecorateAndLimit:
         assert code == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["estimate-c", "--rho-min", "1.5", "--rho-max", "2", "--steps", "2",
+     "--replicas", "0"],
+    ["decorate", "--rho", "1.0"],
+    ["simulate", "--mu", "1", "--t", "0", "--replicas", "1", "--emit", "max"],
+    ["limit-process", "--gamma", "0"],
+], ids=lambda argv: argv[0])
+def test_library_value_error_is_usage_error(argv, tmp_path, capsys):
+    # a value argparse accepts but the library rejects: exit 2, no traceback
+    out = tmp_path / "out.csv"
+    assert run(argv + ["-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"bouex {argv[0]}: error: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 class TestVerify:
-    def test_smoke_suite_exit_0_and_json(self, tmp_path):
-        out = tmp_path / "report.json"
-        code = run(["verify", "--suite", "smoke", "--seed", "123",
-                    "-o", str(out)])
-        assert code == 0
-        reports = json.loads(out.read_text())
+    def test_smoke_suite_exit_0_and_json(self, smoke_run):
+        # the session's one run of `verify --suite smoke --seed 123 -o FILE`
+        assert smoke_run.code == 0
+        reports = smoke_run.json
         from bouex.suite import suite_names
         assert {r["name"] for r in reports} == set(suite_names("smoke"))
 

@@ -154,6 +154,50 @@ class TestCollector:
                                   rel=1e-10)
 
 
+class TestOneWaveCore:
+    @pytest.mark.parametrize("mu", [0.0, 1.0])
+    def test_collector_and_forest_draw_the_same_tree(self, mu):
+        # unpruned, unwindowed collection is the forest's leaf set, bit for bit
+        n, t = 300, 4.0
+        res = collect_atoms_above(
+            mu, np.full(n, t), np.zeros(n), np.full(n, -np.inf), np.ones(n),
+            np.zeros(n), np.arange(n), n, substream(44, 0), prune_tol=0)
+        forest = simulate_forest(mu, t, n, substream(44, 0))
+        rep, x = forest.leaf_positions()
+        assert np.array_equal(res.group, rep)
+        assert np.array_equal(res.atoms, x)
+        assert res.n_nodes == forest.n_nodes
+        assert np.array_equal(forest.positions_for(forest.mu), x)
+
+    @pytest.mark.parametrize("stop_level", [None, 5.0])
+    def test_non_positive_horizon_roots(self, stop_level):
+        # live roots: groups 0..n-1; roots with tau <= 0 get groups n, n+1, n+2
+        n, mu = 60, 0.5
+        tau, x0 = np.full(n, 3.0), np.zeros(n)
+        level, scale, offset = np.full(n, -1.0), np.ones(n), np.zeros(n)
+        group = np.arange(n)
+        live = collect_atoms_above(mu, tau, x0, level, scale, offset, group, n,
+                                   substream(45, 0), stop_level=stop_level)
+
+        # at its level -> atom 2 * 0.5 + 1; below it -> nothing; 2 * 3 + 1 > 5
+        dead = dict(tau=[0.0, -1.0, 0.0], x0=[0.5, -2.0, 3.0], level=[0.5, -1.0, 1.0])
+        at = [0, 20, 40]  # interleaved with the live roots
+        mixed = collect_atoms_above(
+            mu, np.insert(tau, at, dead["tau"]), np.insert(x0, at, dead["x0"]),
+            np.insert(level, at, dead["level"]), np.insert(scale, at, 2.0),
+            np.insert(offset, at, 1.0), np.insert(group, at, [n, n + 1, n + 2]),
+            n + 3, substream(45, 0), stop_level=stop_level)
+
+        assert np.array_equal(mixed.group, np.concatenate(([n, n + 2], live.group)))
+        assert np.array_equal(mixed.atoms, np.concatenate(([2.0, 7.0], live.atoms)))
+        # tau <= 0 roots draw no random numbers and expand no node
+        assert mixed.n_nodes == live.n_nodes
+        assert np.array_equal(mixed.pruned_mass[:n], live.pruned_mass)
+        assert np.all(mixed.pruned_mass[n:] == 0.0)
+        assert np.array_equal(mixed.stopped[:n], live.stopped)
+        assert mixed.stopped[n:].tolist() == [False, False, stop_level is not None]
+
+
 class TestWindowedExtremal:
     def test_counts_match_exact_mean(self):
         mu, t, window, n = 1.0, 8.0, 0.0, 10_000
