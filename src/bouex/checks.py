@@ -4,6 +4,11 @@ pass/fail checks with explicit error budgets.
 Every check is deterministic given (seed, config), draws each replica
 chunk from its own stream (`rng.chunks`), and returns a machine-readable
 CheckReport.
+Replicas are reduced one way: a Monte Carlo check builds an array with one
+row per replica (`_replica_values`), and every replica mean it reports comes
+with the Bessel-corrected standard error of `_mean_se`.  The void-law check
+of the limit process is the one exception: its z-scores use the binomial
+standard error, floored so that a frequency of 0 or 1 stays finite.
 Finite-horizon allowances (0.2 first-moment band, 0.05 KS and Laplace
 levels, the +-0.5 slope window) are calibrations of this artifact, not
 limit-theorem constants; the reports carry the trend data that justifies
@@ -214,23 +219,29 @@ def iid_finite_t_functional(phi: TestFunction, t: float) -> float:
 # checks
 
 
-def _mean_se(total, totsq, n):
-    """Replica mean and its Bessel-corrected standard error (+1e-15)."""
-    mean = total / n
-    var = np.maximum(totsq / n - mean * mean, 0.0) * n / max(n - 1, 1)
+def _replica_values(n: int, size: int, draw) -> np.ndarray:
+    """Per-replica values: `draw(j, m)` for each unit of `chunks(n, size)`, stacked."""
+    return np.concatenate([draw(j, m) for j, _, m in chunks(n, size)])
+
+
+def _mean_se(values):
+    """Column-wise replica mean and its Bessel-corrected standard error (+1e-15)."""
+    n = len(values)
+    mean = values.mean(axis=0)
+    var = ((values - mean) ** 2).sum(axis=0) / max(n - 1, 1)
     return mean, np.sqrt(var / n) + 1e-15
 
 
 def check_max_limit_law(mu: float, t: float, n: int, seed: int,
-                        threshold: float = 0.05, window: float = -8.0,
+                        threshold: float = 0.05,
                         name: str = "max_limit_law") -> CheckReport:
-    """KS distance of the centred maximum against (1 + e^{-sqrt2 z})^{-1}."""
-    maxima = np.empty(n)
+    """KS distance of the centred maximum against (1 + e^{-sqrt2 z})^{-1}.
+
+    Atoms are collected at or above -8; a replica with none counts as -inf.
+    """
     centering = Centering("bou_tilde", t)
-    for j, start, m in chunks(n, CHUNK):
-        res = windowed_extremal_atoms(mu, t, centering, window, m, substream(seed, j),
-                                      prune_tol=1e-9)
-        maxima[start:start + m] = res.max_per_group()
+    maxima = _replica_values(n, CHUNK, lambda j, m: windowed_extremal_atoms(
+        mu, t, centering, -8.0, m, substream(seed, j), prune_tol=1e-9).max_per_group())
     missing = int(np.count_nonzero(~np.isfinite(maxima)))
 
     def cdf(z):
@@ -254,36 +265,39 @@ def check_slepian_monotonicity(mu_list, phi: TestFunction, t: float, n: int,
     mus = list(mu_list)
     if sorted(mus) != mus:
         raise ValueError("mu_list must be ascending")
-    k = len(mus)
+    if len(mus) < 2:
+        return CheckReport.make(name, 0.0, threshold, n, note="single point")
     m_t = Centering("bou_onehalf", t).value
     lams = [1.0 if math.isinf(mu) else normalization_factor(mu, t) for mu in mus]
-    sums = np.zeros(k)
-    dsum = np.zeros(max(k - 1, 0))
-    dsq = np.zeros(max(k - 1, 0))
     base_mu = next((mu for mu in mus if not math.isinf(mu)), 0.0)
-    for j, _, m in chunks(n, 256):
+
+    def draw(j, m):
         forest = simulate_forest(base_mu, t, m, substream(seed, j))
         rep = forest.rep[forest.is_leaf]
-        vals = np.empty((m, k))
+        vals = np.empty((m, len(mus)))
         for i, mu in enumerate(mus):
             leaves = forest.x_end[forest.is_leaf] if mu == base_mu \
                 else forest.positions_for(mu)
             atoms = lams[i] * leaves - m_t
-            tot = np.bincount(rep, weights=phi(atoms), minlength=m)
-            vals[:, i] = np.exp(-tot)
-        sums += vals.sum(axis=0)
-        d = np.diff(vals, axis=1)
-        dsum += d.sum(axis=0)
-        dsq += (d * d).sum(axis=0)
-    if k < 2:
-        return CheckReport.make(name, 0.0, threshold, n, note="single point")
-    means = sums / n
-    md, se = _mean_se(dsum, dsq, n)
+            vals[:, i] = np.exp(-np.bincount(rep, weights=phi(atoms), minlength=m))
+        return vals
+
+    vals = _replica_values(n, 256, draw)
+    md, se = _mean_se(np.diff(vals, axis=1))
     zs = md / se
     return CheckReport.make(name, zs.max(), threshold, n,
                             mus=[float(mu) for mu in mus],
-                            laplace=[float(v) for v in means],
+                            laplace=[float(v) for v in vals.mean(axis=0)],
                             pair_z=[float(z) for z in zs], phi=phi.label(), t=t)
+
+
+def _leaf_sums(mu: float, t: float, f, n: int, seed: int) -> np.ndarray:
+    """sum_u f(X_t(u)) per replica, over forests of 512 replicas per stream."""
+    def draw(j, m):
+        rep, x = simulate_forest(mu, t, m, substream(seed, j)).leaf_positions()
+        return np.bincount(rep, weights=f(x), minlength=m)
+
+    return _replica_values(n, 512, draw)
 
 
 def check_many_to_one(mu: float, t: float, f, n: int, seed: int,
@@ -293,15 +307,7 @@ def check_many_to_one(mu: float, t: float, f, n: int, seed: int,
     v = ou_variance(mu, t)
     lo = getattr(f, "support_left", None)
     target = math.exp(t) * gaussian_expectation(f, v, lo)
-    total = 0.0
-    totsq = 0.0
-    for j, _, m in chunks(n, 512):
-        forest = simulate_forest(mu, t, m, substream(seed, j))
-        rep, x = forest.leaf_positions()
-        s = np.bincount(rep, weights=f(x), minlength=m)
-        total += s.sum()
-        totsq += (s * s).sum()
-    mean, se = _mean_se(total, totsq, n)
+    mean, se = _mean_se(_leaf_sums(mu, t, f, n, seed))
     stat = abs(mean - target) / se
     return CheckReport.make(name, stat, threshold, n, mean=mean, target=target,
                             stderr=se, mu=mu, t=t,
@@ -313,7 +319,6 @@ def check_many_to_two(mu: float, t: float, f: TestFunction, n: int, seed: int,
                       name: str = "many_to_two") -> CheckReport:
     """Replica mean of (sum_u f)^2 against the two-diffusion moment formula."""
     v = ou_variance(mu, t)
-    single = math.exp(t) * gaussian_expectation(f, v, f.support_left)
 
     def integrand(s):
         c = math.exp(-2.0 * mu * (t - s)) * ou_variance(mu, s)
@@ -325,15 +330,7 @@ def check_many_to_two(mu: float, t: float, f: TestFunction, n: int, seed: int,
         else (lambda x: f(x) ** 2)
     target = math.exp(t) * gaussian_expectation(f_sq, v, f.support_left) \
         + 2.0 * pair_term
-    total = 0.0
-    totsq = 0.0
-    for j, _, m in chunks(n, 512):
-        forest = simulate_forest(mu, t, m, substream(seed, j))
-        rep, x = forest.leaf_positions()
-        s = np.bincount(rep, weights=f(x), minlength=m)
-        total += (s * s).sum()
-        totsq += (s ** 4).sum()
-    mean, se = _mean_se(total, totsq, n)
+    mean, se = _mean_se(_leaf_sums(mu, t, f, n, seed) ** 2)
     stat = abs(mean - target) / se
     return CheckReport.make(name, stat, threshold, n, mean=mean, target=target,
                             stderr=se, mu=mu, t=t, f=f.label())
@@ -342,88 +339,62 @@ def check_many_to_two(mu: float, t: float, f: TestFunction, n: int, seed: int,
 _SPINE_WINDOW = -2.0
 
 
-def _functional_values(group, atoms, n_groups, battery):
-    """Battery values per replica from flat (group, atom) arrays.
+def _spine_functionals(group, atoms, n: int) -> np.ndarray:
+    """Per-replica values of the four spine-identity functionals F.
 
-    Battery entries: ("one",), ("void", lo, hi), ("laplace", phi).
+    Columns: the constant 1, the void indicator of (-1, 0), and the Laplace
+    functionals of smooth_step(-0.5, 0.5) and exp_window(1, -1.5), from flat
+    (group, atom) arrays.
     """
-    out = np.empty((n_groups, len(battery)))
-    for idx, spec in enumerate(battery):
-        if spec[0] == "one":
-            out[:, idx] = 1.0
-        elif spec[0] == "void":
-            lo, hi = spec[1], spec[2]
-            inside = (atoms > lo) & (atoms < hi)
-            counts = np.bincount(group[inside], minlength=n_groups)
-            out[:, idx] = counts == 0
-        else:
-            phi = spec[1]
-            tot = np.bincount(group, weights=phi(atoms), minlength=n_groups)
-            out[:, idx] = np.exp(-tot)
-    return out
-
-
-def default_spine_battery():
-    return [("one",),
-            ("void", -1.0, 0.0),
-            ("laplace", smooth_step(-0.5, 0.5)),
-            ("laplace", exponential_window(1.0, -1.5))]
+    inside = (atoms > -1.0) & (atoms < 0.0)
+    laplace = [np.exp(-np.bincount(group, weights=phi(atoms), minlength=n))
+               for phi in (smooth_step(-0.5, 0.5), exponential_window(1.0, -1.5))]
+    return np.column_stack([np.ones(n), np.bincount(group[inside], minlength=n) == 0]
+                           + laplace)
 
 
 def spine_identity_sides(rho: float, t: float, n: int, seed: int,
-                         battery=None, drift_sign: float = -1.0):
+                         drift_sign: float = -1.0):
     """Monte Carlo estimates of both sides of the tip-decomposition identity.
 
     Left: direct clouds, E[F(atoms - max) 1{max >= sqrt2 rho t}].  Right:
     importance-weighted spine, e^{(1-rho^2) t} E[e^{sqrt2 rho B_t} 1{B_t<=0}
     F(truncated spine measure) 1{no positive atom}].  `drift_sign` flips the
-    spine drift for mutation testing; -1 is the real construction.
+    spine drift for mutation testing; -1 is the real construction.  Returns
+    (left mean, right mean, left stderr, right stderr) for each F of
+    `_spine_functionals`.
     """
-    battery = battery or default_spine_battery()
-    nf = len(battery)
-    lsum = np.zeros(nf)
-    lsq = np.zeros(nf)
-    rsum = np.zeros(nf)
-    rsq = np.zeros(nf)
     thresh = SQRT2 * rho * t
-    for j, _, m in chunks(n, 4096):
+
+    def draw(j, m):
         forest = simulate_forest(0.0, t, m, substream(seed, 2 * j))
         rep, x = forest.leaf_positions()
         mx = group_max(rep, x, m)
         centred = x - mx[rep]
         keep = centred >= _SPINE_WINDOW
-        vals = _functional_values(rep[keep], centred[keep], m, battery)
-        vals *= (mx >= thresh)[:, None]
-        lsum += vals.sum(axis=0)
-        lsq += (vals * vals).sum(axis=0)
+        left = _spine_functionals(rep[keep], centred[keep], m)
+        left *= (mx >= thresh)[:, None]
 
         res, b_T = _spine_atoms(m, t, -drift_sign * SQRT2 * rho, _SPINE_WINDOW,
                                 substream(seed, 2 * j + 1), 1e-10)
-        pos = np.bincount(res.group[res.atoms > 0.0], minlength=m)
-        void = pos == 0
+        void = np.bincount(res.group[res.atoms > 0.0], minlength=m) == 0
         weight = np.where(b_T <= 0.0, np.exp(SQRT2 * rho * b_T), 0.0)
         # the spine's own atom at 0 enters every functional
         g = np.concatenate((res.group, np.arange(m, dtype=np.int64)))
         a = np.concatenate((res.atoms, np.zeros(m)))
-        vals = _functional_values(g, a, m, battery)
-        vals *= (weight * void * math.exp((1.0 - rho * rho) * t))[:, None]
-        rsum += vals.sum(axis=0)
-        rsq += (vals * vals).sum(axis=0)
-    res = []
-    for i in range(nf):
-        lm, rm = lsum[i] / n, rsum[i] / n
-        lv = max(lsq[i] / n - lm * lm, 0.0) / n
-        rv = max(rsq[i] / n - rm * rm, 0.0) / n
-        res.append((lm, rm, math.sqrt(lv), math.sqrt(rv)))
-    return res
+        right = _spine_functionals(g, a, m)
+        right *= (weight * void * math.exp((1.0 - rho * rho) * t))[:, None]
+        return np.hstack((left, right))
+
+    mean, se = _mean_se(_replica_values(n, 4096, draw))
+    k = mean.size // 2
+    return list(zip(mean[:k], mean[k:], se[:k], se[k:]))
 
 
 def check_spine_identity(rho: float, t: float, n: int, seed: int,
-                         threshold: float = 4.0, battery=None,
-                         drift_sign: float = -1.0,
+                         threshold: float = 4.0, drift_sign: float = -1.0,
                          name: str = "spine_identity") -> CheckReport:
-    sides = spine_identity_sides(rho, t, n, seed, battery=battery,
-                                 drift_sign=drift_sign)
+    sides = spine_identity_sides(rho, t, n, seed, drift_sign=drift_sign)
     stat = -np.inf
     rows = []
     for lm, rm, ls, rs in sides:
@@ -433,19 +404,19 @@ def check_spine_identity(rho: float, t: float, n: int, seed: int,
     return CheckReport.make(name, stat, threshold, n, rho=rho, t=t, rows=rows)
 
 
-def _counts_above(mu, t, z_grid, n, seed, prune_tol=1e-7):
+def _counts_above(mu, t, z_grid, n, seed):
     """Per-replica counts of tilde-centred atoms at each grid level."""
     z_grid = np.asarray(z_grid, dtype=float)
     window = float(z_grid.min())
     centering = Centering("bou_tilde", t)
-    counts = np.zeros((n, z_grid.size), dtype=np.int64)
-    for j, start, m in chunks(n, CHUNK):
+
+    def draw(j, m):
         res = windowed_extremal_atoms(mu, t, centering, window, m, substream(seed, j),
-                                      prune_tol=prune_tol)
-        for i, z in enumerate(z_grid):
-            sel = res.atoms >= z
-            counts[start:start + m, i] = np.bincount(res.group[sel], minlength=m)
-    return counts
+                                      prune_tol=1e-7)
+        return np.column_stack([np.bincount(res.group[res.atoms >= z], minlength=m)
+                                for z in z_grid])
+
+    return _replica_values(n, CHUNK, draw)
 
 
 def check_first_moment(mu: float, t: float, z_grid, n: int, seed: int,
@@ -455,9 +426,7 @@ def check_first_moment(mu: float, t: float, z_grid, n: int, seed: int,
     z_grid = np.asarray(z_grid, dtype=float)
     if np.any(np.abs(z_grid) > t ** 0.49):
         raise ValueError("levels must satisfy |z| <= t^0.49")
-    counts = _counts_above(mu, t, z_grid, n, seed)
-    mean = counts.mean(axis=0)
-    se = counts.std(axis=0, ddof=1) / math.sqrt(n)
+    mean, se = _mean_se(_counts_above(mu, t, z_grid, n, seed))
     scale = np.exp(SQRT2 * z_grid)
     dev = np.maximum(np.abs(scale * mean - 1.0) - 3.0 * scale * se, 0.0)
     stat = float(dev.max())
@@ -485,11 +454,6 @@ def check_second_moment_gap(mu: float, t: float, z_grid, n: int, seed: int,
                             gaps=gaps.tolist(), z=z_grid.tolist(), mu=mu, t=t)
 
 
-def default_iid_battery():
-    return [smooth_step(0.0, 1.0, height=20.0), smooth_step(0.0, 1.0, height=1.0),
-            exponential_window(1.0, 0.0), indicator(0.5)]
-
-
 def simulate_iid_laplace(phi: TestFunction, t: float, n: int, seed: int):
     """Mean/se of the uncorrelated-case Laplace functional at horizon t.
 
@@ -501,9 +465,8 @@ def simulate_iid_laplace(phi: TestFunction, t: float, n: int, seed: int):
     cut = m_t + phi.support_left
     p_tail = float(stats.norm.sf(cut, scale=sd))
     p_leaf = math.exp(-t)
-    total = 0.0
-    totsq = 0.0
-    for j, _, m in chunks(n, 65536):
+
+    def draw(j, m):
         rng = substream(seed, j)
         counts = rng.geometric(p_leaf, size=m)
         k = rng.binomial(counts, p_tail)
@@ -516,27 +479,25 @@ def simulate_iid_laplace(phi: TestFunction, t: float, n: int, seed: int):
             grp = np.repeat(np.arange(idx.size), k[idx])
             s = np.bincount(grp, weights=phi(x - m_t), minlength=idx.size)
             vals[idx] = np.exp(-s)
-        total += vals.sum()
-        totsq += (vals * vals).sum()
-    mean = total / n
-    var = max(totsq / n - mean * mean, 0.0)
-    return mean, math.sqrt(var / n)
+        return vals
+
+    return _mean_se(_replica_values(n, 65536, draw))
 
 
 def check_iid_limit(t: float, n: int, seed: int, tol: float = 0.05,
-                    battery=None, name: str = "iid_limit") -> CheckReport:
+                    name: str = "iid_limit") -> CheckReport:
     """Uncorrelated-case Laplace functionals against the closed-form limit."""
-    battery = battery or default_iid_battery()
     rows = []
     stat = -np.inf
-    for i, phi in enumerate(battery):
+    for i, phi in enumerate((smooth_step(0.0, 1.0, height=20.0), smooth_step(0.0, 1.0),
+                             exponential_window(1.0, 0.0), indicator(0.5))):
         mean, se = simulate_iid_laplace(phi, t, n, seed + 131 * i)
         limit = iid_limit_functional(phi)
         exact_t = iid_finite_t_functional(phi, t)
         diff = abs(mean - limit)
         rows.append({"phi": phi.label(), "simulated": mean, "stderr": se,
                      "limit": limit, "exact_finite_t": exact_t,
-                     "z_vs_exact": abs(mean - exact_t) / (se + 1e-15)})
+                     "z_vs_exact": abs(mean - exact_t) / se})
         stat = max(stat, diff)
     return CheckReport.make(name, stat, tol, n, t=t, rows=rows)
 
@@ -544,10 +505,8 @@ def check_iid_limit(t: float, n: int, seed: int, tol: float = 0.05,
 def check_yule_counts(t: float, n: int, seed: int, alpha: float = 0.01,
                       name: str = "yule_geometric_counts") -> CheckReport:
     """Chi-square fit of simulated leaf counts to the geometric law."""
-    counts = np.empty(n, dtype=np.int64)
-    for j, start, m in chunks(n, 512):
-        forest = simulate_forest(0.0, t, m, substream(seed, j))
-        counts[start:start + m] = forest.leaf_counts()
+    counts = _replica_values(n, 512, lambda j, m: simulate_forest(
+        0.0, t, m, substream(seed, j)).leaf_counts())
     p = math.exp(-t)
     # geometric bins with expected count >= 5, tail merged
     kmax = 1
@@ -571,14 +530,13 @@ def check_limit_process_law(n: int, seed: int, z_grid=(-1.0, 0.0, 1.0),
     """gamma = inf limit process: P(no atom >= z) vs the exponential-mixed form."""
     z_grid = np.asarray(z_grid, dtype=float)
     window = float(z_grid.min())
-    hits = np.zeros(z_grid.size)
-    for j, _, m in chunks(n, 8192):
+
+    def draw(j, m):
         rng = substream(seed, j)
-        for _ in range(m):
-            s = sample_limit_process(math.inf, window, rng)
-            for i, z in enumerate(z_grid):
-                hits[i] += s.atoms.count_above(z) == 0
-    emp = hits / n
+        samples = [sample_limit_process(math.inf, window, rng).atoms for _ in range(m)]
+        return np.array([[s.count_above(z) == 0 for z in z_grid] for s in samples])
+
+    emp = _replica_values(n, 8192, draw).mean(axis=0)
     target = 1.0 / (1.0 + np.exp(-SQRT2 * z_grid) / math.sqrt(4.0 * math.pi))
     se = np.sqrt(np.maximum(emp * (1 - emp), 1e-12) / n)
     zscores = np.abs(emp - target) / se

@@ -2,7 +2,10 @@
 
 Outputs are CSV (data) or JSON (reports) with the fully resolved config
 echoed in `# key=value` header comments, so re-running the header reproduces
-the file byte for byte.  Numeric formatting uses shortest round-trip floats;
+the file byte for byte.  The header echoes every parsed flag except
+`--config`, `--output`, `--dump-field` and `--summary`, which name files
+rather than shape the rows; `decorate` also echoes the horizon it resolved.
+Numeric formatting uses shortest round-trip floats;
 an empty measure's maximum is written as the string -inf, and an unset
 optional flag as an empty value.  `kpp` leaves the c_extrapolated and
 uncertainty cells empty when it stores fewer than two checkpoints, since the
@@ -23,7 +26,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 
@@ -56,21 +58,23 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _write_table(path, header_kv, columns, rows):
+_NOT_ECHOED = {"command", "func", "config", "output", "dump_field", "summary"}
+
+
+def _write_table(args, columns, rows, **resolved):
+    """Write the table to args.output under the header of every echoed flag."""
+    header = [("command", args.command), *resolved.items()]
+    header += [(k, v) for k, v in vars(args).items() if k not in _NOT_ECHOED]
     lines = [f"# schema={SCHEMA}"]
-    lines += [f"# {k}={_fmt(v)}" for k, v in header_kv]
+    lines += [f"# {k}={_fmt(v)}" for k, v in header]
     lines.append(",".join(columns))
     lines += [",".join(_fmt(v) for v in row) for row in rows]
     text = "\n".join(lines) + "\n"
-    if path in (None, "-"):
+    if args.output in (None, "-"):
         sys.stdout.write(text)
     else:
-        with open(path, "w") as fh:
+        with open(args.output, "w") as fh:
             fh.write(text)
-
-
-def _config_pairs(args, keys):
-    return [(k, getattr(args, k)) for k in keys]
 
 
 def cmd_estimate_c(args) -> int:
@@ -94,17 +98,14 @@ def cmd_estimate_c(args) -> int:
     for rho, horizon, res in zip(grid, horizons, results):
         rows.append([float(rho), res.estimate, res.stderr, res.n_samples,
                      horizon, res.n_accepted, res.warning or ""])
-    keys = ["rho_min", "rho_max", "steps", "horizon_eps", "horizon_t", "replicas",
-            "seed", "coupled"]
-    _write_table(args.output, [("command", "estimate-c")] + _config_pairs(args, keys),
-                 ["rho", "c_estimate", "stderr", "n", "horizon_T", "accepted",
-                  "warning"], rows)
+    _write_table(args, ["rho", "c_estimate", "stderr", "n", "horizon_T", "accepted",
+                        "warning"], rows)
     return 0
 
 
-def _default_horizon(rho: float, eps: float, at_one: float = 10.0) -> float:
+def _default_horizon(rho: float, eps: float) -> float:
     if rho <= 1.0 + 1e-12:
-        return at_one
+        return 10.0
     return truncation_horizon(rho, 0.0, eps)
 
 
@@ -127,9 +128,7 @@ def cmd_kpp(args) -> int:
         for t in field.times:
             rows.append([rho, t, front_tail(field, rho, t),
                          prefactor_of_t(field, rho, t)] + extrapolated)
-    keys = ["rho", "t_max", "dx", "dt", "checkpoints", "ic_mode", "ic_slope"]
-    _write_table(args.output, [("command", "kpp")] + _config_pairs(args, keys),
-                 ["rho", "t", "w_probe", "c_of_t", "c_extrapolated", "uncertainty"],
+    _write_table(args, ["rho", "t", "w_probe", "c_of_t", "c_extrapolated", "uncertainty"],
                  rows)
     return 0
 
@@ -163,9 +162,7 @@ def cmd_simulate(args) -> int:
             z = derivative_martingale_per_rep(forest)
             for i in range(m):
                 rows.append([start + i] + [float(w[i]) for w in ws] + [float(z[i])])
-    keys = ["mu", "t", "replicas", "centering", "emit", "window", "seed"]
-    _write_table(args.output, [("command", "simulate")] + _config_pairs(args, keys),
-                 columns, rows)
+    _write_table(args, columns, rows)
     return 0
 
 
@@ -178,9 +175,7 @@ def cmd_decorate(args) -> int:
         measure = sample_decoration(args.rho, horizon, args.window_a,
                                     args.max_attempts, rng)
         rows += [[k, float(a)] for a in measure.atoms]
-    keys = ["rho", "window_a", "samples", "max_attempts", "seed"]
-    _write_table(args.output, [("command", "decorate"), ("horizon_T", horizon)]
-                 + _config_pairs(args, keys), ["sample_id", "atom"], rows)
+    _write_table(args, ["sample_id", "atom"], rows, horizon_T=horizon)
     if args.summary:
         with open(args.summary, "w") as fh:
             json.dump({"schema": SCHEMA, "samples": args.samples,
@@ -189,18 +184,15 @@ def cmd_decorate(args) -> int:
 
 
 def cmd_limit_process(args) -> int:
-    gamma = math.inf if args.gamma in ("inf", "Inf", "INF") else float(args.gamma)
     rng = substream(args.seed, 0)
     rows = []
     for k in range(args.samples):
-        sample = sample_limit_process(gamma, args.window_a, rng,
+        sample = sample_limit_process(args.gamma, args.window_a, rng,
                                       c_value=args.c_value,
                                       proxy_horizon=args.proxy_horizon,
                                       max_attempts=args.max_attempts)
         rows += [[k, float(a)] for a in sample.atoms.atoms]
-    keys = ["gamma", "window_a", "samples", "seed", "proxy_horizon"]
-    _write_table(args.output, [("command", "limit-process")]
-                 + _config_pairs(args, keys), ["sample_id", "atom"], rows)
+    _write_table(args, ["sample_id", "atom"], rows)
     return 0
 
 
@@ -320,7 +312,7 @@ def _build_parser(config=None) -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_decorate)
 
     p = sub.add_parser("limit-process", help="sample the limiting point process")
-    p.add_argument("--gamma", type=str, required=True, help="float or 'inf'")
+    p.add_argument("--gamma", type=float, required=True, help="float or 'inf'")
     p.add_argument("--window-a", type=float, default=-4.0)
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--max-attempts", type=int, default=10_000)

@@ -127,13 +127,12 @@ def _waves(mu, tau, x, rng, node_cap, expand=None):
         root = np.repeat(root[split], 2)
 
 
-def simulate_forest(mu: float, horizon_t: float, n_reps: int, rng,
-                    horizon_cap: float = HORIZON_CAP) -> Forest:
+def simulate_forest(mu: float, horizon_t: float, n_reps: int, rng) -> Forest:
     """Draw n_reps independent clouds with one exact-law batched traversal."""
     SpringParams(mu, horizon_t)  # raises ValueError for a bad mu or horizon_t
-    if horizon_t > horizon_cap:
+    if horizon_t > HORIZON_CAP:
         raise ResourceLimitError(
-            f"horizon {horizon_t} exceeds cap {horizon_cap}: expected leaf count "
+            f"horizon {horizon_t} exceeds cap {HORIZON_CAP}: expected leaf count "
             f"is e^t = {math.exp(horizon_t):.3g} per replica")
     waves = []  # the seven node columns of each wave
     for rep, parent, tau, life, xi, leaf, dur, x_new in _waves(
@@ -188,9 +187,9 @@ class ParticleCloud:
         raise AssertionError("leaves share no root")  # pragma: no cover
 
 
-def simulate_cloud(spring: SpringParams, rng, horizon_cap: float = HORIZON_CAP) -> ParticleCloud:
+def simulate_cloud(spring: SpringParams, rng) -> ParticleCloud:
     """Exact-law sample of one cloud run to spring.horizon_t."""
-    forest = simulate_forest(spring.mu, spring.horizon_t, 1, rng, horizon_cap=horizon_cap)
+    forest = simulate_forest(spring.mu, spring.horizon_t, 1, rng)
     return ParticleCloud(spring, forest)
 
 

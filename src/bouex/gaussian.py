@@ -30,8 +30,8 @@ class SpringParams:
     def __post_init__(self):
         if not self.horizon_t > 0:
             raise ValueError(f"horizon_t must be positive, got {self.horizon_t}")
-        if self.mu < 0:
-            raise ValueError("negative spring constant is out of scope")
+        if not 0.0 <= self.mu < math.inf:
+            raise ValueError(f"spring constant must be finite and >= 0, got {self.mu}")
 
 
 @dataclass(frozen=True)
@@ -97,8 +97,8 @@ def normalization_factor(mu: float, t: float) -> float:
     """Dilation lambda_{mu t} making the time-t position have variance t."""
     if not t > 0:
         raise ValueError("t must be positive")
-    if mu < 0:
-        raise ValueError("spring constant must be non-negative")
+    if not 0.0 <= mu < math.inf:
+        raise ValueError(f"spring constant must be finite and >= 0, got {mu}")
     if mu == 0.0:
         return 1.0
     return math.sqrt(2.0 * mu * t / -math.expm1(-2.0 * mu * t))

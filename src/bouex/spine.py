@@ -284,7 +284,6 @@ def sample_limit_process(gamma: float, window_a: float, rng,
                          c_value: Optional[float] = None,
                          proxy_horizon: float = 12.0,
                          max_attempts: int = 10_000,
-                         prune_tol: float = 1e-9,
                          decoration_horizon: Optional[float] = None) -> LimitProcessSample:
     """Draw the limiting decorated Poisson point process above window_a.
 
@@ -322,8 +321,7 @@ def sample_limit_process(gamma: float, window_a: float, rng,
             dec_window = min(0.0, (window_a - xi) / d_gamma)
             t_dec = decoration_horizon if decoration_horizon is not None \
                 else truncation_horizon(d_gamma, dec_window, 1e-2)
-            dec = sample_decoration(d_gamma, t_dec, dec_window, max_attempts, rng,
-                                    prune_tol=prune_tol)
+            dec = sample_decoration(d_gamma, t_dec, dec_window, max_attempts, rng)
             shifted = xi + d_gamma * dec.atoms
             pieces.append(shifted[shifted >= window_a])
         atoms = np.concatenate(pieces) if pieces else np.zeros(0)

@@ -42,9 +42,6 @@ class CollectedAtoms:
     stopped: np.ndarray      # per-group flag: early stop triggered
     n_nodes: int             # processed segment count
 
-    def atoms_of(self, g: int) -> np.ndarray:
-        return self.atoms[self.group == g]
-
     def max_per_group(self) -> np.ndarray:
         """Largest atom of each group, -inf for a group with none."""
         return group_max(self.group, self.atoms, self.pruned_mass.size)
@@ -121,8 +118,7 @@ def collect_atoms_above(mu, horizons, x0, levels, scales, offsets, groups, n_gro
 
 
 def windowed_extremal_atoms(mu: float, t: float, centering, window: float,
-                            n_reps: int, rng, prune_tol: float = 1e-9,
-                            node_cap: int = _DEFAULT_NODE_CAP) -> CollectedAtoms:
+                            n_reps: int, rng, prune_tol: float = 1e-9) -> CollectedAtoms:
     """All extremal atoms >= window for n_reps clouds, certified-pruned.
 
     Output coordinates are lambda_{mu t} X - centering.value; the raw
@@ -139,4 +135,4 @@ def windowed_extremal_atoms(mu: float, t: float, centering, window: float,
         scales=np.full(n_reps, lam),
         offsets=np.full(n_reps, -centering.value),
         groups=ids, n_groups=n_reps, rng=rng,
-        prune_tol=prune_tol, node_cap=node_cap)
+        prune_tol=prune_tol)

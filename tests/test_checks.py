@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from bouex.checks import (CheckReport, TestFunction, check_first_moment,
+from bouex.checks import (CheckReport, check_first_moment,
                           check_iid_limit, check_many_to_one, check_many_to_two,
                           check_max_limit_law, check_second_moment_gap,
                           check_slepian_monotonicity, check_spine_identity,
@@ -204,7 +204,14 @@ class TestChecksReduced:
         assert r.passed
         assert len(r.details["laplace"]) == 4
 
-    def test_slepian_single_point_trivial(self):
+    def test_slepian_single_point_trivial(self, monkeypatch):
+        # one spring constant has no pair to compare, so no forest is drawn
+        from bouex import checks
+
+        def no_forest(*args, **kwargs):
+            raise AssertionError("single-point Slepian check drew a forest")
+
+        monkeypatch.setattr(checks, "simulate_forest", no_forest)
         r = check_slepian_monotonicity([0.5], smooth_step(0.0, 1.0), 4.0, 200,
                                        seed=93)
         assert r.passed

@@ -241,12 +241,46 @@ class TestDecorateAndLimit:
         assert code == 0
 
 
+def _argv_from_header(text):
+    """The command line that a table's `# key=value` header describes."""
+    argv = []
+    for line in text.split("\n"):
+        if not line.startswith("# "):
+            break
+        key, value = line[2:].split("=", 1)
+        if key == "command":
+            argv.insert(0, value)
+        elif key != "schema" and value not in ("", "False"):
+            argv.append("--" + key.replace("_", "-"))
+            if value != "True":
+                argv += value.split(",")
+    return argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--mu", "0", "--t", "2", "--replicas", "3", "--emit",
+     "martingales", "--betas", "0.3", "--seed", "5"],
+    ["limit-process", "--gamma", "2", "--c-value", "0.25", "--proxy-horizon", "5",
+     "--window-a", "-0.5", "--samples", "3", "--seed", "11"],
+], ids=lambda argv: argv[0])
+def test_header_reruns_to_the_same_bytes(argv, tmp_path):
+    # every flag that shapes the rows is echoed, so the header is a command line
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    assert run(argv + ["-o", str(first)]) == 0
+    assert run(_argv_from_header(first.read_text()) + ["-o", str(second)]) == 0
+    assert second.read_bytes() == first.read_bytes()
+
+
 @pytest.mark.parametrize("argv", [
     ["estimate-c", "--rho-min", "1.5", "--rho-max", "2", "--steps", "2",
      "--replicas", "0"],
     ["decorate", "--rho", "1.0"],
     ["simulate", "--mu", "1", "--t", "0", "--replicas", "1", "--emit", "max"],
     ["limit-process", "--gamma", "0"],
+    pytest.param(["simulate", "--mu", "nan", "--t", "2", "--replicas", "2",
+                  "--emit", "max"], id="simulate-mu-nan"),
+    pytest.param(["simulate", "--mu", "inf", "--t", "2", "--replicas", "2",
+                  "--emit", "max"], id="simulate-mu-inf"),
 ], ids=lambda argv: argv[0])
 def test_library_value_error_is_usage_error(argv, tmp_path, capsys):
     # a value argparse accepts but the library rejects: exit 2, no traceback
