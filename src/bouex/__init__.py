@@ -18,8 +18,9 @@ from .cloud import (ParticleCloud, additive_martingale, derivative_martingale,
                     extremal_measure, simulate_cloud, simulate_forest,
                     variable_speed_view)
 from .spine import (EstimatorResult, LimitProcessSample, SpineRealization,
-                    estimate_C, estimate_C_curve, sample_decoration,
-                    sample_limit_process, sample_spine, truncation_horizon)
+                    estimate_C, estimate_C_curve, limit_intensity,
+                    sample_decoration, sample_limit_process, sample_spine,
+                    truncation_horizon)
 from .kpp import (KppField, KppParams, estimate_C_pde, front_tail,
                   phi_conversion, solve_kpp)
 from .checks import (CheckReport, TestFunction, check_first_moment,

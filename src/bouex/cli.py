@@ -4,7 +4,9 @@ Outputs are CSV (data) or JSON (reports) with the fully resolved config
 echoed in `# key=value` header comments, so re-running the header reproduces
 the file byte for byte.  The header echoes every parsed flag except
 `--config`, `--output`, `--dump-field` and `--summary`, which name files
-rather than shape the rows; `decorate` also echoes the horizon it resolved.
+rather than shape the rows; `decorate` also echoes the horizon it resolved,
+and `limit-process` at a finite gamma without `--c-value` echoes the
+intensity constant c it estimated once, before the first sample.
 Numeric formatting uses shortest round-trip floats;
 an empty measure's maximum is written as the string -inf, and an unset
 optional flag as an empty value.  `kpp` leaves the c_extrapolated and
@@ -26,6 +28,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
@@ -40,8 +43,8 @@ from .kpp import KppParams, dump_checkpoints, estimate_C_pde, prefactor_of_t, \
     front_tail, solve_kpp
 from .measure import Centering
 from .rng import chunks, substream
-from .spine import estimate_C, estimate_C_curve, sample_decoration, \
-    sample_limit_process, truncation_horizon
+from .spine import estimate_C, estimate_C_curve, limit_intensity, \
+    sample_decoration, sample_limit_process, truncation_horizon
 from .suite import run_suite
 from .window import windowed_extremal_atoms
 
@@ -69,7 +72,11 @@ def _write_table(args, columns, rows, **resolved):
     lines += [f"# {k}={_fmt(v)}" for k, v in header]
     lines.append(",".join(columns))
     lines += [",".join(_fmt(v) for v in row) for row in rows]
-    text = "\n".join(lines) + "\n"
+    _write_output(args, "\n".join(lines) + "\n")
+
+
+def _write_output(args, text):
+    """Write text to stdout (`-o -`, the default) or to the file args.output."""
     if args.output in (None, "-"):
         sys.stdout.write(text)
     else:
@@ -184,6 +191,8 @@ def cmd_decorate(args) -> int:
 
 
 def cmd_limit_process(args) -> int:
+    if args.c_value is None and not math.isinf(args.gamma):
+        args.c_value = limit_intensity(args.gamma, substream(args.seed, 1))
     rng = substream(args.seed, 0)
     rows = []
     for k in range(args.samples):
@@ -204,12 +213,7 @@ def cmd_verify(args) -> int:
               f"threshold={report.threshold:.4g} n={report.n}", file=sys.stderr)
 
     reports = run_suite(args.suite, args.seed, progress=progress)
-    text = reports_to_json(reports)
-    if args.output in (None, "-"):
-        sys.stdout.write(text + "\n")
-    else:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
+    _write_output(args, reports_to_json(reports) + "\n")
     return 1 if any(r.failed for r in reports) else 0
 
 

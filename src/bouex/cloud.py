@@ -79,7 +79,7 @@ class Forest:
         if math.isinf(mu):
             return math.sqrt(self.horizon_t) * self.xi[self.is_leaf]
         x = np.empty(self.n_nodes)
-        sd = np.sqrt(ou_variance(np.full(self.n_nodes, mu), self.duration))
+        sd = np.sqrt(ou_variance(mu, self.duration))
         decay = np.exp(-mu * self.duration)
         for start, end in self.wave_edges:
             sl = slice(start, end)
@@ -117,7 +117,7 @@ def _waves(mu, tau, x, rng, node_cap, expand=None):
         xi = rng.standard_normal(m)
         leaf = life >= tau
         dur = np.where(leaf, tau, life)
-        x_new = x * np.exp(-mu * dur) + np.sqrt(ou_variance(np.full(m, mu), dur)) * xi
+        x_new = x * np.exp(-mu * dur) + np.sqrt(ou_variance(mu, dur)) * xi
         yield root, parent, tau, life, xi, leaf, dur, x_new
         split = ~leaf
         parent = np.repeat(np.arange(n, n + m, dtype=np.int64)[split], 2)

@@ -28,8 +28,8 @@ class SpringParams:
     horizon_t: float
 
     def __post_init__(self):
-        if not self.horizon_t > 0:
-            raise ValueError(f"horizon_t must be positive, got {self.horizon_t}")
+        if not 0.0 < self.horizon_t < math.inf:
+            raise ValueError(f"horizon_t must be finite and positive, got {self.horizon_t}")
         if not 0.0 <= self.mu < math.inf:
             raise ValueError(f"spring constant must be finite and >= 0, got {self.mu}")
 
@@ -95,8 +95,8 @@ def sample_ou_step(x, mu, s, rng):
 
 def normalization_factor(mu: float, t: float) -> float:
     """Dilation lambda_{mu t} making the time-t position have variance t."""
-    if not t > 0:
-        raise ValueError("t must be positive")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"t must be finite and positive, got {t}")
     if not 0.0 <= mu < math.inf:
         raise ValueError(f"spring constant must be finite and >= 0, got {mu}")
     if mu == 0.0:

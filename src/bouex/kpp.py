@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs
@@ -46,15 +46,15 @@ class KppParams:
     ic_mode: str = "step"               # "step" | "ramp" | "uniform"
     ic_slope: float = 50.0              # ramp mode regularization slope
     ic_value: float = 0.5               # uniform mode level
-    t_switch: float = 0.5               # u-phase length in step mode
-    x_lo: float = -8.0
-    margin: float = 8.0
+    t_switch: ClassVar[float] = 0.5     # u-phase length in step mode
+    x_lo: ClassVar[float] = -8.0
+    margin: ClassVar[float] = 8.0
     nonlinear: bool = True              # False: solver-verification (pure growth) mode
     checkpoints: tuple = ()
 
     def __post_init__(self):
-        if self.dx <= 0 or self.t_max <= 0 or self.rho_max <= 0:
-            raise ValueError("dx, t_max, rho_max must be positive")
+        if not all(0.0 < v < math.inf for v in (self.dx, self.t_max, self.rho_max)):
+            raise ValueError("dx, t_max, rho_max must be finite and positive")
         if self.ic_mode not in ("step", "ramp", "uniform"):
             raise ValueError(f"unknown ic_mode {self.ic_mode!r}")
         if self.ic_mode == "uniform" and not 0.0 < self.ic_value < 1.0:

@@ -85,8 +85,8 @@ class Centering:
         if scheme not in _SCHEMES:
             raise ValueError(f"unknown centering scheme {self.scheme!r}")
         object.__setattr__(self, "scheme", scheme)
-        if not self.t > 0:
-            raise ValueError("t must be positive")
+        if not 0.0 < self.t < math.inf:
+            raise ValueError(f"t must be finite and positive, got {self.t}")
 
     @property
     def value(self) -> float:

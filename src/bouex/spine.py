@@ -9,6 +9,8 @@ atom at B_{sigma_k} - sqrt(2) rho sigma_k + X, on top of the fixed atom at 0.
 The fraction of realizations with no strictly positive atom, divided by
 sqrt(4 pi), estimates the large-deviation prefactor c(rho) of the maximal
 displacement; conditioning on that void event samples the decoration law.
+c(rho) has one estimator, the coupled curve `estimate_C_curve`; `estimate_C`
+is that curve at a single point.
 """
 
 from __future__ import annotations
@@ -155,14 +157,13 @@ def _spine_atoms(m: int, horizon_T: float, speed: float, window_a: float, rng,
     return res, b_T
 
 
-def sample_spine(rho: float, horizon_T: float, window_a: float, rng,
-                 prune_tol: float = 1e-9) -> SpineRealization:
+def sample_spine(rho: float, horizon_T: float, window_a: float, rng) -> SpineRealization:
     """One spine realization truncated at horizon_T, atoms kept above window_a."""
     if rho < 1.0:
         raise ValueError("rho must be >= 1")
     if not horizon_T > 0:
         raise ValueError("horizon_T must be positive")
-    res, _ = _spine_atoms(1, horizon_T, SQRT2 * rho, window_a, rng, prune_tol)
+    res, _ = _spine_atoms(1, horizon_T, SQRT2 * rho, window_a, rng, 1e-9)
     atoms = np.concatenate(([0.0], res.atoms)) if window_a <= 0.0 else res.atoms
     pm = PointMeasure(atoms)
     return SpineRealization(rho=rho, horizon_T=horizon_T, window_a=window_a,
@@ -170,51 +171,29 @@ def sample_spine(rho: float, horizon_T: float, window_a: float, rng,
                             pruned_mass=float(res.pruned_mass[0]))
 
 
-def estimate_C(rho: float, horizon_T: float, n: int, seed: int,
-               prune_tol: float = 1e-8) -> EstimatorResult:
-    """Monte Carlo estimate of the large-deviation prefactor c(rho).
-
-    estimate = P(no strictly positive atom) / sqrt(4 pi); the void check
-    early-exits a realization as soon as any branch emits a positive atom.
-    """
-    if rho < 1.0:
-        raise ValueError("rho must be >= 1")
-    if n < 1:
-        raise ValueError("need n >= 1")
-    void_total = 0
-    pruned_total = 0.0
-    for j, _, m in chunks(n, CHUNK):
-        res, _ = _spine_atoms(m, horizon_T, SQRT2 * rho, 0.0, substream(seed, j),
-                              prune_tol, stop_level=0.0)
-        nonvoid = res.stopped.copy()
-        # atoms emitted exactly at 0 do not break voidness
-        pos = res.atoms > 0.0
-        np.logical_or.at(nonvoid, res.group[pos], True)
-        void_total += int(m - np.count_nonzero(nonvoid))
-        pruned_total += float(res.pruned_mass.sum())
-    p = void_total / n
-    se = math.sqrt(max(p * (1.0 - p), 1e-300) / n)
-    warning = "rho_at_one" if rho <= 1.0 + 1e-12 else None
-    return EstimatorResult(estimate=p * INV_SQRT_4PI, stderr=se * INV_SQRT_4PI,
-                           n_samples=n, n_accepted=void_total, warning=warning,
-                           pruned_mass=pruned_total / n)
+def estimate_C(rho: float, horizon_T: float, n: int, seed: int) -> EstimatorResult:
+    """Monte Carlo estimate of c(rho): the coupled curve at the one point rho."""
+    return estimate_C_curve([rho], horizon_T, n, seed)[0]
 
 
-def estimate_C_curve(rho_grid, horizon_T: float, n: int, seed: int,
-                     prune_tol: float = 1e-8):
+def estimate_C_curve(rho_grid, horizon_T: float, n: int, seed: int):
     """Coupled estimates over an ascending rho grid (common random numbers).
 
     Each realization is summarized by its critical speed
     rho* = max_k (B_k + M_k) / (sqrt(2) sigma_k); the void indicator at rho
     is exactly {rho >= rho*}, so the coupled curve is monotone by
-    construction.  Returns one EstimatorResult per grid point, with the
-    empirical right derivative at 1 attached to the first result's extras.
+    construction.  A realization is abandoned as soon as it emits an atom
+    above the top of the grid, since it is then non-void at every grid point.
+    Returns one EstimatorResult per grid point, with the empirical right
+    derivative at 1 attached to the first result's extras.
     """
     grid = np.asarray(rho_grid, dtype=float)
     if grid.size == 0 or np.any(np.diff(grid) < 0):
         raise ValueError("rho_grid must be ascending and non-empty")
     if np.any(grid < 1.0):
         raise ValueError("rho must be >= 1")
+    if n < 1:
+        raise ValueError("need n >= 1")
     rho_min = float(grid[0])
     void_counts = np.zeros(grid.size, dtype=np.int64)
     pruned_total = 0.0
@@ -226,14 +205,15 @@ def estimate_C_curve(rho_grid, horizon_T: float, n: int, seed: int,
             mu=0.0, horizons=sigma, x0=np.zeros(sigma.size),
             levels=SQRT2 * rho_min * sig - b,
             scales=1.0 / (SQRT2 * sig), offsets=b / (SQRT2 * sig),
-            groups=rep, n_groups=m, rng=rng, prune_tol=prune_tol)
+            groups=rep, n_groups=m, rng=rng, prune_tol=1e-8,
+            stop_level=float(grid[-1]))
         rho_star = res.max_per_group()
         void_counts += (grid[None, :] >= rho_star[:, None]).sum(axis=0)
         pruned_total += float(res.pruned_mass.sum())
     results = []
     slope = _right_derivative_at_one(grid, void_counts / n)
     for i, rho in enumerate(grid):
-        p = void_counts[i] / n
+        p = int(void_counts[i]) / n
         se = math.sqrt(max(p * (1.0 - p), 1e-300) / n)
         warning = "rho_at_one" if rho <= 1.0 + 1e-12 else None
         extra = {"coupled": True}
@@ -256,7 +236,7 @@ def _right_derivative_at_one(grid, void_fracs):
 
 
 def sample_decoration(rho: float, horizon_T: float, window_a: float,
-                      max_attempts: int, rng, prune_tol: float = 1e-9) -> PointMeasure:
+                      max_attempts: int, rng) -> PointMeasure:
     """Rejection sample of the decoration law: spine conditioned on voidness.
 
     Returns atoms in [window_a, 0] with the atom at 0 included; raises after
@@ -269,15 +249,25 @@ def sample_decoration(rho: float, horizon_T: float, window_a: float,
     if max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
     for _ in range(max_attempts):
-        res, _ = _spine_atoms(1, horizon_T, SQRT2 * rho, window_a, rng, prune_tol,
+        res, _ = _spine_atoms(1, horizon_T, SQRT2 * rho, window_a, rng, 1e-9,
                               stop_level=0.0)
-        if res.stopped[0] or np.any(res.atoms > 0.0):
-            continue
-        return PointMeasure(np.concatenate(([0.0], res.atoms)))
+        # a realization abandoned at stop_level has emitted the atom that ended it
+        if not np.any(res.atoms > 0.0):
+            return PointMeasure(np.concatenate(([0.0], res.atoms)))
     raise RejectionBudgetError(
         f"no void realization in {max_attempts} attempts at rho={rho} "
         f"(acceptance estimate < {1.0 / max_attempts:.2e})",
         acceptance_estimate=0.0)
+
+
+def limit_intensity(gamma: float, rng) -> float:
+    """Spine estimate (2000 realizations) of the intensity constant c(d_gamma)
+    at a finite gamma; estimate it once per run of `sample_limit_process`."""
+    d_gamma = gamma_constants(gamma).d_gamma
+    if math.isinf(d_gamma):
+        raise ValueError("gamma = inf needs no estimate: c is 1/sqrt(4 pi)")
+    return estimate_C(d_gamma, truncation_horizon(d_gamma, 0.0, 1e-2), 2000,
+                      spawn_seed(rng)).estimate
 
 
 def sample_limit_process(gamma: float, window_a: float, rng,
@@ -292,24 +282,19 @@ def sample_limit_process(gamma: float, window_a: float, rng,
     Finite gamma uses the additive martingale at `proxy_horizon` as the
     mixing-weight proxy (documented bias source) and dilated decoration
     draws; the window restriction is exact because decorations only move
-    atoms down.
+    atoms down.  Finite gamma needs c_value, e.g. from `limit_intensity`.
     """
-    if not gamma > 0:
-        raise ValueError("gamma must lie in (0, inf]")
+    gc = gamma_constants(gamma)
+    d_gamma = gc.d_gamma
     if math.isinf(gamma):
         w = float(rng.exponential())
         c = INV_SQRT_4PI
-        d_gamma = math.inf
     else:
-        gc = gamma_constants(gamma)
-        d_gamma = gc.d_gamma
+        if c_value is None:
+            raise ValueError("finite gamma needs c_value (see limit_intensity)")
         forest = simulate_forest(0.0, proxy_horizon, 1, rng)
         w = float(additive_martingale_per_rep(forest, SQRT2 * gc.c_gamma)[0])
-        if c_value is None:
-            t_dec = truncation_horizon(d_gamma, 0.0, 1e-2)
-            c = estimate_C(d_gamma, t_dec, 2000, spawn_seed(rng)).estimate
-        else:
-            c = float(c_value)
+        c = float(c_value)
     mass = c * w * math.exp(-SQRT2 * window_a)
     count = int(rng.poisson(mass))
     poisson_atoms = window_a + rng.exponential(size=count) / SQRT2

@@ -49,7 +49,7 @@ class CollectedAtoms:
 
 def _exceedance_log_bound(mu, tau, x, level):
     """log of e^tau * P(transition >= level), clipped at 0."""
-    var = ou_variance(np.full_like(tau, mu), tau)
+    var = ou_variance(mu, tau)
     sd = np.sqrt(np.maximum(var, 1e-300))
     z = (level - x * np.exp(-mu * tau)) / sd
     return np.minimum(tau + log_ndtr(-z), 0.0)

@@ -262,11 +262,15 @@ def _argv_from_header(text):
      "martingales", "--betas", "0.3", "--seed", "5"],
     ["limit-process", "--gamma", "2", "--c-value", "0.25", "--proxy-horizon", "5",
      "--window-a", "-0.5", "--samples", "3", "--seed", "11"],
+    pytest.param(["limit-process", "--gamma", "2", "--proxy-horizon", "5",
+                  "--window-a", "-0.5", "--samples", "3"], id="limit-process-c-estimated"),
 ], ids=lambda argv: argv[0])
 def test_header_reruns_to_the_same_bytes(argv, tmp_path):
-    # every flag that shapes the rows is echoed, so the header is a command line
+    # every flag that shapes the rows is echoed, so the header is a command line;
+    # limit-process echoes the intensity constant c it estimated
     first, second = tmp_path / "first.csv", tmp_path / "second.csv"
     assert run(argv + ["-o", str(first)]) == 0
+    assert "# c_value=\n" not in first.read_text()
     assert run(_argv_from_header(first.read_text()) + ["-o", str(second)]) == 0
     assert second.read_bytes() == first.read_bytes()
 
@@ -281,6 +285,11 @@ def test_header_reruns_to_the_same_bytes(argv, tmp_path):
                   "--emit", "max"], id="simulate-mu-nan"),
     pytest.param(["simulate", "--mu", "inf", "--t", "2", "--replicas", "2",
                   "--emit", "max"], id="simulate-mu-inf"),
+    pytest.param(["simulate", "--mu", "1", "--t", "inf", "--replicas", "1",
+                  "--emit", "max"], id="simulate-t-inf"),
+    pytest.param(["kpp", "--rho", "2", "--t-max", "inf"], id="kpp-t-max-inf"),
+    pytest.param(["estimate-c", "--rho-min", "1.5", "--rho-max", "2", "--steps", "2",
+                  "--replicas", "0", "--coupled"], id="estimate-c-coupled-no-replicas"),
 ], ids=lambda argv: argv[0])
 def test_library_value_error_is_usage_error(argv, tmp_path, capsys):
     # a value argparse accepts but the library rejects: exit 2, no traceback

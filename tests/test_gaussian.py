@@ -80,6 +80,10 @@ class TestNormalization:
         with pytest.raises(ValueError):
             normalization_factor(1.0, 0.0)
 
+    def test_rejects_infinite_t(self):
+        with pytest.raises(ValueError):
+            normalization_factor(1.0, math.inf)
+
     def test_normalized_variance_is_t(self):
         t, mu, n = 3.0, 1.0, 100_000
         rng = substream(11, 0)
@@ -232,6 +236,10 @@ class TestSpringParams:
         with pytest.raises(ValueError):
             SpringParams(mu=0.1, horizon_t=0.0)
         assert SpringParams(mu=0.0, horizon_t=2.0).mu == 0.0
+
+    def test_rejects_infinite_horizon(self):
+        with pytest.raises(ValueError):
+            SpringParams(mu=1.0, horizon_t=math.inf)
 
 
 def test_ou_variance_array_matches_scalar():

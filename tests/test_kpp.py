@@ -82,6 +82,11 @@ class TestSolver:
         with pytest.raises(NumericalFailureError):
             solve_kpp(params)
 
+    @pytest.mark.parametrize("field", ["dx", "t_max", "rho_max"])
+    def test_rejects_infinite_extent(self, field):
+        with pytest.raises(ValueError):
+            KppParams(**{field: math.inf})
+
     def test_dt_validation(self):
         for dt in (0.1, 0.0, -0.01):
             with pytest.raises(ValueError):

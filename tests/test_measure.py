@@ -56,3 +56,8 @@ def test_centering_aliases_and_validation():
         Centering("nope", 2.0)
     with pytest.raises(ValueError):
         Centering("bou", 0.0)
+
+
+def test_centering_rejects_infinite_horizon():
+    with pytest.raises(ValueError):
+        Centering("tilde", math.inf)

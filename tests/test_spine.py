@@ -258,6 +258,10 @@ class TestLimitProcess:
         assert s.atoms.atoms.size == 0 or s.atoms.atoms.min() >= -1.0
         assert s.intensity_mass > 0.0
 
+    def test_finite_gamma_needs_c_value(self):
+        with pytest.raises(ValueError):
+            sample_limit_process(2.0, -1.0, substream(75, 0))
+
     def test_window_restriction_finite_gamma(self):
         # decorations only move atoms down, so window restriction is exact:
         # counts above -0.5 agree between window -0.5 and window -1.5 runs
