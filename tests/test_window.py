@@ -1,5 +1,6 @@
 """Certified pruned collection vs. exhaustive simulation."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -214,3 +215,77 @@ class TestWindowedExtremal:
         res = windowed_extremal_atoms(1.0, 6.0, Centering("bou_tilde", 6.0), -1.0,
                                       2000, substream(42, 0))
         assert res.atoms.size == 0 or res.atoms.min() >= -1.0
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def _mixed_roots_run():
+    # live and tau <= 0 roots, several roots per group, pruning and early stops
+    gen = np.random.default_rng(7)
+    m = 200
+    tau = np.where(gen.random(m) < 0.2, -gen.random(m), 4.0 * gen.random(m))
+    tau[::17] = 0.0
+    x0, level = gen.normal(size=m), gen.normal(1.0, 1.0, size=m)
+    return collect_atoms_above(0.7, tau, x0, level, np.full(m, 1.5), np.full(m, -0.25),
+                               np.arange(m) % 50, 50, substream(96, 0), prune_tol=1e-6,
+                               stop_level=3.0)
+
+
+def _flat_run(mu, level, seed, **kw):
+    n = 512
+    return collect_atoms_above(mu, np.full(n, 3.0), np.zeros(n), np.full(n, level),
+                               np.ones(n), np.zeros(n), np.arange(n), n,
+                               substream(seed, 0), **kw)
+
+
+_TRAVERSALS = {
+    # the extremes benchmark config: mu=1, t=8, tilde centring, window 0.5
+    "extremes": (lambda: windowed_extremal_atoms(
+        1.0, 8.0, Centering("bou_tilde", 8.0), 0.5, 256, substream(91, 0),
+        prune_tol=1e-7),
+        "3ade0b18193c960c3c8e3f52f2f7fdc937954e8561d8797ffa33aaed66dfef6c", 1224500),
+    "window-8": (lambda: windowed_extremal_atoms(
+        1.0, 8.0, Centering("bou_tilde", 8.0), -8.0, 16, substream(92, 0)),
+        "733121e9ff18090e8b642e6fd4790cbb7ef83d95ec0453f52634c6e7eed674c2", 72840),
+    "mu0-window-1": (lambda: windowed_extremal_atoms(
+        0.0, 8.0, Centering("bbm_threehalves", 8.0), -1.0, 128, substream(93, 0)),
+        "710b2178734221c75a5d99345c41c389f25c99de3fd2e804268ff69b471df8b4", 182668),
+    "stop-level": (lambda: _flat_run(0.0, -1.0, 94, prune_tol=1e-9, stop_level=0.5),
+                   "e835c625496b21d1c37761c4bf4cde2d42d2635cf4e5461556a031d3502a6f99", 7014),
+    "prune-tol-0": (lambda: _flat_run(0.5, 1.0, 95, prune_tol=0.0),
+                    "f841e278f0439bd48cb777f7933d337ca7f87b49d4124e2dfba455326265e851", 19726),
+    "mixed-roots": (_mixed_roots_run,
+                    "5b680f10d1a79f08d6cfddf845ca73b413246918d05bf9e5046238f26b09d715", 2529),
+}
+
+_FORESTS = {
+    0.0: ("77948ce80d8972e4307dad80257f179011c2c3bf13792547561554e629a75362", 17404),
+    1.0: ("41dc34d7ac839a00092afd430eec6a917d7f489f0589e0b7b9b9ebf25e3566f2", 16054),
+}
+
+
+class TestPinnedBits:
+    """Fixed-seed traversal output, pinned bit for bit.
+
+    A speed-up of the wave core must leave these digests unchanged.  They
+    depend on the floating-point kernels of the numpy/scipy build, so a new
+    build may need them regenerated at a commit known to be correct.
+    """
+
+    @pytest.mark.parametrize("name", list(_TRAVERSALS))
+    def test_collect_atoms_above(self, name):
+        run, digest, n_nodes = _TRAVERSALS[name]
+        res = run()
+        assert (_digest(res.group, res.atoms, res.pruned_mass, res.stopped),
+                res.n_nodes) == (digest, n_nodes)
+
+    @pytest.mark.parametrize("mu", list(_FORESTS))
+    def test_simulate_forest(self, mu):
+        f = simulate_forest(mu, 5.0, 64, substream(97, int(mu)))
+        assert (_digest(f.rep, f.parent, f.t_end, f.duration, f.xi, f.x_end, f.is_leaf,
+                        np.asarray(f.wave_edges)), f.n_nodes) == _FORESTS[mu]
