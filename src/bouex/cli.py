@@ -320,7 +320,8 @@ def _build_parser(config=None) -> argparse.ArgumentParser:
     p.add_argument("--window-a", type=float, default=-4.0)
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--max-attempts", type=int, default=10_000)
-    p.add_argument("--c-value", type=float, default=None)
+    p.add_argument("--c-value", type=float, default=None,
+                   help="intensity constant c; finite gamma only")
     p.add_argument("--proxy-horizon", type=float, default=12.0)
     add_common(p)
     p.set_defaults(func=cmd_limit_process)

@@ -89,26 +89,43 @@ class Forest:
         return x[self.is_leaf]
 
 
+def _decayed(mu, dur, x):
+    """The OU mean x e^{-mu dur}, computed in place; x itself at mu = 0."""
+    if not mu:
+        return x
+    out = np.multiply(dur, -mu)
+    np.exp(out, out=out)
+    out *= x
+    return out
+
+
 def _waves(mu, tau, x, rng, node_cap, expand=None):
     """Expand a batch of subtrees generation by generation.
 
-    Root i starts at position x[i] with remaining time tau[i] > 0.  Before
-    each wave is drawn, `expand(tau, x, root)` may return a mask of the
-    nodes to keep.  Yields one wave at a time:
-    (root, parent, tau, life, xi, leaf, dur, x_new), where parent is the
-    node id (in yield order) of the node's parent, -1 for roots.
+    Root i starts at position x[i] with remaining time tau[i] > 0.  Yields
+    one wave at a time: (root, parent, tau, life, xi, leaf, dur, x_new),
+    where parent is the node id (in yield order) of the node's parent, -1
+    for roots.
+
+    Between waves a row of (tau, x, root, parent) stands for `pair` nodes:
+    one for a root, two for the children of a split, which share all four.
+    Before a wave is drawn, `expand(tau, x, root, pair)` may return a mask of
+    the rows to keep, so a prune decision is taken once per sibling pair;
+    the kept rows are then repeated into nodes, exactly the nodes a per-node
+    decision would keep, so no output bit depends on it.
     """
     root = np.arange(tau.size, dtype=np.int64)
     parent = np.full(tau.size, -1, dtype=np.int64)
+    pair = 1
     n = 0
     while tau.size:
-        if expand is not None:
-            keep = expand(tau, x, root)
-            if not keep.all():
-                tau, x, root, parent = tau[keep], x[keep], root[keep], parent[keep]
-                if not tau.size:
-                    return
+        rows = np.arange(tau.size) if expand is None else \
+            np.flatnonzero(expand(tau, x, root, pair))
+        nodes = np.repeat(rows, pair)
+        tau, x, root, parent = tau[nodes], x[nodes], root[nodes], parent[nodes]
         m = tau.size
+        if not m:
+            return
         if n + m > node_cap:
             raise ResourceLimitError(
                 f"tree traversal exceeds node cap {node_cap}; a shorter horizon, "
@@ -116,15 +133,19 @@ def _waves(mu, tau, x, rng, node_cap, expand=None):
         life = rng.exponential(size=m)
         xi = rng.standard_normal(m)
         leaf = life >= tau
-        dur = np.where(leaf, tau, life)
-        x_new = x * np.exp(-mu * dur) + np.sqrt(ou_variance(mu, dur)) * xi
+        dur = np.minimum(life, tau)  # tau on the leaves
+        # x e^{-mu dur} + sd xi in place; at mu = 0 the decay is x * 1.0 = x
+        x_new = ou_variance(mu, dur)
+        np.sqrt(x_new, out=x_new)
+        x_new *= xi
+        x_new += _decayed(mu, dur, x)
         yield root, parent, tau, life, xi, leaf, dur, x_new
-        split = ~leaf
-        parent = np.repeat(np.arange(n, n + m, dtype=np.int64)[split], 2)
+        # index gathers: a boolean mask as random as `leaf` gathers far slower
+        split = np.flatnonzero(~leaf)
+        parent = split + n
         n += m
-        tau = np.repeat(tau[split] - life[split], 2)
-        x = np.repeat(x_new[split], 2)
-        root = np.repeat(root[split], 2)
+        tau, x, root, pair = tau[split], x_new[split], root[split], 2
+        tau -= life[split]
 
 
 def simulate_forest(mu: float, horizon_t: float, n_reps: int, rng) -> Forest:

@@ -58,16 +58,27 @@ class TailBoundPair:
 
 
 def ou_variance(mu, s):
-    """Variance of the OU transition over duration s (array-friendly)."""
+    """Variance of the OU transition over duration s >= 0 (array-friendly).
+
+    A scalar mu takes one formula, evaluated in place on a fresh copy of s:
+    expm1(k s) / k with k = -2 mu, bit for bit the array path's
+    -expm1(-2 mu s) / (2 mu), as negating both sides of an IEEE division
+    does not change its rounding.
+    """
+    if np.ndim(mu) == 0:
+        out = np.array(s, dtype=float)
+        if mu > 0:
+            k = -2.0 * float(mu)
+            out *= k
+            np.expm1(out, out=out)
+            out /= k
+        return float(out) if out.ndim == 0 else out
     mu_arr = np.asarray(mu, dtype=float)
     s_arr = np.asarray(s, dtype=float)
-    out = np.where(mu_arr > 0,
-                   -np.expm1(-2.0 * mu_arr * np.maximum(s_arr, 0.0))
-                   / np.where(mu_arr > 0, 2.0 * mu_arr, 1.0),
-                   s_arr)
-    if np.ndim(mu) == 0 and np.ndim(s) == 0:
-        return float(out)
-    return out
+    return np.where(mu_arr > 0,
+                    -np.expm1(-2.0 * mu_arr * np.maximum(s_arr, 0.0))
+                    / np.where(mu_arr > 0, 2.0 * mu_arr, 1.0),
+                    s_arr)
 
 
 def ou_transition(x, mu, s):

@@ -282,11 +282,15 @@ def sample_limit_process(gamma: float, window_a: float, rng,
     Finite gamma uses the additive martingale at `proxy_horizon` as the
     mixing-weight proxy (documented bias source) and dilated decoration
     draws; the window restriction is exact because decorations only move
-    atoms down.  Finite gamma needs c_value, e.g. from `limit_intensity`.
+    atoms down.  Finite gamma needs c_value, e.g. from `limit_intensity`;
+    gamma = inf rejects one, since its constant is fixed.
     """
     gc = gamma_constants(gamma)
     d_gamma = gc.d_gamma
     if math.isinf(gamma):
+        if c_value is not None:
+            raise ValueError("gamma = inf fixes c = 1/sqrt(4 pi); c_value applies "
+                             "to finite gamma only")
         w = float(rng.exponential())
         c = INV_SQRT_4PI
     else:

@@ -15,6 +15,12 @@ one-sided miss probability of each group is reported exactly.
 The trees are drawn by `cloud._waves`, the one wave core that also builds
 `simulate_forest`'s trees, on the same remaining-time clock tau; this module
 only decides which nodes to expand and which leaves to emit.
+
+Two shortcuts make the decision cheaper without changing an output bit.
+The two children of a split share (tau, x, root), so the decision is taken
+once per sibling pair and its dropped bound is added once per child, in
+node order.  And a cheap lower bound on log Phi(-z) screens out subtrees
+that are kept for certain; only the rest get the exact log_ndtr bound.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import log_ndtr
 
-from .cloud import _waves
+from .cloud import _decayed, _waves
 from .gaussian import normalization_factor, ou_variance
 from .measure import group_max
 
@@ -47,12 +53,47 @@ class CollectedAtoms:
         return group_max(self.group, self.atoms, self.pruned_mass.size)
 
 
+def _standard_score(mu, tau, x, level):
+    """z = (level - x e^{-mu tau}) / sd of the transition over tau."""
+    sd = ou_variance(mu, tau)
+    np.maximum(sd, 1e-300, out=sd)
+    np.sqrt(sd, out=sd)
+    z = level - _decayed(mu, tau, x)
+    z /= sd
+    return z
+
+
 def _exceedance_log_bound(mu, tau, x, level):
     """log of e^tau * P(transition >= level), clipped at 0."""
-    var = ou_variance(mu, tau)
-    sd = np.sqrt(np.maximum(var, 1e-300))
-    z = (level - x * np.exp(-mu * tau)) / sd
-    return np.minimum(tau + log_ndtr(-z), 0.0)
+    return np.minimum(tau + log_ndtr(-_standard_score(mu, tau, x, level)), 0.0)
+
+
+def _log_tail_floor(z):
+    """A cheap lower bound on log Phi(-z), with at least 0.22 to spare.
+
+    For z >= 0, Phi(-z) >= phi(z)/(1 + z) >= phi(z) e^{-z}, so log Phi(-z)
+    >= -z^2/2 - z - log sqrt(2 pi); for z <= 0, log Phi(-z) >= log 1/2.  With
+    0.92 > log sqrt(2 pi) the spare is smallest, 0.22, at z = 0.
+    """
+    zp = np.maximum(z, 0.0)
+    return -zp * (0.5 * zp + 1.0) - 0.92
+
+
+def _prunable(mu, tau, x, level, log_tol):
+    """Indices of the subtrees whose bound is at most e^log_tol, and their log bounds.
+
+    A subtree whose cheap bound tau + _log_tail_floor(z) exceeds log_tol + 1
+    is kept for certain; only the others get the exact log_ndtr bound, so
+    the selection and the dropped bounds are those of the exact test on
+    every subtree.  With log_tol >= 0 the clipped bound drops every subtree,
+    so nothing is screened.
+    """
+    z = _standard_score(mu, tau, x, level)
+    cut = log_tol + 1.0 if log_tol < 0.0 else np.inf
+    near = np.flatnonzero(tau + _log_tail_floor(z) <= cut)
+    log_bound = np.minimum(tau[near] + log_ndtr(-z[near]), 0.0)
+    drop = log_bound <= log_tol
+    return near[drop], log_bound[drop]
 
 
 def subtree_exceedance_bound(mu: float, tau: float, x: float, level: float) -> float:
@@ -85,21 +126,26 @@ def collect_atoms_above(mu, horizons, x0, levels, scales, offsets, groups, n_gro
     log_tol = math.log(prune_tol) if prune_tol > 0 else None
 
     def emit(x_leaf, root):
-        hit = x_leaf >= lvl[root]
-        g = grp[root[hit]]
-        emitted = scl[root[hit]] * x_leaf[hit] + off[root[hit]]
+        hit = np.flatnonzero(x_leaf >= lvl[root])
+        root = root[hit]
+        g = grp[root]
+        emitted = scl[root] * x_leaf[hit] + off[root]
         out_groups.append(g)
         out_atoms.append(emitted)
         if stop_level is not None:
             stopped[g[emitted > stop_level]] = True
 
-    def expand(tau, x, root):
+    def expand(tau, x, root, pair):
+        # each row stands for `pair` nodes; its dropped bound is added once per
+        # node, in node order, so pruned_mass has the bits of a per-node tally
         keep = ~stopped[grp[root]] if stop_level is not None else np.ones(tau.size, bool)
         if log_tol is not None:
-            log_bound = _exceedance_log_bound(mu, tau, x, lvl[root])
-            drop = keep & (log_bound <= log_tol)
-            np.add.at(pruned, grp[root[drop]], np.exp(log_bound[drop]))
-            keep &= ~drop
+            drop, log_bound = _prunable(mu, tau, x, lvl[root], log_tol)
+            unstopped = keep[drop]
+            drop, log_bound = drop[unstopped], log_bound[unstopped]
+            np.add.at(pruned, np.repeat(grp[root[drop]], pair),
+                      np.repeat(np.exp(log_bound), pair))
+            keep[drop] = False
         return keep
 
     # a root with tau <= 0 is a leaf already; the wave core expands the rest,
@@ -111,6 +157,7 @@ def collect_atoms_above(mu, horizons, x0, levels, scales, offsets, groups, n_gro
     for root, _, tau, _, _, leaf, _, x_new in _waves(mu, tau[live], x[live], rng,
                                                     node_cap, expand):
         n_nodes += tau.size
+        leaf = np.flatnonzero(leaf)
         emit(x_new[leaf], root[leaf])
 
     return CollectedAtoms(group=np.concatenate(out_groups), atoms=np.concatenate(out_atoms),

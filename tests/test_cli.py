@@ -290,6 +290,8 @@ def test_header_reruns_to_the_same_bytes(argv, tmp_path):
     pytest.param(["kpp", "--rho", "2", "--t-max", "inf"], id="kpp-t-max-inf"),
     pytest.param(["estimate-c", "--rho-min", "1.5", "--rho-max", "2", "--steps", "2",
                   "--replicas", "0", "--coupled"], id="estimate-c-coupled-no-replicas"),
+    pytest.param(["limit-process", "--gamma", "inf", "--c-value", "0.3"],
+                 id="limit-process-gamma-inf-c-value"),
 ], ids=lambda argv: argv[0])
 def test_library_value_error_is_usage_error(argv, tmp_path, capsys):
     # a value argparse accepts but the library rejects: exit 2, no traceback

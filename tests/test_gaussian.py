@@ -248,3 +248,11 @@ def test_ou_variance_array_matches_scalar():
     out = ou_variance(mus, ss)
     for i in range(3):
         assert out[i] == pytest.approx(ou_variance(float(mus[i]), float(ss[i])))
+
+
+@pytest.mark.parametrize("mu", [0.0, 1e-300, 0.1, 1.0, 10.0])
+def test_ou_variance_scalar_mu_has_the_array_bits(mu):
+    s = np.concatenate(([0.0, 1e-300, 1e-12, 30.0], np.linspace(0.0, 30.0, 301)))
+    scalar, array = ou_variance(mu, s), ou_variance(np.full_like(s, mu), s)
+    assert np.array_equal(scalar, array)
+    assert all(ou_variance(mu, float(v)) == a for v, a in zip(s, array))

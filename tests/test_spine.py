@@ -262,6 +262,11 @@ class TestLimitProcess:
         with pytest.raises(ValueError):
             sample_limit_process(2.0, -1.0, substream(75, 0))
 
+    def test_infinite_gamma_rejects_c_value(self):
+        # gamma = inf always uses 1/sqrt(4 pi); a given c would go unused
+        with pytest.raises(ValueError):
+            sample_limit_process(math.inf, -1.0, substream(75, 0), c_value=0.3)
+
     def test_window_restriction_finite_gamma(self):
         # decorations only move atoms down, so window restriction is exact:
         # counts above -0.5 agree between window -0.5 and window -1.5 runs

@@ -5,15 +5,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
+from scipy.special import log_ndtr
 
 from bouex.cloud import simulate_forest
 from bouex.errors import ResourceLimitError
 from bouex.gaussian import normalization_factor, ou_variance
 from bouex.measure import Centering
 from bouex.rng import substream
-from bouex.window import (CollectedAtoms, collect_atoms_above,
-                          subtree_exceedance_bound, windowed_extremal_atoms)
+from bouex.window import (CollectedAtoms, _exceedance_log_bound, _log_tail_floor,
+                          _prunable, collect_atoms_above, subtree_exceedance_bound,
+                          windowed_extremal_atoms)
 
 
 def brute_force_counts(mu, t, level_raw, n, seed):
@@ -197,6 +201,31 @@ class TestOneWaveCore:
         assert np.all(mixed.pruned_mass[n:] == 0.0)
         assert np.array_equal(mixed.stopped[:n], live.stopped)
         assert mixed.stopped[n:].tolist() == [False, False, stop_level is not None]
+
+
+class TestPruneScreen:
+    @given(st.floats(-40.0, 40.0))
+    def test_floor_is_below_the_log_tail(self, z):
+        assert _log_tail_floor(np.array([z]))[0] + 0.22 <= log_ndtr(-z)
+
+    @settings(max_examples=200, deadline=None)
+    @given(mu=st.sampled_from([0.0, 1e-300, 0.05, 1.0, 10.0]),
+           seed=st.integers(0, 2**32 - 1),
+           prune_tol=st.one_of(st.floats(1e-15, 0.999999), st.sampled_from([0.999999, 1.0, 2.0])))
+    def test_screened_drops_equal_the_exact_test(self, mu, seed, prune_tol):
+        # random batches with tiny and large tau, levels on both sides of x
+        gen = np.random.default_rng(seed)
+        n = 400
+        tau = np.exp(gen.uniform(-35.0, np.log(16.0), n))
+        x = gen.normal(0.0, 3.0, n)
+        level = x + gen.normal(0.0, 6.0, n) * np.sqrt(np.minimum(tau, 1.0))
+        log_tol = math.log(prune_tol)
+        drop, log_bound = _prunable(mu, tau, x, level, log_tol)
+        exact = _exceedance_log_bound(mu, tau, x, level)
+        want = np.flatnonzero(exact <= log_tol)
+        assert np.array_equal(drop, want)
+        assert np.array_equal(log_bound, exact[want])
+        assert np.array_equal(np.exp(log_bound), np.exp(exact[want]))
 
 
 class TestWindowedExtremal:
