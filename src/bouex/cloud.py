@@ -119,9 +119,8 @@ def _waves(mu, tau, x, rng, node_cap, expand=None):
     pair = 1
     n = 0
     while tau.size:
-        rows = np.arange(tau.size) if expand is None else \
-            np.flatnonzero(expand(tau, x, root, pair))
-        nodes = np.repeat(rows, pair)
+        keep = np.ones(tau.size, bool) if expand is None else expand(tau, x, root, pair)
+        nodes = np.repeat(np.flatnonzero(keep), pair)
         tau, x, root, parent = tau[nodes], x[nodes], root[nodes], parent[nodes]
         m = tau.size
         if not m:

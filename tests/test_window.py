@@ -211,9 +211,11 @@ class TestPruneScreen:
     @settings(max_examples=200, deadline=None)
     @given(mu=st.sampled_from([0.0, 1e-300, 0.05, 1.0, 10.0]),
            seed=st.integers(0, 2**32 - 1),
-           prune_tol=st.one_of(st.floats(1e-15, 0.999999), st.sampled_from([0.999999, 1.0, 2.0])))
+           prune_tol=st.one_of(st.floats(1e-15, 0.999999),
+                               st.sampled_from([0.999999, 1.0, 2.0])))
     def test_screened_drops_equal_the_exact_test(self, mu, seed, prune_tol):
-        # random batches with tiny and large tau, levels on both sides of x
+        # random batches with tiny and large tau, levels on both sides of x;
+        # the dropped mass is exp of the dropped log bounds
         gen = np.random.default_rng(seed)
         n = 400
         tau = np.exp(gen.uniform(-35.0, np.log(16.0), n))
@@ -225,7 +227,6 @@ class TestPruneScreen:
         want = np.flatnonzero(exact <= log_tol)
         assert np.array_equal(drop, want)
         assert np.array_equal(log_bound, exact[want])
-        assert np.array_equal(np.exp(log_bound), np.exp(exact[want]))
 
 
 class TestWindowedExtremal:
