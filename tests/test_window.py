@@ -10,11 +10,14 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import log_ndtr
 
+from bouex import checks, cli
+from bouex.checks import _leaf_sums, smooth_step, spine_identity_sides
 from bouex.cloud import simulate_forest
 from bouex.errors import ResourceLimitError
 from bouex.gaussian import normalization_factor, ou_variance
 from bouex.measure import Centering
 from bouex.rng import substream
+from bouex.spine import sample_limit_process
 from bouex.window import (CollectedAtoms, _exceedance_log_bound, _log_tail_floor,
                           _prunable, collect_atoms_above, subtree_exceedance_bound,
                           windowed_extremal_atoms)
@@ -299,6 +302,63 @@ _FORESTS = {
 }
 
 
+def _martingale_table(tmp_path):
+    out = tmp_path / "mart.csv"
+    assert cli.main(["simulate", "--mu", "0", "--t", "5", "--replicas", "1100",
+                     "--emit", "martingales", "--betas", "0", "0.5", "1.2",
+                     "--seed", "21", "-o", str(out)]) == 0
+    return out.read_bytes()
+
+
+def _yule_counts(monkeypatch):
+    # the per-replica leaf counts that check_yule_counts bins
+    seen = []
+
+    def recording(*args):
+        seen.append(replica_values(*args))
+        return seen[-1]
+
+    replica_values = checks._replica_values
+    monkeypatch.setattr(checks, "_replica_values", recording)
+    checks.check_yule_counts(4.0, 700, seed=22)
+    (counts,) = seen
+    return counts
+
+
+def _limit_process_atoms():
+    s = sample_limit_process(2.0, -1.0, substream(24, 0), c_value=0.25,
+                             proxy_horizon=6.0, decoration_horizon=6.0)
+    return s.atoms.atoms, np.asarray(s.intensity_mass)
+
+
+_LEAF_CONSUMERS = {
+    "simulate-martingales": lambda tmp_path, monkeypatch: (_martingale_table(tmp_path),),
+    "leaf-sums-mu1": lambda tmp_path, monkeypatch: (
+        _leaf_sums(1.0, 4.0, smooth_step(0.0, 1.0), 700, 24),),
+    "leaf-sums-mu0": lambda tmp_path, monkeypatch: (
+        _leaf_sums(0.0, 4.0, smooth_step(0.0, 1.0), 700, 25),),
+    "yule-counts": lambda tmp_path, monkeypatch: (_yule_counts(monkeypatch),),
+    "spine-identity-sides": lambda tmp_path, monkeypatch: (
+        np.asarray(spine_identity_sides(1.5, 1.5, 5000, 26)),),
+    "limit-process-gamma-2": lambda tmp_path, monkeypatch: _limit_process_atoms(),
+}
+
+_LEAF_DIGESTS = {
+    "simulate-martingales":
+        "736c1325740ef488aa5f1335f52444adc75b14fc679783c9f3c5c457186881fd",
+    "leaf-sums-mu1":
+        "747e19e341bc565567230abd5a924b5b6be24994bb6de9ff3b1b9c7b4a527287",
+    "leaf-sums-mu0":
+        "ded79b33504d30428633688bff86b72a3aae7e03f542abf4bb4f1cc25bb3dd74",
+    "yule-counts":
+        "31e0793566225ba7e46b4909b9b7af660e63ff6a19e3cc1cde99d1ead73c0433",
+    "spine-identity-sides":
+        "262a09b671169d51c801c3917de1f066d8445e1be92ef5f3926f27df635c7dcb",
+    "limit-process-gamma-2":
+        "c688b4430fe6a733c4e8f5fc5626cbc601969bdf3504b15e6f35ac345a87c232",
+}
+
+
 class TestPinnedBits:
     """Fixed-seed traversal output, pinned bit for bit.
 
@@ -319,3 +379,8 @@ class TestPinnedBits:
         f = simulate_forest(mu, 5.0, 64, substream(97, int(mu)))
         assert (_digest(f.rep, f.parent, f.t_end, f.duration, f.xi, f.x_end, f.is_leaf,
                         np.asarray(f.wave_edges)), f.n_nodes) == _FORESTS[mu]
+
+    @pytest.mark.parametrize("name", list(_LEAF_CONSUMERS))
+    def test_leaf_consumer(self, name, tmp_path, monkeypatch):
+        # the Monte Carlo that reads only leaves: CLI bytes, check inputs, W proxy
+        assert _digest(*_LEAF_CONSUMERS[name](tmp_path, monkeypatch)) == _LEAF_DIGESTS[name]
