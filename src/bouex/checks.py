@@ -31,7 +31,7 @@ from .gaussian import SQRT2, normalization_factor, ou_variance
 from .measure import Centering, PointMeasure, group_max
 from .rng import chunks, substream
 from .spine import _spine_atoms, sample_limit_process
-from .window import windowed_extremal_atoms
+from .window import leaves, windowed_extremal_atoms
 
 CHUNK = 2048
 
@@ -276,9 +276,9 @@ def check_slepian_monotonicity(mu_list, phi: TestFunction, t: float, n: int,
         rep = forest.rep[forest.is_leaf]
         vals = np.empty((m, len(mus)))
         for i, mu in enumerate(mus):
-            leaves = forest.x_end[forest.is_leaf] if mu == base_mu \
+            x = forest.x_end[forest.is_leaf] if mu == base_mu \
                 else forest.positions_for(mu)
-            atoms = lams[i] * leaves - m_t
+            atoms = lams[i] * x - m_t
             vals[:, i] = np.exp(-np.bincount(rep, weights=phi(atoms), minlength=m))
         return vals
 
@@ -294,7 +294,7 @@ def check_slepian_monotonicity(mu_list, phi: TestFunction, t: float, n: int,
 def _leaf_sums(mu: float, t: float, f, n: int, seed: int) -> np.ndarray:
     """sum_u f(X_t(u)) per replica, over forests of 512 replicas per stream."""
     def draw(j, m):
-        rep, x = simulate_forest(mu, t, m, substream(seed, j)).leaf_positions()
+        rep, x = leaves(mu, t, m, substream(seed, j))
         return np.bincount(rep, weights=f(x), minlength=m)
 
     return _replica_values(n, 512, draw)
@@ -367,8 +367,7 @@ def spine_identity_sides(rho: float, t: float, n: int, seed: int,
     thresh = SQRT2 * rho * t
 
     def draw(j, m):
-        forest = simulate_forest(0.0, t, m, substream(seed, 2 * j))
-        rep, x = forest.leaf_positions()
+        rep, x = leaves(0.0, t, m, substream(seed, 2 * j))
         mx = group_max(rep, x, m)
         centred = x - mx[rep]
         keep = centred >= _SPINE_WINDOW
@@ -505,8 +504,8 @@ def check_iid_limit(t: float, n: int, seed: int, tol: float = 0.05,
 def check_yule_counts(t: float, n: int, seed: int, alpha: float = 0.01,
                       name: str = "yule_geometric_counts") -> CheckReport:
     """Chi-square fit of simulated leaf counts to the geometric law."""
-    counts = _replica_values(n, 512, lambda j, m: simulate_forest(
-        0.0, t, m, substream(seed, j)).leaf_counts())
+    counts = _replica_values(n, 512, lambda j, m: np.bincount(
+        leaves(0.0, t, m, substream(seed, j))[0], minlength=m))
     p = math.exp(-t)
     # geometric bins with expected count >= 5, tail merged
     kmax = 1

@@ -36,8 +36,7 @@ import numpy as np
 
 from . import __version__
 from .checks import reports_to_json
-from .cloud import simulate_forest, additive_martingale_per_rep, \
-    derivative_martingale_per_rep
+from .cloud import additive_martingale_per_rep, derivative_martingale_per_rep
 from .errors import NumericalFailureError, RejectionBudgetError, ResourceLimitError
 from .kpp import KppParams, dump_checkpoints, estimate_C_pde, prefactor_of_t, \
     front_tail, solve_kpp
@@ -46,7 +45,7 @@ from .rng import chunks, substream
 from .spine import estimate_C, estimate_C_curve, limit_intensity, \
     sample_decoration, sample_limit_process, truncation_horizon
 from .suite import run_suite
-from .window import windowed_extremal_atoms
+from .window import leaves, windowed_extremal_atoms
 
 SCHEMA = 1
 
@@ -164,9 +163,9 @@ def cmd_simulate(args) -> int:
         betas = args.betas
         columns = ["replica"] + [f"W_beta_{_fmt(b)}" for b in betas] + ["Z"]
         for j, start, m in chunks(args.replicas, 1024):
-            forest = simulate_forest(0.0, args.t, m, substream(args.seed, j))
-            ws = [additive_martingale_per_rep(forest, b) for b in betas]
-            z = derivative_martingale_per_rep(forest)
+            rep, x = leaves(0.0, args.t, m, substream(args.seed, j))
+            ws = [additive_martingale_per_rep(rep, x, args.t, m, b) for b in betas]
+            z = derivative_martingale_per_rep(rep, x, args.t, m)
             for i in range(m):
                 rows.append([start + i] + [float(w[i]) for w in ws] + [float(z[i])])
     _write_table(args, columns, rows)

@@ -1,17 +1,18 @@
 """Exact simulation of branching Brownian / branching OU clouds.
 
 Genealogy is a rate-1 binary Yule tree; motion between branch events is one
-exact OU transition, so there is no time discretization anywhere.  Trees are
-stored as flat node arrays in wave (generation) order, which keeps the
-genealogy available for ancestry queries while letting everything vectorize.
+exact OU transition, so there is no time discretization anywhere.
 
 `_waves` is the one wave core that samples this law, for `simulate_forest`
 and for the windowed collector in `window.py` alike.  Its clock is each
 node's remaining time tau: a node is a leaf when its exponential lifetime is
 at least tau, and its children start with tau minus that lifetime.
 
-A Forest batches many independent replicas into one set of arrays; a
-ParticleCloud is the single-replica view required by the public API.
+A Forest stores the whole tree as flat node arrays in wave (generation)
+order, for the readers of the genealogy: a ParticleCloud (the single-replica
+view of the public API) and the coupling of spring constants through
+`Forest.positions_for`.  Monte Carlo that reads only the leaves takes them
+from `window.leaves`, which stores no node.
 """
 
 from __future__ import annotations
@@ -62,13 +63,6 @@ class Forest:
         birth[has_parent] = self.t_end[self.parent[has_parent]]
         return birth
 
-    def leaf_counts(self) -> np.ndarray:
-        return np.bincount(self.rep[self.is_leaf], minlength=self.n_reps)
-
-    def leaf_positions(self):
-        """(replica index, raw position) of every leaf."""
-        return self.rep[self.is_leaf], self.x_end[self.is_leaf]
-
     def positions_for(self, mu) -> np.ndarray:
         """Leaf positions on the same tree under another spring constant.
 
@@ -103,25 +97,23 @@ def _waves(mu, tau, x, rng, node_cap, expand=None):
     """Expand a batch of subtrees generation by generation.
 
     Root i starts at position x[i] with remaining time tau[i] > 0.  Yields
-    one wave at a time: (root, parent, tau, life, xi, leaf, dur, x_new),
-    where parent is the node id (in yield order) of the node's parent, -1
-    for roots.
+    one wave at a time: (root, tau, life, xi, leaf, dur, x_new).  The
+    children of a wave's splits, in order, make up the next wave.
 
-    Between waves a row of (tau, x, root, parent) stands for `pair` nodes:
-    one for a root, two for the children of a split, which share all four.
-    Before a wave is drawn, `expand(tau, x, root, pair)` may return a mask of
-    the rows to keep, so a prune decision is taken once per sibling pair;
-    the kept rows are then repeated into nodes, exactly the nodes a per-node
-    decision would keep, so no output bit depends on it.
+    Between waves a row of (tau, x, root) stands for `pair` nodes: one for a
+    root, two for the children of a split, which share all three.  Before a
+    wave is drawn, `expand(tau, x, root, pair)` may return a mask of the rows
+    to keep, so a prune decision is taken once per sibling pair; the kept
+    rows are then repeated into nodes, exactly the nodes a per-node decision
+    would keep, so no output bit depends on it.
     """
     root = np.arange(tau.size, dtype=np.int64)
-    parent = np.full(tau.size, -1, dtype=np.int64)
     pair = 1
     n = 0
     while tau.size:
         keep = np.ones(tau.size, bool) if expand is None else expand(tau, x, root, pair)
         nodes = np.repeat(np.flatnonzero(keep), pair)
-        tau, x, root, parent = tau[nodes], x[nodes], root[nodes], parent[nodes]
+        tau, x, root = tau[nodes], x[nodes], root[nodes]
         m = tau.size
         if not m:
             return
@@ -138,27 +130,40 @@ def _waves(mu, tau, x, rng, node_cap, expand=None):
         np.sqrt(x_new, out=x_new)
         x_new *= xi
         x_new += _decayed(mu, dur, x)
-        yield root, parent, tau, life, xi, leaf, dur, x_new
+        yield root, tau, life, xi, leaf, dur, x_new
         # index gathers: a boolean mask as random as `leaf` gathers far slower
         split = np.flatnonzero(~leaf)
-        parent = split + n
         n += m
         tau, x, root, pair = tau[split], x_new[split], root[split], 2
         tau -= life[split]
 
 
-def simulate_forest(mu: float, horizon_t: float, n_reps: int, rng) -> Forest:
-    """Draw n_reps independent clouds with one exact-law batched traversal."""
-    SpringParams(mu, horizon_t)  # raises ValueError for a bad mu or horizon_t
+def _check_full_tree(mu: float, horizon_t: float) -> None:
+    """The guards of a full, unpruned tree, taken before any draw.
+
+    Raises ValueError for a bad mu or horizon_t and ResourceLimitError for a
+    horizon above HORIZON_CAP; the traversal itself stops at _NODE_CAP nodes.
+    """
+    SpringParams(mu, horizon_t)
     if horizon_t > HORIZON_CAP:
         raise ResourceLimitError(
             f"horizon {horizon_t} exceeds cap {HORIZON_CAP}: expected leaf count "
             f"is e^t = {math.exp(horizon_t):.3g} per replica")
+
+
+def simulate_forest(mu: float, horizon_t: float, n_reps: int, rng) -> Forest:
+    """Draw n_reps independent clouds with one exact-law batched traversal."""
+    _check_full_tree(mu, horizon_t)
     waves = []  # the seven node columns of each wave
-    for rep, parent, tau, life, xi, leaf, dur, x_new in _waves(
+    parent = np.full(n_reps, -1, dtype=np.int64)
+    n = 0  # nodes before this wave
+    for rep, tau, life, xi, leaf, dur, x_new in _waves(
             mu, np.full(n_reps, float(horizon_t)), np.zeros(n_reps), rng, _NODE_CAP):
         t_end = np.where(leaf, horizon_t, horizon_t - tau + life)
         waves.append((rep, parent, t_end, dur, xi, x_new, leaf))
+        # the next wave is the two children of each split, in order
+        parent = np.repeat(np.flatnonzero(~leaf) + n, 2)
+        n += rep.size
     ends = np.cumsum([w[0].size for w in waves]).tolist()
     return Forest(mu, horizon_t, n_reps, *(np.concatenate(col) for col in zip(*waves)),
                   wave_edges=list(zip([0] + ends[:-1], ends)))
@@ -221,32 +226,36 @@ def extremal_measure(cloud: ParticleCloud, centering: Centering) -> PointMeasure
     return PointMeasure(lam * cloud.leaf_positions - centering.value)
 
 
+def _brownian_leaves(cloud: ParticleCloud):
+    """(replica, position) of a Brownian cloud's leaves; the martingales need mu = 0."""
+    if cloud.spring.mu != 0.0:
+        raise ValueError("the additive and derivative martingales are defined for mu = 0")
+    x = cloud.leaf_positions
+    return np.zeros(x.size, dtype=np.int64), x
+
+
 def additive_martingale(cloud: ParticleCloud, beta: float) -> float:
     """Sum of exp(beta X - (beta^2/2 + 1) t) over leaves (Brownian clouds only)."""
-    return float(additive_martingale_per_rep(cloud.forest, beta)[0])
+    return float(additive_martingale_per_rep(
+        *_brownian_leaves(cloud), cloud.spring.horizon_t, 1, beta)[0])
 
 
 def derivative_martingale(cloud: ParticleCloud) -> float:
     """Sum of (sqrt(2) t - X) exp(sqrt(2) X - 2t) over leaves (mu = 0 only)."""
-    return float(derivative_martingale_per_rep(cloud.forest)[0])
+    return float(derivative_martingale_per_rep(
+        *_brownian_leaves(cloud), cloud.spring.horizon_t, 1)[0])
 
 
-def additive_martingale_per_rep(forest: Forest, beta: float) -> np.ndarray:
-    if forest.mu != 0.0:
-        raise ValueError("the additive martingale is defined for mu = 0")
-    t = forest.horizon_t
-    rep, x = forest.leaf_positions()
+def additive_martingale_per_rep(rep, x, t: float, n_reps: int, beta: float) -> np.ndarray:
+    """Per-replica additive martingale of Brownian leaves (rep, x) at time t."""
     w = np.exp(beta * x - (0.5 * beta * beta + 1.0) * t)
-    return np.bincount(rep, weights=w, minlength=forest.n_reps)
+    return np.bincount(rep, weights=w, minlength=n_reps)
 
 
-def derivative_martingale_per_rep(forest: Forest) -> np.ndarray:
-    if forest.mu != 0.0:
-        raise ValueError("the derivative martingale is defined for mu = 0")
-    t = forest.horizon_t
-    rep, x = forest.leaf_positions()
+def derivative_martingale_per_rep(rep, x, t: float, n_reps: int) -> np.ndarray:
+    """Per-replica derivative martingale of Brownian leaves (rep, x) at time t."""
     w = (SQRT2 * t - x) * np.exp(SQRT2 * x - 2.0 * t)
-    return np.bincount(rep, weights=w, minlength=forest.n_reps)
+    return np.bincount(rep, weights=w, minlength=n_reps)
 
 
 def variable_speed_view(cloud: ParticleCloud, gamma: float, s: float, rng) -> np.ndarray:

@@ -18,6 +18,7 @@ import numpy as np
 
 SQRT2 = math.sqrt(2.0)
 INV_SQRT_4PI = 1.0 / math.sqrt(4.0 * math.pi)
+_TINY = float(np.finfo(float).tiny)  # the smallest normal float
 
 
 @dataclass(frozen=True)
@@ -63,22 +64,29 @@ def ou_variance(mu, s):
     A scalar mu takes one formula, evaluated in place on a fresh copy of s:
     expm1(k s) / k with k = -2 mu, bit for bit the array path's
     -expm1(-2 mu s) / (2 mu), as negating both sides of an IEEE division
-    does not change its rounding.
+    does not change its rounding.  Where k s is below the smallest normal
+    float it has lost digits (up to a factor 2 after the division), while
+    the variance s (1 - mu s + ...) is s itself to full precision; both
+    paths return s there.
     """
     if np.ndim(mu) == 0:
         out = np.array(s, dtype=float)
         if mu > 0:
             k = -2.0 * float(mu)
+            s = out.copy() if out.min(initial=math.inf) < _TINY / -k else None
             out *= k
             np.expm1(out, out=out)
             out /= k
+            if s is not None:  # some k s is subnormal
+                np.copyto(out, s, where=s < _TINY / -k)
         return float(out) if out.ndim == 0 else out
     mu_arr = np.asarray(mu, dtype=float)
     s_arr = np.asarray(s, dtype=float)
-    return np.where(mu_arr > 0,
-                    -np.expm1(-2.0 * mu_arr * np.maximum(s_arr, 0.0))
-                    / np.where(mu_arr > 0, 2.0 * mu_arr, 1.0),
-                    s_arr)
+    s_pos = np.maximum(s_arr, 0.0)
+    ks = -2.0 * mu_arr * s_pos
+    var = np.where(np.abs(ks) >= _TINY,
+                   -np.expm1(ks) / np.where(mu_arr > 0, 2.0 * mu_arr, 1.0), s_pos)
+    return np.where(mu_arr > 0, var, s_arr)
 
 
 def ou_transition(x, mu, s):

@@ -21,13 +21,13 @@ from typing import Optional
 
 import numpy as np
 
-from .cloud import simulate_forest, additive_martingale_per_rep
+from .cloud import additive_martingale_per_rep
 from .errors import RejectionBudgetError
 from .gaussian import SQRT2, INV_SQRT_4PI, gamma_constants
 from .measure import PointMeasure
 from .results import EstimatorResult
 from .rng import chunks, substream, spawn_seed
-from .window import collect_atoms_above
+from .window import collect_atoms_above, leaves
 
 CHUNK = 4096
 
@@ -296,8 +296,8 @@ def sample_limit_process(gamma: float, window_a: float, rng,
     else:
         if c_value is None:
             raise ValueError("finite gamma needs c_value (see limit_intensity)")
-        forest = simulate_forest(0.0, proxy_horizon, 1, rng)
-        w = float(additive_martingale_per_rep(forest, SQRT2 * gc.c_gamma)[0])
+        rep, x = leaves(0.0, proxy_horizon, 1, rng)
+        w = float(additive_martingale_per_rep(rep, x, proxy_horizon, 1, SQRT2 * gc.c_gamma)[0])
         c = float(c_value)
     mass = c * w * math.exp(-SQRT2 * window_a)
     count = int(rng.poisson(mass))

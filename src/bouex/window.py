@@ -14,7 +14,10 @@ one-sided miss probability of each group is reported exactly.
 
 The trees are drawn by `cloud._waves`, the one wave core that also builds
 `simulate_forest`'s trees, on the same remaining-time clock tau; this module
-only decides which nodes to expand and which leaves to emit.
+only decides which nodes to expand and which leaves to emit.  With an open
+window and no pruning it emits every leaf: `leaves` is that case, the one
+leaf path for Monte Carlo that needs no genealogy, bit for bit the leaves of
+`simulate_forest` on the same stream but with no node stored.
 
 Two shortcuts make the decision cheaper without changing an output bit.
 The two children of a split share (tau, x, root), so the decision is taken
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import log_ndtr
 
-from .cloud import _decayed, _waves
+from .cloud import _NODE_CAP, _check_full_tree, _decayed, _waves
 from .gaussian import normalization_factor, ou_variance
 from .measure import group_max
 
@@ -154,8 +157,8 @@ def collect_atoms_above(mu, horizons, x0, levels, scales, offsets, groups, n_gro
     emit(x[done], done)
     live = np.flatnonzero(tau > 0.0)
     lvl, scl, off, grp = (a[live] for a in (lvl, scl, off, grp))
-    for root, _, tau, _, _, leaf, _, x_new in _waves(mu, tau[live], x[live], rng,
-                                                    node_cap, expand):
+    for root, tau, _, _, leaf, _, x_new in _waves(mu, tau[live], x[live], rng,
+                                                 node_cap, expand):
         n_nodes += tau.size
         leaf = np.flatnonzero(leaf)
         emit(x_new[leaf], root[leaf])
@@ -183,3 +186,22 @@ def windowed_extremal_atoms(mu: float, t: float, centering, window: float,
         offsets=np.full(n_reps, -centering.value),
         groups=ids, n_groups=n_reps, rng=rng,
         prune_tol=prune_tol)
+
+
+def leaves(mu: float, t: float, n_reps: int, rng):
+    """(replica, position) of every leaf of n_reps full clouds run to time t.
+
+    The leaves of `simulate_forest(mu, t, n_reps, rng)`, bit for bit and in
+    its order, under its guards and node cap, without storing the tree.
+    """
+    _check_full_tree(mu, t)
+    res = collect_atoms_above(
+        mu,
+        horizons=np.full(n_reps, float(t)),
+        x0=np.zeros(n_reps),
+        levels=np.full(n_reps, -np.inf),
+        scales=np.ones(n_reps),
+        offsets=np.zeros(n_reps),
+        groups=np.arange(n_reps), n_groups=n_reps, rng=rng,
+        prune_tol=0.0, node_cap=_NODE_CAP)
+    return res.group, res.atoms

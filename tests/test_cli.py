@@ -199,6 +199,18 @@ class TestSimulate:
                     "--emit", "max", "-o", str(tmp_path / "x.csv")])
         assert code == 3
 
+    def test_martingales_horizon_cap_exit_3_before_any_draw(self, tmp_path, monkeypatch):
+        from bouex import window
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew a tree past the horizon cap")
+
+        monkeypatch.setattr(window, "_waves", no_draw)
+        out = tmp_path / "x.csv"
+        assert run(["simulate", "--mu", "0", "--t", "17", "--replicas", "1",
+                    "--emit", "martingales", "-o", str(out)]) == 3
+        assert not out.exists()
+
 
 class TestDecorateAndLimit:
     def test_decorate_output(self, tmp_path):
@@ -287,6 +299,8 @@ def test_header_reruns_to_the_same_bytes(argv, tmp_path):
                   "--emit", "max"], id="simulate-mu-inf"),
     pytest.param(["simulate", "--mu", "1", "--t", "inf", "--replicas", "1",
                   "--emit", "max"], id="simulate-t-inf"),
+    pytest.param(["simulate", "--mu", "0", "--t", "nan", "--replicas", "1",
+                  "--emit", "martingales"], id="simulate-martingales-t-nan"),
     pytest.param(["kpp", "--rho", "2", "--t-max", "inf"], id="kpp-t-max-inf"),
     pytest.param(["estimate-c", "--rho-min", "1.5", "--rho-max", "2", "--steps", "2",
                   "--replicas", "0", "--coupled"], id="estimate-c-coupled-no-replicas"),

@@ -9,12 +9,17 @@ from scipy import stats
 from bouex.cloud import (ParticleCloud, additive_martingale,
                          additive_martingale_per_rep, derivative_martingale,
                          derivative_martingale_per_rep, extremal_measure,
-                         simulate_cloud, simulate_forest, variable_speed_view)
+                         simulate_cloud, variable_speed_view)
+from bouex import cli, cloud as cloud_mod, window
+from bouex.checks import (check_many_to_one, check_many_to_two, check_spine_identity,
+                          check_yule_counts, exponential_window, smooth_step)
 from bouex.errors import ResourceLimitError
 from bouex.gaussian import SQRT2, SpringParams, normalization_factor, ou_variance, \
     pair_covariance
 from bouex.measure import Centering
 from bouex.rng import substream
+from bouex.spine import sample_limit_process
+from bouex.window import leaves
 
 
 class TestSimulateCloud:
@@ -27,22 +32,21 @@ class TestSimulateCloud:
         assert branched == 0
 
     def test_yule_mean(self):
-        forest = simulate_forest(0.0, 3.0, 10_000, substream(2, 0))
-        counts = forest.leaf_counts()
+        rep, _ = leaves(0.0, 3.0, 10_000, substream(2, 0))
+        counts = np.bincount(rep, minlength=10_000)
         se = counts.std(ddof=1) / math.sqrt(counts.size)
         assert abs(counts.mean() - math.exp(3.0)) < 4.0 * se
 
     def test_uniform_leaf_marginal_ks(self):
         # one uniformly chosen leaf per replica is exactly OU-distributed
-        forest = simulate_forest(1.0, 3.0, 10_000, substream(3, 0))
+        n = 10_000
+        rep, x = leaves(1.0, 3.0, n, substream(3, 0))
         rng = substream(3, 1)
-        picks = np.empty(forest.n_reps)
-        rep, x = forest.leaf_positions()
-        counts = forest.leaf_counts()
-        offsets = np.concatenate(([0], np.cumsum(counts)))
+        picks = np.empty(n)
+        offsets = np.concatenate(([0], np.cumsum(np.bincount(rep, minlength=n))))
         order = np.argsort(rep, kind="stable")
         xs = x[order]
-        for r in range(forest.n_reps):
+        for r in range(n):
             block = xs[offsets[r]:offsets[r + 1]]
             picks[r] = block[rng.integers(0, block.size)]
         sd = math.sqrt(ou_variance(1.0, 3.0))
@@ -70,8 +74,7 @@ class TestManyToOne:
     @pytest.mark.parametrize("mu,t", [(0.0, 3.0), (1.0, 3.0)])
     def test_battery(self, mu, t):
         n = 20_000
-        forest = simulate_forest(mu, t, n, substream(7, 0))
-        rep, x = forest.leaf_positions()
+        rep, x = leaves(mu, t, n, substream(7, 0))
         v = ou_variance(mu, t)
         battery = [
             (lambda y: np.ones_like(y), math.exp(t)),
@@ -116,24 +119,24 @@ class TestExtremalMeasure:
 
 class TestMartingales:
     def test_beta_zero_is_yule_martingale(self):
-        forest = simulate_forest(0.0, 3.0, 20_000, substream(12, 0))
-        w = additive_martingale_per_rep(forest, 0.0)
-        counts = forest.leaf_counts()
+        rep, x = leaves(0.0, 3.0, 20_000, substream(12, 0))
+        w = additive_martingale_per_rep(rep, x, 3.0, 20_000, 0.0)
+        counts = np.bincount(rep, minlength=20_000)
         assert np.allclose(w, math.exp(-3.0) * counts)
         se = w.std(ddof=1) / math.sqrt(w.size)
         assert abs(w.mean() - 1.0) < 4.0 * se
 
     def test_additive_mean_one(self):
-        forest = simulate_forest(0.0, 5.0, 10_000, substream(13, 0))
-        w = additive_martingale_per_rep(forest, 0.5)
+        rep, x = leaves(0.0, 5.0, 10_000, substream(13, 0))
+        w = additive_martingale_per_rep(rep, x, 5.0, 10_000, 0.5)
         se = w.std(ddof=1) / math.sqrt(w.size)
         assert abs(w.mean() - 1.0) < 4.0 * se
 
     def test_critical_beta_degenerates(self):
         w5 = np.concatenate([additive_martingale_per_rep(
-            simulate_forest(0.0, 5.0, 50, substream(14, j)), SQRT2) for j in range(4)])
+            *leaves(0.0, 5.0, 50, substream(14, j)), 5.0, 50, SQRT2) for j in range(4)])
         w10 = np.concatenate([additive_martingale_per_rep(
-            simulate_forest(0.0, 10.0, 25, substream(15, j)), SQRT2) for j in range(8)])
+            *leaves(0.0, 10.0, 25, substream(15, j)), 10.0, 25, SQRT2) for j in range(8)])
         assert np.median(w10) < 0.5 * np.median(w5)
 
     def test_requires_brownian_cloud(self):
@@ -153,14 +156,14 @@ class TestMartingales:
         assert abs(val - SQRT2 * 1e-4 * math.exp(-2e-4)) < 0.01
 
     def test_derivative_mean_zero(self):
-        forest = simulate_forest(0.0, 4.0, 100_000, substream(17, 0))
-        z = derivative_martingale_per_rep(forest)
+        rep, x = leaves(0.0, 4.0, 100_000, substream(17, 0))
+        z = derivative_martingale_per_rep(rep, x, 4.0, 100_000)
         se = z.std(ddof=1) / math.sqrt(z.size)
         assert abs(z.mean()) < 4.0 * se
 
     def test_derivative_mostly_positive_late(self):
         z = np.concatenate([derivative_martingale_per_rep(
-            simulate_forest(0.0, 9.0, 50, substream(18, j))) for j in range(6)])
+            *leaves(0.0, 9.0, 50, substream(18, j)), 9.0, 50) for j in range(6)])
         assert np.mean(z < 0) < 0.05
 
 
@@ -211,3 +214,37 @@ class TestVariableSpeedView:
         target = t * math.expm1(2 * gamma * s / t) / math.expm1(2 * gamma)
         se = vals.var() * math.sqrt(2.0 / vals.size)
         assert abs(vals.var(ddof=1) - target) < 4.0 * se
+
+
+class TestLeafPath:
+    def test_leaf_only_consumers_build_no_forest(self, monkeypatch, tmp_path):
+        # leaves come from window.leaves; a Forest is built only to read a genealogy
+        def no_forest(*args, **kwargs):
+            raise AssertionError("a leaf-only consumer built a Forest")
+
+        monkeypatch.setattr(cloud_mod, "Forest", no_forest)
+        for report in (check_many_to_one(1.0, 2.0, smooth_step(0.0, 1.0), 200, seed=1),
+                       check_many_to_two(0.0, 1.5, exponential_window(0.5, 0.0), 200,
+                                         seed=2),
+                       check_yule_counts(2.0, 200, seed=3),
+                       check_spine_identity(1.5, 1.5, 200, seed=4)):
+            assert np.isfinite(report.statistic)
+        out = tmp_path / "mart.csv"
+        assert cli.main(["simulate", "--mu", "0", "--t", "2", "--replicas", "5",
+                         "--emit", "martingales", "-o", str(out)]) == 0
+        s = sample_limit_process(2.0, -1.0, substream(5, 0), c_value=0.25,
+                                 proxy_horizon=4.0, decoration_horizon=4.0)
+        assert s.intensity_mass > 0.0
+
+    def test_horizon_cap_before_any_draw(self, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew a tree past the horizon cap")
+
+        monkeypatch.setattr(window, "_waves", no_draw)
+        with pytest.raises(ResourceLimitError, match="e\\^t"):
+            leaves(0.0, 17.0, 1, substream(5, 0))
+
+    @pytest.mark.parametrize("mu,t", [(math.nan, 2.0), (0.0, math.nan), (0.0, 0.0)])
+    def test_bad_parameters_are_value_errors(self, mu, t):
+        with pytest.raises(ValueError):
+            leaves(mu, t, 1, substream(5, 0))

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy.special import erfc
 
 from bouex.gaussian import (GammaConstants, SpringParams, bivariate_tail_bound,
@@ -256,3 +258,14 @@ def test_ou_variance_scalar_mu_has_the_array_bits(mu):
     scalar, array = ou_variance(mu, s), ou_variance(np.full_like(s, mu), s)
     assert np.array_equal(scalar, array)
     assert all(ou_variance(mu, float(v)) == a for v, a in zip(s, array))
+
+
+@given(mu=st.floats(0.0, 50.0), s1=st.floats(0.0, 100.0), s2=st.floats(0.0, 100.0))
+@example(mu=1e-300, s1=0.0, s2=1e-12)  # -2 mu s is subnormal
+def test_ou_variance_grows_in_s_and_stays_at_most_s(mu, s1, s2):
+    # at most s up to the rounding of one IEEE operation, for scalar and array mu
+    lo, hi = sorted((s1, s2))
+    for m in (mu, np.array([mu])):
+        v_lo, v_hi = np.ravel(ou_variance(m, lo)), np.ravel(ou_variance(m, hi))
+        assert v_lo[0] <= v_hi[0]
+        assert v_hi[0] <= np.nextafter(hi, math.inf)

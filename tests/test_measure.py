@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bouex.measure import Centering, PointMeasure, max_and_counts
 
@@ -61,3 +63,16 @@ def test_centering_aliases_and_validation():
 def test_centering_rejects_infinite_horizon():
     with pytest.raises(ValueError):
         Centering("tilde", math.inf)
+
+
+_finite = st.floats(-1e300, 1e300)
+
+
+@given(st.lists(_finite, max_size=40), _finite, _finite)
+def test_sorted_and_counts_partition(atoms, a, c):
+    pm = PointMeasure(atoms)
+    assert np.all(np.diff(pm.atoms) >= 0)
+    assert np.all(np.diff(pm.shifted(c).atoms) >= 0)
+    below = sum(v < a for v in atoms)
+    assert pm.count_above(a) + below == len(pm)
+    assert pm.count_strictly_above(a) <= pm.count_above(a)

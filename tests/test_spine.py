@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 
 from bouex.errors import RejectionBudgetError
@@ -15,6 +17,13 @@ from bouex.spine import (CHUNK, estimate_C, estimate_C_curve, sample_decoration,
 
 
 class TestTruncationHorizon:
+    @given(rho=st.floats(1.05, 6.0), a=st.floats(-8.0, 3.0),
+           eps=st.floats(1e-12, 0.5), eps_up=st.floats(0.0, 0.49))
+    def test_certifies_eps_and_shrinks_as_eps_grows(self, rho, a, eps, eps_up):
+        T = truncation_horizon(rho, a, eps)
+        assert truncation_miss_bound(rho, a, T) <= eps
+        assert truncation_horizon(rho, a, min(eps + eps_up, 0.999)) <= T
+
     def test_monotone_in_rho(self):
         ts = [truncation_horizon(r, -6.0, 0.01) for r in (1.25, 1.5, 2.0, 4.0)]
         assert all(b < a for a, b in zip(ts, ts[1:]))

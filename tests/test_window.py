@@ -19,8 +19,8 @@ from bouex.measure import Centering
 from bouex.rng import substream
 from bouex.spine import sample_limit_process
 from bouex.window import (CollectedAtoms, _exceedance_log_bound, _log_tail_floor,
-                          _prunable, collect_atoms_above, subtree_exceedance_bound,
-                          windowed_extremal_atoms)
+                          _prunable, collect_atoms_above, leaves,
+                          subtree_exceedance_bound, windowed_extremal_atoms)
 
 
 def brute_force_counts(mu, t, level_raw, n, seed):
@@ -28,8 +28,7 @@ def brute_force_counts(mu, t, level_raw, n, seed):
     counts = []
     for j in range((n + 255) // 256):
         m = min(256, n - 256 * j)
-        forest = simulate_forest(mu, t, m, substream(seed, j))
-        rep, x = forest.leaf_positions()
+        rep, x = leaves(mu, t, m, substream(seed, j))
         sel = x >= level_raw
         counts.append(np.bincount(rep[sel], minlength=m))
     return np.concatenate(counts)
@@ -75,8 +74,7 @@ class TestCollector:
         forest_atoms = []
         for j in range((n + 255) // 256):
             m = min(256, n - 256 * j)
-            forest = simulate_forest(mu, t, m, substream(34, j))
-            _, x = forest.leaf_positions()
+            _, x = leaves(mu, t, m, substream(34, j))
             forest_atoms.append(x[x >= level])
         brute = np.concatenate(forest_atoms)
         assert stats.ks_2samp(res.atoms, brute).pvalue > 0.005
@@ -171,11 +169,14 @@ class TestOneWaveCore:
             mu, np.full(n, t), np.zeros(n), np.full(n, -np.inf), np.ones(n),
             np.zeros(n), np.arange(n), n, substream(44, 0), prune_tol=0)
         forest = simulate_forest(mu, t, n, substream(44, 0))
-        rep, x = forest.leaf_positions()
+        rep, x = forest.rep[forest.is_leaf], forest.x_end[forest.is_leaf]
         assert np.array_equal(res.group, rep)
         assert np.array_equal(res.atoms, x)
         assert res.n_nodes == forest.n_nodes
         assert np.array_equal(forest.positions_for(forest.mu), x)
+        # the leaf path is that collection
+        rep_l, x_l = leaves(mu, t, n, substream(44, 0))
+        assert np.array_equal(rep_l, rep) and np.array_equal(x_l, x)
 
     @pytest.mark.parametrize("stop_level", [None, 5.0])
     def test_non_positive_horizon_roots(self, stop_level):
