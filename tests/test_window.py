@@ -303,12 +303,15 @@ _FORESTS = {
 }
 
 
-def _martingale_table(tmp_path):
-    out = tmp_path / "mart.csv"
-    assert cli.main(["simulate", "--mu", "0", "--t", "5", "--replicas", "1100",
-                     "--emit", "martingales", "--betas", "0", "0.5", "1.2",
-                     "--seed", "21", "-o", str(out)]) == 0
+def _cli_table(tmp_path, *argv):
+    out = tmp_path / "table.csv"
+    assert cli.main([*argv, "-o", str(out)]) == 0
     return out.read_bytes()
+
+
+def _martingale_table(tmp_path):
+    return _cli_table(tmp_path, "simulate", "--mu", "0", "--t", "5", "--replicas", "1100",
+                      "--emit", "martingales", "--betas", "0", "0.5", "1.2", "--seed", "21")
 
 
 def _yule_counts(monkeypatch):
@@ -359,11 +362,42 @@ _LEAF_DIGESTS = {
         "c688b4430fe6a733c4e8f5fc5626cbc601969bdf3504b15e6f35ac345a87c232",
 }
 
+# Forest.positions_for on the mu = 1 forest of _FORESTS, for other spring constants
+_POSITIONS = {
+    0.0: "7ed69851ce258ccb3b907df080e39b796fd4dfd7d42a3cf9f8b1c827ab7eb755",
+    0.1: "f30a5905a7416d47e7ab4230f0cb194bb62a9135f8cc9b652780d88eb6c6b3ee",
+    10.0: "150d76f801189041cf405363044f0f72d58a4c15aff009a351f02ac7773f15f4",
+    math.inf: "8e464cad34760ec6e9946a7854b9d222a600c6c818023deb5929f84891148758",
+}
+
+# check_slepian_monotonicity: the laplace and pair_z fields of a fixed-seed report
+_SLEPIAN = ([0.940367755725013, 0.9189858167081527, 0.8930980375231485, 0.8945310951454227],
+            [-1.692365838477227, -2.1355629671268397, 0.26737081766136683])
+
+_ESTIMATE_C = ("estimate-c", "--rho-min", "1.0", "--rho-max", "2.0", "--steps", "3",
+               "--replicas", "400", "--seed", "28")
+_SIMULATE = ("simulate", "--mu", "1", "--t", "5", "--replicas", "4100", "--seed", "29")
+
+# CLI tables: one horizon per rho or one for the grid; two chunks of 4096
+_CLI_TABLES = {
+    "estimate-c": (_ESTIMATE_C,
+                   "ac84a516241d00c37aa52e77697b04f55ddadfd70bbda8268ca04a8150f43939"),
+    "estimate-c-coupled": (
+        _ESTIMATE_C + ("--coupled",),
+        "5e4f94d32dbdcc9a519ae937fce84f8ca972b783ab5c34a18c470b35bded5cd3"),
+    "simulate-max": (
+        _SIMULATE + ("--emit", "max"),
+        "b5834a976d50b58b3c6c77aede59868b6ac114a31b2e1dda5f44c99c58de9f99"),
+    "simulate-atoms-above": (
+        _SIMULATE + ("--emit", "atoms-above", "--window=1.0"),
+        "434a296bd0b6edd6bf42e1c40038121be1947a2507f3c1b78ea49bf7ba740bce"),
+}
+
 
 class TestPinnedBits:
-    """Fixed-seed traversal output, pinned bit for bit.
+    """Fixed-seed output of the traversal and its consumers, pinned bit for bit.
 
-    A speed-up of the wave core must leave these digests unchanged.  They
+    A speed-up or a simplification must leave these digests unchanged.  They
     depend on the floating-point kernels of the numpy/scipy build, so a new
     build may need them regenerated at a commit known to be correct.
     """
@@ -385,3 +419,18 @@ class TestPinnedBits:
     def test_leaf_consumer(self, name, tmp_path, monkeypatch):
         # the Monte Carlo that reads only leaves: CLI bytes, check inputs, W proxy
         assert _digest(*_LEAF_CONSUMERS[name](tmp_path, monkeypatch)) == _LEAF_DIGESTS[name]
+
+    @pytest.mark.parametrize("mu", list(_POSITIONS))
+    def test_positions_for(self, mu):
+        f = simulate_forest(1.0, 5.0, 64, substream(97, 1))
+        assert _digest(f.positions_for(mu)) == _POSITIONS[mu]
+
+    def test_slepian_report(self):
+        r = checks.check_slepian_monotonicity([0.1, 1.0, 10.0, math.inf],
+                                              smooth_step(0.0, 1.0), 4.0, 300, 27)
+        assert (r.details["laplace"], r.details["pair_z"]) == _SLEPIAN
+
+    @pytest.mark.parametrize("name", list(_CLI_TABLES))
+    def test_cli_table(self, name, tmp_path):
+        argv, digest = _CLI_TABLES[name]
+        assert _digest(_cli_table(tmp_path, *argv)) == digest
