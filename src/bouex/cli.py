@@ -1,5 +1,11 @@
 """Experiment runner: every capability as a reproducible subcommand.
 
+`estimate-c` has one estimator call, `estimate_C_curve`, once per group of
+rho values: without `--coupled` each rho of the grid is its own group, with
+its own certified horizon and independent draws; with `--coupled` the whole
+grid is one group on common random numbers, at the horizon of its lowest
+rho, so the rows are monotone in rho.
+
 Outputs are CSV (data) or JSON (reports) with the fully resolved config
 echoed in `# key=value` header comments, so re-running the header reproduces
 the file byte for byte.  The header echoes every parsed flag except
@@ -42,7 +48,7 @@ from .kpp import KppParams, dump_checkpoints, estimate_C_pde, prefactor_of_t, \
     front_tail, solve_kpp
 from .measure import Centering
 from .rng import chunks, substream
-from .spine import estimate_C, estimate_C_curve, limit_intensity, \
+from .spine import estimate_C_curve, limit_intensity, \
     sample_decoration, sample_limit_process, truncation_horizon
 from .suite import run_suite
 from .window import leaves, windowed_extremal_atoms
@@ -85,25 +91,19 @@ def _write_output(args, text):
 
 def cmd_estimate_c(args) -> int:
     grid = np.linspace(args.rho_min, args.rho_max, args.steps)
+    # --coupled: one curve over the grid, on common random numbers, at the
+    # horizon of its lowest rho; otherwise each rho is a curve of its own
+    groups = [grid] if args.coupled else [grid[i:i + 1] for i in range(grid.size)]
     rows = []
-    if args.coupled:
+    for rhos in groups:
         horizon = args.horizon_t if args.horizon_t is not None else \
-            _default_horizon(float(grid[0]), args.horizon_eps)
-        results = estimate_C_curve(grid, horizon, args.replicas, args.seed)
+            _default_horizon(float(rhos[0]), args.horizon_eps)
+        results = estimate_C_curve(rhos, horizon, args.replicas, args.seed)
         estimates = [r.estimate for r in results]
         if any(b < a for a, b in zip(estimates, estimates[1:])):
             raise AssertionError("coupled estimates must be monotone")
-        horizons = [horizon] * len(results)
-    else:
-        results, horizons = [], []
-        for rho in grid:
-            horizon = args.horizon_t if args.horizon_t is not None else \
-                _default_horizon(float(rho), args.horizon_eps)
-            results.append(estimate_C(float(rho), horizon, args.replicas, args.seed))
-            horizons.append(horizon)
-    for rho, horizon, res in zip(grid, horizons, results):
-        rows.append([float(rho), res.estimate, res.stderr, res.n_samples,
-                     horizon, res.n_accepted, res.warning or ""])
+        rows += [[float(rho), res.estimate, res.stderr, res.n_samples, horizon,
+                  res.n_accepted, res.warning or ""] for rho, res in zip(rhos, results)]
     _write_table(args, ["rho", "c_estimate", "stderr", "n", "horizon_T", "accepted",
                         "warning"], rows)
     return 0
@@ -144,22 +144,7 @@ def cmd_simulate(args) -> int:
         raise ValueError("--emit martingales requires --mu 0")
     centering = Centering(args.centering, args.t)
     rows = []
-    columns = []
-    if args.emit == "max":
-        columns = ["replica", "max"]
-        for j, start, m in chunks(args.replicas, 4096):
-            res = windowed_extremal_atoms(args.mu, args.t, centering, args.window,
-                                          m, substream(args.seed, j))
-            mx = res.max_per_group()
-            rows += [[start + i, float(mx[i])] for i in range(m)]
-    elif args.emit == "atoms-above":
-        columns = ["replica", "atom"]
-        for j, start, m in chunks(args.replicas, 4096):
-            res = windowed_extremal_atoms(args.mu, args.t, centering, args.window,
-                                          m, substream(args.seed, j))
-            order = np.lexsort((res.atoms, res.group))
-            rows += [[start + int(res.group[i]), float(res.atoms[i])] for i in order]
-    else:  # martingales
+    if args.emit == "martingales":
         betas = args.betas
         columns = ["replica"] + [f"W_beta_{_fmt(b)}" for b in betas] + ["Z"]
         for j, start, m in chunks(args.replicas, 1024):
@@ -168,6 +153,17 @@ def cmd_simulate(args) -> int:
             z = derivative_martingale_per_rep(rep, x, args.t, m)
             for i in range(m):
                 rows.append([start + i] + [float(w[i]) for w in ws] + [float(z[i])])
+    else:  # one windowed traversal per chunk; max and atoms-above differ in the rows
+        columns = ["replica", "max" if args.emit == "max" else "atom"]
+        for j, start, m in chunks(args.replicas, 4096):
+            res = windowed_extremal_atoms(args.mu, args.t, centering, args.window,
+                                          m, substream(args.seed, j))
+            if args.emit == "max":
+                mx = res.max_per_group()
+                rows += [[start + i, float(mx[i])] for i in range(m)]
+            else:
+                order = np.lexsort((res.atoms, res.group))
+                rows += [[start + int(res.group[i]), float(res.atoms[i])] for i in order]
     _write_table(args, columns, rows)
     return 0
 

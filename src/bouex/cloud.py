@@ -6,7 +6,9 @@ exact OU transition, so there is no time discretization anywhere.
 `_waves` is the one wave core that samples this law, for `simulate_forest`
 and for the windowed collector in `window.py` alike.  Its clock is each
 node's remaining time tau: a node is a leaf when its exponential lifetime is
-at least tau, and its children start with tau minus that lifetime.
+at least tau, and its children start with tau minus that lifetime.  The OU
+step over a segment is `_ou_step`, shared by the wave core and by
+`Forest.positions_for`, which replays a tree under another spring constant.
 
 A Forest stores the whole tree as flat node arrays in wave (generation)
 order, for the readers of the genealogy: a ParticleCloud (the single-replica
@@ -73,13 +75,11 @@ class Forest:
         if math.isinf(mu):
             return math.sqrt(self.horizon_t) * self.xi[self.is_leaf]
         x = np.empty(self.n_nodes)
-        sd = np.sqrt(ou_variance(mu, self.duration))
-        decay = np.exp(-mu * self.duration)
         for start, end in self.wave_edges:
             sl = slice(start, end)
             par = self.parent[sl]
             x_par = np.where(par >= 0, x[np.maximum(par, 0)], 0.0)
-            x[sl] = x_par * decay[sl] + sd[sl] * self.xi[sl]
+            x[sl] = _ou_step(mu, self.duration[sl], x_par, self.xi[sl])
         return x[self.is_leaf]
 
 
@@ -90,6 +90,19 @@ def _decayed(mu, dur, x):
     out = np.multiply(dur, -mu)
     np.exp(out, out=out)
     out *= x
+    return out
+
+
+def _ou_step(mu, dur, x, xi):
+    """The exact OU step x e^{-mu dur} + sqrt(var_mu(dur)) xi, in a new array.
+
+    The one place a position is moved over a segment: the wave core draws
+    with it, and `Forest.positions_for` replays it for another mu.
+    """
+    out = ou_variance(mu, dur)
+    np.sqrt(out, out=out)
+    out *= xi
+    out += _decayed(mu, dur, x)
     return out
 
 
@@ -125,11 +138,7 @@ def _waves(mu, tau, x, rng, node_cap, expand=None):
         xi = rng.standard_normal(m)
         leaf = life >= tau
         dur = np.minimum(life, tau)  # tau on the leaves
-        # x e^{-mu dur} + sd xi in place; at mu = 0 the decay is x * 1.0 = x
-        x_new = ou_variance(mu, dur)
-        np.sqrt(x_new, out=x_new)
-        x_new *= xi
-        x_new += _decayed(mu, dur, x)
+        x_new = _ou_step(mu, dur, x, xi)
         yield root, tau, life, xi, leaf, dur, x_new
         # index gathers: a boolean mask as random as `leaf` gathers far slower
         split = np.flatnonzero(~leaf)

@@ -6,7 +6,9 @@ variance-t normalization, the pairwise covariance induced by a shared
 ancestry time, and the classical one- and two-dimensional Gaussian tail
 bounds.  All formulas with a 2*mu (or 2*gamma) denominator are evaluated
 through expm1, which is cancellation-free down to mu = 0+; mu = 0 itself
-takes the exact Brownian branch.
+takes the exact Brownian branch.  The transition variance has one
+implementation, `ou_variance`, for one spring constant and any number of
+durations s >= 0.
 """
 
 from __future__ import annotations
@@ -59,49 +61,41 @@ class TailBoundPair:
 
 
 def ou_variance(mu, s):
-    """Variance of the OU transition over duration s >= 0 (array-friendly).
+    """Variance (1 - e^{-2 mu s})/(2 mu) of the OU transition over duration s.
 
-    A scalar mu takes one formula, evaluated in place on a fresh copy of s:
-    expm1(k s) / k with k = -2 mu, bit for bit the array path's
-    -expm1(-2 mu s) / (2 mu), as negating both sides of an IEEE division
-    does not change its rounding.  Where k s is below the smallest normal
-    float it has lost digits (up to a factor 2 after the division), while
-    the variance s (1 - mu s + ...) is s itself to full precision; both
-    paths return s there.
+    One formula for a scalar mu >= 0 and a scalar or array s >= 0, evaluated
+    in place on a fresh copy of s: expm1(k s) / k with k = -2 mu, and s
+    itself at mu = 0.  Where k s is below the smallest normal float it has
+    lost digits (up to a factor 2 after the division), while the variance
+    s (1 - mu s + ...) is s itself to full precision, so s is returned there.
+    An array mu, a negative mu or a negative duration raises ValueError.
     """
-    if np.ndim(mu) == 0:
-        out = np.array(s, dtype=float)
-        if mu > 0:
-            k = -2.0 * float(mu)
-            s = out.copy() if out.min(initial=math.inf) < _TINY / -k else None
-            out *= k
-            np.expm1(out, out=out)
-            out /= k
-            if s is not None:  # some k s is subnormal
-                np.copyto(out, s, where=s < _TINY / -k)
-        return float(out) if out.ndim == 0 else out
-    mu_arr = np.asarray(mu, dtype=float)
-    s_arr = np.asarray(s, dtype=float)
-    s_pos = np.maximum(s_arr, 0.0)
-    ks = -2.0 * mu_arr * s_pos
-    var = np.where(np.abs(ks) >= _TINY,
-                   -np.expm1(ks) / np.where(mu_arr > 0, 2.0 * mu_arr, 1.0), s_pos)
-    return np.where(mu_arr > 0, var, s_arr)
+    if np.ndim(mu) or not mu >= 0:
+        raise ValueError(f"spring constant must be a scalar >= 0, got {mu!r}")
+    out = np.array(s, dtype=float)
+    low = out.min(initial=math.inf)
+    if low < 0:
+        raise ValueError("duration must be non-negative")
+    if mu > 0:
+        k = -2.0 * float(mu)
+        s = out.copy() if low < _TINY / -k else None
+        out *= k
+        np.expm1(out, out=out)
+        out /= k
+        if s is not None:  # some k s is subnormal
+            np.copyto(out, s, where=s < _TINY / -k)
+    return float(out) if out.ndim == 0 else out
 
 
 def ou_transition(x, mu, s):
     """Mean and variance of the transition started at x over duration s.
 
-    Returns (x e^{-mu s}, (1-e^{-2 mu s})/(2 mu)); the mu = 0 limit is
-    (x, s) taken analytically, never by division.
+    Returns (x e^{-mu s}, (1-e^{-2 mu s})/(2 mu)) for a scalar mu; the mu = 0
+    limit is (x, s) taken analytically, never by division.
     """
-    if np.any(np.asarray(s) < 0):
-        raise ValueError("duration must be non-negative")
-    if np.any(np.asarray(mu) < 0):
-        raise ValueError("spring constant must be non-negative")
-    mean = np.asarray(x, dtype=float) * np.exp(-np.asarray(mu, float) * np.asarray(s, float))
     var = ou_variance(mu, s)
-    if np.ndim(x) == 0 and np.ndim(mu) == 0 and np.ndim(s) == 0:
+    mean = np.asarray(x, dtype=float) * np.exp(-mu * np.asarray(s, dtype=float))
+    if np.ndim(x) == 0 and np.ndim(s) == 0:
         return float(mean), float(var)
     return mean, var
 
@@ -151,8 +145,7 @@ def gamma_constants(gamma: float) -> GammaConstants:
         return GammaConstants(gamma=math.inf, c_gamma=0.0, d_gamma=math.inf)
     two_g = 2.0 * gamma
     c = math.sqrt(two_g / math.expm1(two_g)) if two_g < 700 else 0.0
-    d = math.sqrt(two_g / -math.expm1(-two_g))
-    return GammaConstants(gamma=gamma, c_gamma=c, d_gamma=d)
+    return GammaConstants(gamma=gamma, c_gamma=c, d_gamma=normalization_factor(gamma, 1.0))
 
 
 def gaussian_tail_bounds(x: float) -> TailBoundPair:

@@ -23,7 +23,7 @@ results therefore match a per-step `scipy.linalg.solve_banded` exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar, Optional
 
 import numpy as np
@@ -96,7 +96,6 @@ class KppField:
     times: list
     w: list                      # one array per checkpoint time
     params: KppParams
-    meta: dict = field(default_factory=dict)
 
     def w_at(self, t: float) -> np.ndarray:
         for tk, wk in zip(self.times, self.w):
@@ -230,9 +229,7 @@ def solve_kpp(params: KppParams) -> KppField:
             stored_t.append(cps[ci])
             stored_w.append(w.copy())
             ci += 1
-    return KppField(x=x, times=stored_t, w=stored_w, params=params,
-                    meta={"dt": dt, "dx": dx, "scheme": "semi-implicit log-domain",
-                          "ic_mode": params.ic_mode})
+    return KppField(x=x, times=stored_t, w=stored_w, params=params)
 
 
 def front_tail(field: KppField, rho: float, t: float) -> float:

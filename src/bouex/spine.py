@@ -216,13 +216,11 @@ def estimate_C_curve(rho_grid, horizon_T: float, n: int, seed: int):
         p = int(void_counts[i]) / n
         se = math.sqrt(max(p * (1.0 - p), 1e-300) / n)
         warning = "rho_at_one" if rho <= 1.0 + 1e-12 else None
-        extra = {"coupled": True}
-        if i == 0:
-            extra["right_derivative_at_one"] = slope
         results.append(EstimatorResult(
             estimate=p * INV_SQRT_4PI, stderr=se * INV_SQRT_4PI, n_samples=n,
             n_accepted=int(void_counts[i]), warning=warning,
-            pruned_mass=pruned_total / n, extra=extra))
+            pruned_mass=pruned_total / n,
+            extra={"right_derivative_at_one": slope} if i == 0 else {}))
     return results
 
 
