@@ -17,7 +17,7 @@ from bouex.errors import ResourceLimitError
 from bouex.gaussian import normalization_factor, ou_variance
 from bouex.measure import Centering
 from bouex.rng import substream
-from bouex.spine import sample_limit_process
+from bouex.spine import _draw_branches, sample_decoration, sample_limit_process, sample_spine
 from bouex.window import (CollectedAtoms, _exceedance_log_bound, _log_tail_floor,
                           _prunable, collect_atoms_above, leaves,
                           subtree_exceedance_bound, windowed_extremal_atoms)
@@ -374,6 +374,22 @@ _POSITIONS = {
 _SLEPIAN = ([0.940367755725013, 0.9189858167081527, 0.8930980375231485, 0.8945310951454227],
             [-1.692365838477227, -2.1355629671268397, 0.26737081766136683])
 
+# _draw_branches(n, T) at (n, T); the two short horizons give replicas with no branch
+_BRANCHES = {
+    (1, 1e-6): "4e16dbd7538b58ff653d6ac9976279adc9d5a6e32e4fb85f32b0b2227f964838",
+    (7, 0.05): "4bd29e5a9b08e14de0e54886aefb65ddc27e56c1eab6664bf3b402e20d13fa20",
+    (64, 2.0): "263fc925eb96c6341e2e63c25a7867231399d4b03633e6728335b8f2d5dbf0fe",
+    (4096, 7.3): "e83d32b3d78dbbf411fe16c61a70ff91c99b8d415cbbb4e605ea227d552424d6",
+}
+
+# eight sample_spine realizations at rho 1.5, T 4; no atom at 0 above window 0.5
+_SPINES = {
+    -2.0: "a610ec8103a1360cb5b0f41eb6ba7bab43023333564f0f6afab7c8ad1ece4def",
+    0.5: "d1780e60fb0aa048c02d579ff0bc22558f3c16c6a42b363cfdaf2b2f7e88aeaa",
+}
+
+_DECORATIONS = "9ccb0d972ac72450712a2c79141f02b1041d0b9af0f0f5721c17ff3bf420c0bd"
+
 _ESTIMATE_C = ("estimate-c", "--rho-min", "1.0", "--rho-max", "2.0", "--steps", "3",
                "--replicas", "400", "--seed", "28")
 _SIMULATE = ("simulate", "--mu", "1", "--t", "5", "--replicas", "4100", "--seed", "29")
@@ -391,6 +407,9 @@ _CLI_TABLES = {
     "simulate-atoms-above": (
         _SIMULATE + ("--emit", "atoms-above", "--window=1.0"),
         "434a296bd0b6edd6bf42e1c40038121be1947a2507f3c1b78ea49bf7ba740bce"),
+    "decorate": (
+        ("decorate", "--rho", "3.0", "--window-a", "-2.0", "--samples", "20", "--seed", "30"),
+        "0ccac8a71379a830195cccff1bf5fe88f9ee736cb6e7b67032c2e17a6f71abea"),
 }
 
 
@@ -434,3 +453,21 @@ class TestPinnedBits:
     def test_cli_table(self, name, tmp_path):
         argv, digest = _CLI_TABLES[name]
         assert _digest(_cli_table(tmp_path, *argv)) == digest
+
+    @pytest.mark.parametrize("n, horizon", list(_BRANCHES))
+    def test_draw_branches(self, n, horizon):
+        draws = _draw_branches(n, horizon, substream(98, n))
+        assert _digest(*draws) == _BRANCHES[n, horizon]
+
+    @pytest.mark.parametrize("window_a", list(_SPINES))
+    def test_sample_spine(self, window_a):
+        rng = substream(99, 0)
+        spines = [sample_spine(1.5, 4.0, window_a, rng) for _ in range(8)]
+        assert _digest(*(s.atoms.atoms for s in spines),
+                       np.asarray([s.count_above_zero for s in spines]),
+                       np.asarray([s.pruned_mass for s in spines])) == _SPINES[window_a]
+
+    def test_sample_decoration(self):
+        rng = substream(100, 0)
+        decorations = [sample_decoration(2.0, 3.0, -3.0, 1000, rng) for _ in range(6)]
+        assert _digest(*(d.atoms for d in decorations)) == _DECORATIONS
