@@ -378,10 +378,7 @@ def spine_identity_sides(rho: float, t: float, n: int, seed: int,
                                 substream(seed, 2 * j + 1), 1e-10)
         void = np.bincount(res.group[res.atoms > 0.0], minlength=m) == 0
         weight = np.where(b_T <= 0.0, np.exp(SQRT2 * rho * b_T), 0.0)
-        # the spine's own atom at 0 enters every functional
-        g = np.concatenate((res.group, np.arange(m, dtype=np.int64)))
-        a = np.concatenate((res.atoms, np.zeros(m)))
-        right = _spine_functionals(g, a, m)
+        right = _spine_functionals(res.group, res.atoms, m)
         right *= (weight * void * math.exp((1.0 - rho * rho) * t))[:, None]
         return np.hstack((left, right))
 

@@ -90,6 +90,8 @@ def _write_output(args, text):
 
 
 def cmd_estimate_c(args) -> int:
+    if args.steps < 1:
+        raise ValueError(f"--steps must be >= 1, got {args.steps}")
     grid = np.linspace(args.rho_min, args.rho_max, args.steps)
     # --coupled: one curve over the grid, on common random numbers, at the
     # horizon of its lowest rho; otherwise each rho is a curve of its own

@@ -5,6 +5,9 @@ The spine realization is a standard Brownian motion B observed at the atoms
 sigma_k of a rate-2 Poisson process on [0, T]; branch k carries an
 independent Brownian cloud of age sigma_k, each of whose leaves X places an
 atom at B_{sigma_k} - sqrt(2) rho sigma_k + X, on top of the fixed atom at 0.
+`_spine_atoms` collects a realization's atoms and adds the one at 0, so its
+consumers (`sample_spine`, `sample_decoration` and the spine-identity check)
+take them as they are.
 
 The fraction of realizations with no strictly positive atom, divided by
 sqrt(4 pi), estimates the large-deviation prefactor c(rho) of the maximal
@@ -109,51 +112,44 @@ def _draw_branches(n_reps: int, horizon_T: float, rng):
     spine value at the horizon for each realization.
     """
     counts = rng.poisson(2.0 * horizon_T, size=n_reps)
-    total = int(counts.sum())
     rep = np.repeat(np.arange(n_reps, dtype=np.int64), counts)
-    sigma = rng.uniform(0.0, horizon_T, size=total)
+    sigma = rng.uniform(0.0, horizon_T, size=rep.size)
     order = np.lexsort((sigma, rep))
     rep, sigma = rep[order], sigma[order]
-    b = np.zeros(total)
-    if total:
-        # Brownian increments between consecutive branch times of one replica,
-        # cumulated per block (blocks restart where the replica id changes)
-        block_start = np.concatenate(([True], rep[1:] != rep[:-1]))
-        prev = np.concatenate(([0.0], sigma[:-1]))
-        dt = np.where(block_start, sigma, sigma - prev)
-        db = rng.standard_normal(total) * np.sqrt(np.maximum(dt, 0.0))
-        cs = np.cumsum(db)
-        first_idx = np.flatnonzero(block_start)
-        offsets = np.zeros(first_idx.size)
-        offsets[1:] = cs[first_idx[1:] - 1]
-        block_ids = np.cumsum(block_start) - 1
-        b = cs - offsets[block_ids]
-    # spine value at the horizon (one extra independent increment per replica)
-    last_sigma = np.zeros(n_reps)
-    last_b = np.zeros(n_reps)
-    if total:
-        last_idx = np.concatenate((np.flatnonzero(block_start)[1:] - 1, [total - 1]))
-        last_sigma[rep[last_idx]] = sigma[last_idx]
-        last_b[rep[last_idx]] = b[last_idx]
-    b_T = last_b + rng.standard_normal(n_reps) * np.sqrt(np.maximum(horizon_T - last_sigma, 0.0))
+    # replica r holds branches first[r]:end[r]; its spine starts at 0, so its
+    # first increment spans [0, sigma], and the Brownian increments are
+    # cumulated once, the running sum before each block subtracted
+    end = np.cumsum(counts)
+    first = end - counts
+    starts = first[counts > 0]
+    dt = np.diff(sigma, prepend=0.0)
+    dt[starts] = sigma[starts]
+    cs = np.concatenate(([0.0], np.cumsum(rng.standard_normal(rep.size) * np.sqrt(dt))))
+    b = cs[1:] - cs[first][rep]
+    # spine value at the horizon: one more independent increment per replica
+    last_sigma = np.where(counts > 0, np.concatenate(([0.0], sigma))[end], 0.0)
+    b_T = (cs[end] - cs[first]) + rng.standard_normal(n_reps) * np.sqrt(horizon_T - last_sigma)
     return rep, sigma, b, b_T
 
 
 def _spine_atoms(m: int, horizon_T: float, speed: float, window_a: float, rng,
                  prune_tol: float, stop_level=None):
-    """Branch atoms >= window_a of m spine realizations drifting at -speed.
+    """Atoms >= window_a of m spine realizations drifting at -speed.
 
-    Branch k's leaves X land at B_k - speed sigma_k + X.  Returns the
-    collected atoms (grouped by realization) and the spine value at the
-    horizon of each realization.
+    Branch k's leaves X land at B_k - speed sigma_k + X.  When window_a <= 0
+    the spine's own atom at 0 follows the branch atoms, one per realization.
+    Returns the collected atoms (grouped by realization) and the spine value
+    at the horizon of each realization.
     """
     rep, sigma, b, b_T = _draw_branches(m, horizon_T, rng)
     drift = speed * sigma
     res = collect_atoms_above(
-        mu=0.0, horizons=sigma, x0=np.zeros(sigma.size),
-        levels=window_a + drift - b, scales=np.ones(sigma.size),
+        mu=0.0, horizons=sigma, x0=0.0, levels=window_a + drift - b, scales=1.0,
         offsets=b - drift, groups=rep, n_groups=m, rng=rng,
         prune_tol=prune_tol, stop_level=stop_level)
+    if window_a <= 0.0:
+        res.group = np.concatenate((res.group, np.arange(m, dtype=np.int64)))
+        res.atoms = np.concatenate((res.atoms, np.zeros(m)))
     return res, b_T
 
 
@@ -164,8 +160,7 @@ def sample_spine(rho: float, horizon_T: float, window_a: float, rng) -> SpineRea
     if not horizon_T > 0:
         raise ValueError("horizon_T must be positive")
     res, _ = _spine_atoms(1, horizon_T, SQRT2 * rho, window_a, rng, 1e-9)
-    atoms = np.concatenate(([0.0], res.atoms)) if window_a <= 0.0 else res.atoms
-    pm = PointMeasure(atoms)
+    pm = PointMeasure(res.atoms)
     return SpineRealization(rho=rho, horizon_T=horizon_T, window_a=window_a,
                             atoms=pm, count_above_zero=pm.count_strictly_above(0.0),
                             pruned_mass=float(res.pruned_mass[0]))
@@ -202,8 +197,7 @@ def estimate_C_curve(rho_grid, horizon_T: float, n: int, seed: int):
         rep, sigma, b, _ = _draw_branches(m, horizon_T, rng)
         sig = np.maximum(sigma, 1e-300)
         res = collect_atoms_above(
-            mu=0.0, horizons=sigma, x0=np.zeros(sigma.size),
-            levels=SQRT2 * rho_min * sig - b,
+            mu=0.0, horizons=sigma, x0=0.0, levels=SQRT2 * rho_min * sig - b,
             scales=1.0 / (SQRT2 * sig), offsets=b / (SQRT2 * sig),
             groups=rep, n_groups=m, rng=rng, prune_tol=1e-8,
             stop_level=float(grid[-1]))
@@ -251,7 +245,7 @@ def sample_decoration(rho: float, horizon_T: float, window_a: float,
                               stop_level=0.0)
         # a realization abandoned at stop_level has emitted the atom that ended it
         if not np.any(res.atoms > 0.0):
-            return PointMeasure(np.concatenate(([0.0], res.atoms)))
+            return PointMeasure(res.atoms)
     raise RejectionBudgetError(
         f"no void realization in {max_attempts} attempts at rho={rho} "
         f"(acceptance estimate < {1.0 / max_attempts:.2e})",

@@ -66,9 +66,10 @@ def _standard_score(mu, tau, x, level):
     return z
 
 
-def _exceedance_log_bound(mu, tau, x, level):
-    """log of e^tau * P(transition >= level), clipped at 0."""
-    return np.minimum(tau + log_ndtr(-_standard_score(mu, tau, x, level)), 0.0)
+def _exceedance_log_bound(tau, z):
+    """log of e^tau * P(transition >= level), clipped at 0; z is the level's
+    `_standard_score`."""
+    return np.minimum(tau + log_ndtr(-z), 0.0)
 
 
 def _log_tail_floor(z):
@@ -94,7 +95,7 @@ def _prunable(mu, tau, x, level, log_tol):
     z = _standard_score(mu, tau, x, level)
     cut = log_tol + 1.0 if log_tol < 0.0 else np.inf
     near = np.flatnonzero(tau + _log_tail_floor(z) <= cut)
-    log_bound = np.minimum(tau[near] + log_ndtr(-z[near]), 0.0)
+    log_bound = _exceedance_log_bound(tau[near], z[near])
     drop = log_bound <= log_tol
     return near[drop], log_bound[drop]
 
@@ -103,8 +104,9 @@ def subtree_exceedance_bound(mu: float, tau: float, x: float, level: float) -> f
     """Certified upper bound on P(some leaf >= level) for one subtree."""
     if tau <= 0:
         return 1.0 if x >= level else 0.0
-    return float(np.exp(_exceedance_log_bound(
-        mu, np.asarray([tau], float), np.asarray([x], float), np.asarray([level], float))[0]))
+    tau = np.asarray([tau], float)
+    z = _standard_score(mu, tau, np.asarray([x], float), np.asarray([level], float))
+    return float(np.exp(_exceedance_log_bound(tau, z)[0]))
 
 
 def collect_atoms_above(mu, horizons, x0, levels, scales, offsets, groups, n_groups,
@@ -112,14 +114,17 @@ def collect_atoms_above(mu, horizons, x0, levels, scales, offsets, groups, n_gro
                         node_cap=_DEFAULT_NODE_CAP) -> CollectedAtoms:
     """Run the batched pruned traversal.
 
-    Parameters are per-root arrays: remaining time, start position, raw
-    collection level, and the affine output map atom = scale * leaf + offset.
-    When stop_level is given, a group is abandoned as soon as it emits an
-    atom strictly above it (used by void-probability estimators).
+    Parameters are per root: remaining time, start position, raw collection
+    level, the affine output map atom = scale * leaf + offset, and the group.
+    `horizons` and `groups` are per-root arrays; `x0`, `levels`, `scales` and
+    `offsets` may be scalars shared by every root, or anything else that
+    broadcasts to the shape of `horizons`.  When stop_level is given, a group
+    is abandoned as soon as it emits an atom strictly above it (used by
+    void-probability estimators).
     """
     tau = np.asarray(horizons, dtype=float)
-    x = np.asarray(x0, dtype=float)
-    lvl, scl, off = (np.asarray(a, dtype=float) for a in (levels, scales, offsets))
+    x, lvl, scl, off = (np.broadcast_to(np.asarray(a, dtype=float), tau.shape)
+                        for a in (x0, levels, scales, offsets))
     grp = np.asarray(groups, dtype=np.int64)
 
     pruned = np.zeros(n_groups)
@@ -176,15 +181,9 @@ def windowed_extremal_atoms(mu: float, t: float, centering, window: float,
     """
     lam = normalization_factor(mu, t)
     level_raw = (window + centering.value) / lam
-    ids = np.arange(n_reps)
     return collect_atoms_above(
-        mu,
-        horizons=np.full(n_reps, float(t)),
-        x0=np.zeros(n_reps),
-        levels=np.full(n_reps, level_raw),
-        scales=np.full(n_reps, lam),
-        offsets=np.full(n_reps, -centering.value),
-        groups=ids, n_groups=n_reps, rng=rng,
+        mu, horizons=np.full(n_reps, float(t)), x0=0.0, levels=level_raw, scales=lam,
+        offsets=-centering.value, groups=np.arange(n_reps), n_groups=n_reps, rng=rng,
         prune_tol=prune_tol)
 
 
@@ -196,12 +195,7 @@ def leaves(mu: float, t: float, n_reps: int, rng):
     """
     _check_full_tree(mu, t)
     res = collect_atoms_above(
-        mu,
-        horizons=np.full(n_reps, float(t)),
-        x0=np.zeros(n_reps),
-        levels=np.full(n_reps, -np.inf),
-        scales=np.ones(n_reps),
-        offsets=np.zeros(n_reps),
-        groups=np.arange(n_reps), n_groups=n_reps, rng=rng,
+        mu, horizons=np.full(n_reps, float(t)), x0=0.0, levels=-np.inf, scales=1.0,
+        offsets=0.0, groups=np.arange(n_reps), n_groups=n_reps, rng=rng,
         prune_tol=0.0, node_cap=_NODE_CAP)
     return res.group, res.atoms

@@ -306,6 +306,13 @@ def test_header_reruns_to_the_same_bytes(argv, tmp_path):
                   "--replicas", "0", "--coupled"], id="estimate-c-coupled-no-replicas"),
     pytest.param(["limit-process", "--gamma", "inf", "--c-value", "0.3"],
                  id="limit-process-gamma-inf-c-value"),
+    pytest.param(["estimate-c", "--rho-min", "1.5", "--rho-max", "2", "--steps", "0",
+                  "--replicas", "10"], id="estimate-c-steps-0"),
+    pytest.param(["estimate-c", "--rho-min", "1.5", "--rho-max", "2", "--steps", "0",
+                  "--replicas", "10", "--coupled"], id="estimate-c-coupled-steps-0"),
+    pytest.param(["estimate-c", "--rho-min", "1.5", "--rho-max", "2", "--steps", "0",
+                  "--replicas", "10", "--coupled", "--horizon-t", "2"],
+                 id="estimate-c-coupled-horizon-t-steps-0"),
 ], ids=lambda argv: argv[0])
 def test_library_value_error_is_usage_error(argv, tmp_path, capsys):
     # a value argparse accepts but the library rejects: exit 2, no traceback

@@ -63,8 +63,7 @@ def _new_atoms_after(rho, T, a, rng):
     sig = sigma[late]
     bb = b[late]
     drift = SQRT2 * rho * sig
-    res = collect_atoms_above(0.0, sig, np.zeros(sig.size), a + drift - bb,
-                              np.ones(sig.size), bb - drift,
+    res = collect_atoms_above(0.0, sig, 0.0, a + drift - bb, 1.0, bb - drift,
                               np.zeros(sig.size, dtype=np.int64), 1, rng,
                               prune_tol=1e-10)
     return int(res.atoms.size > 0)

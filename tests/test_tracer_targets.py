@@ -15,7 +15,9 @@ import re
 import numpy as np
 import pytest
 
+from bouex import spine, window
 from bouex.cloud import simulate_forest
+from bouex.measure import Centering
 from bouex.rng import substream
 
 _TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -59,3 +61,26 @@ def test_hook_arguments_are_in_the_signatures(tracer):
             assert arg in params, f"{span} has no argument {arg!r}"
             read += 1
     assert read >= 3  # horizons, n and params
+
+
+def test_roots_are_counted_by_horizons(tracer, monkeypatch):
+    # the tracer counts a collector call's roots by np.size(horizons); scalar
+    # horizons would count one root per call and silently empty small_call_us
+    collect = window.collect_atoms_above
+    signature = inspect.signature(collect)
+    seen = []
+
+    def recording(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs).arguments
+        seen.append((tracer._roots_before(bound)["roots"], np.size(bound["groups"])))
+        return collect(*args, **kwargs)
+
+    monkeypatch.setattr(window, "collect_atoms_above", recording)
+    monkeypatch.setattr(spine, "collect_atoms_above", recording)
+    window.windowed_extremal_atoms(1.0, 2.0, Centering("bou_tilde", 2.0), 0.0, 5,
+                                   substream(1, 0))
+    window.leaves(0.0, 1.0, 6, substream(2, 0))
+    spine.sample_spine(1.5, 3.0, -2.0, substream(3, 0))
+    branches = spine._draw_branches(1, 3.0, substream(3, 0))[0].size
+    assert branches > 1
+    assert seen == [(5, 5), (6, 6), (branches, branches)]

@@ -19,7 +19,7 @@ from bouex.measure import Centering
 from bouex.rng import substream
 from bouex.spine import _draw_branches, sample_decoration, sample_limit_process, sample_spine
 from bouex.window import (CollectedAtoms, _exceedance_log_bound, _log_tail_floor,
-                          _prunable, collect_atoms_above, leaves,
+                          _prunable, _standard_score, collect_atoms_above, leaves,
                           subtree_exceedance_bound, windowed_extremal_atoms)
 
 
@@ -227,7 +227,7 @@ class TestPruneScreen:
         level = x + gen.normal(0.0, 6.0, n) * np.sqrt(np.minimum(tau, 1.0))
         log_tol = math.log(prune_tol)
         drop, log_bound = _prunable(mu, tau, x, level, log_tol)
-        exact = _exceedance_log_bound(mu, tau, x, level)
+        exact = _exceedance_log_bound(tau, _standard_score(mu, tau, x, level))
         want = np.flatnonzero(exact <= log_tol)
         assert np.array_equal(drop, want)
         assert np.array_equal(log_bound, exact[want])
@@ -270,10 +270,12 @@ def _mixed_roots_run():
                                stop_level=3.0)
 
 
-def _flat_run(mu, level, seed, **kw):
+def _flat_run(mu, level, seed, scalar_roots=False, **kw):
+    # every root shares x0, level, scale and offset: as per-root arrays or as scalars
     n = 512
-    return collect_atoms_above(mu, np.full(n, 3.0), np.zeros(n), np.full(n, level),
-                               np.ones(n), np.zeros(n), np.arange(n), n,
+    shared = (0.0, level, 1.0, 0.0) if scalar_roots else \
+        (np.zeros(n), np.full(n, level), np.ones(n), np.zeros(n))
+    return collect_atoms_above(mu, np.full(n, 3.0), *shared, np.arange(n), n,
                                substream(seed, 0), **kw)
 
 
@@ -293,6 +295,9 @@ _TRAVERSALS = {
                    "e835c625496b21d1c37761c4bf4cde2d42d2635cf4e5461556a031d3502a6f99", 7014),
     "prune-tol-0": (lambda: _flat_run(0.5, 1.0, 95, prune_tol=0.0),
                     "f841e278f0439bd48cb777f7933d337ca7f87b49d4124e2dfba455326265e851", 19726),
+    "prune-tol-0-scalar-roots": (
+        lambda: _flat_run(0.5, 1.0, 95, scalar_roots=True, prune_tol=0.0),
+        "f841e278f0439bd48cb777f7933d337ca7f87b49d4124e2dfba455326265e851", 19726),
     "mixed-roots": (_mixed_roots_run,
                     "5b680f10d1a79f08d6cfddf845ca73b413246918d05bf9e5046238f26b09d715", 2529),
 }
