@@ -1,5 +1,6 @@
 """Verification harness mechanics and the check battery at reduced scale."""
 
+import hashlib
 import json
 import math
 
@@ -266,6 +267,12 @@ class TestSuite:
         assert names == set(suite.suite_names("smoke"))
         failed = [r.name for r in reports if r.failed]
         assert failed == []
+
+    def test_smoke_reports_are_pinned(self, smoke_run):
+        # fixed-seed output of the whole smoke suite (seed 123): a change to a
+        # check's signature, name or threshold must leave these bytes alone
+        digest = hashlib.sha256(reports_to_json(smoke_run.reports).encode()).hexdigest()
+        assert digest == "22dbfb33b7de37db8e2ec55ec9fe7bdd9754ef7d29a676f9b8ec229529773c21"
 
     def test_threshold_scaling_meta(self):
         # doubling n must not flip a robust pass (statistical thresholds

@@ -1,11 +1,14 @@
-"""The benchmark tracer's targets still resolve on bouex.
+"""The benchmark tracer's targets and the workloads' calls still resolve on bouex.
 
 `perfbench/tracer.py` re-binds bouex functions by name, reads Forest arrays
 by name and reads call arguments by name; a rename in bouex breaks
-`perfbench/run.py --trace 1`.  These checks read the tracer's tables without
-running the benchmark.
+`perfbench/run.py --trace 1`.  `perfbench/workloads.py` calls bouex through
+module attributes, so a signature change breaks the benchmark itself.  These
+checks read the tracer's tables and the workloads' source without running
+the benchmark.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -20,7 +23,8 @@ from bouex.cloud import simulate_forest
 from bouex.measure import Centering
 from bouex.rng import substream
 
-_TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+_PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+_TRACER = _PERFBENCH / "tracer.py"
 
 
 @pytest.fixture(scope="module")
@@ -84,3 +88,24 @@ def test_roots_are_counted_by_horizons(tracer, monkeypatch):
     branches = spine._draw_branches(1, 3.0, substream(3, 0))[0].size
     assert branches > 1
     assert seen == [(5, 5), (6, 6), (branches, branches)]
+
+
+def test_workload_calls_bind_to_the_signatures():
+    # every `checks.f(...)`, `suite.f(...)`, `spine.f(...)` and `window.f(...)`
+    # call in the workloads must bind: same positional count, same keywords
+    tree = ast.parse((_PERFBENCH / "workloads.py").read_text())
+    bound = set()
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id in ("checks", "suite", "spine", "window")):
+            continue
+        call = f"{node.func.value.id}.{node.func.attr}"
+        assert not any(isinstance(a, ast.Starred) for a in node.args), call
+        assert all(k.arg is not None for k in node.keywords), call
+        fn = _resolve("bouex." + node.func.value.id, node.func.attr)
+        inspect.signature(fn).bind(*node.args, **{k.arg: k.value for k in node.keywords})
+        bound.add(call)
+    assert {"checks.check_first_moment", "suite.check_dual_prefactor",
+            "suite.check_curve_monotone", "spine.estimate_C",
+            "window.windowed_extremal_atoms"} <= bound
