@@ -285,3 +285,5 @@ class TestSuite:
     def test_unknown_suite(self):
         with pytest.raises(ValueError):
             suite.run_suite("nope", seed=1)
+        with pytest.raises(ValueError):
+            suite.suite_names("nope")

@@ -339,8 +339,7 @@ class TestVerify:
 
         def specs(scale):
             return [("spine_identity_rho15", lambda s: checks.check_spine_identity(
-                1.5, 1.5, 30_000, s, drift_sign=+1.0,
-                name="spine_identity_rho15"))]
+                1.5, 1.5, 30_000, s, drift_sign=+1.0))]
 
         monkeypatch.setattr(suite_mod, "_specs", specs)
         code = run(["verify", "--suite", "smoke", "--seed", "123",
