@@ -12,9 +12,10 @@ from scipy.special import log_ndtr
 
 from bouex import checks, cli
 from bouex.checks import _leaf_sums, smooth_step, spine_identity_sides
-from bouex.cloud import simulate_forest
+from bouex.cloud import (additive_martingale, derivative_martingale, extremal_measure,
+                         simulate_cloud, simulate_forest, variable_speed_view)
 from bouex.errors import ResourceLimitError
-from bouex.gaussian import normalization_factor, ou_variance
+from bouex.gaussian import SpringParams, normalization_factor, ou_variance
 from bouex.measure import Centering
 from bouex.rng import substream
 from bouex.spine import _draw_branches, sample_decoration, sample_limit_process, sample_spine
@@ -340,6 +341,27 @@ def _limit_process_atoms():
     return s.atoms.atoms, np.asarray(s.intensity_mass)
 
 
+def _single_cloud_outputs():
+    # every single-cloud reader of a genealogy; the views need mu = gamma / t, gamma > 0
+    out = []
+    for gamma, t, seed in ((0.0, 3.5, 101), (0.5, 3.0, 102), (1.0, 3.5, 103),
+                           (2.0, 4.0, 104)):
+        cloud = simulate_cloud(SpringParams(gamma / t, t), substream(seed, 0))
+        k = cloud.leaf_count
+        out += [cloud.leaf_positions, cloud.forest.t_birth,
+                np.array([cloud.mrca_time(u, v) for u in range(k) for v in range(k)]),
+                extremal_measure(cloud, Centering("bou_tilde", t)).atoms]
+        if gamma == 0.0:
+            out.append(np.array([additive_martingale(cloud, beta) for beta in (0.0, 0.5, 1.2)]
+                                + [derivative_martingale(cloud)]))
+        else:
+            out += [variable_speed_view(cloud, gamma, s, substream(seed, 1 + i))
+                    for i, s in enumerate((0.0, t / 2, t))]
+    return out
+
+
+_SINGLE_CLOUD = "ff06da7e67da8e0ba7d4746774e1602ac2f9c02e5942be7415daf0d7084e1b6b"
+
 _LEAF_CONSUMERS = {
     "simulate-martingales": lambda tmp_path, monkeypatch: (_martingale_table(tmp_path),),
     "leaf-sums-mu1": lambda tmp_path, monkeypatch: (
@@ -415,6 +437,9 @@ _CLI_TABLES = {
     "decorate": (
         ("decorate", "--rho", "3.0", "--window-a", "-2.0", "--samples", "20", "--seed", "30"),
         "0ccac8a71379a830195cccff1bf5fe88f9ee736cb6e7b67032c2e17a6f71abea"),
+    # the smoke grid of the KPP oracle; its dt (0.001) divides the u phase
+    "kpp": (("kpp", "--rho", "1.5", "--rho", "2", "--t-max", "6", "--dx", "0.1"),
+            "7ec7e823e5ad91c18d7bfa83c43777d86360df9f68709cfbff9d47a078a06240"),
 }
 
 
@@ -448,6 +473,9 @@ class TestPinnedBits:
     def test_positions_for(self, mu):
         f = simulate_forest(1.0, 5.0, 64, substream(97, 1))
         assert _digest(f.positions_for(mu)) == _POSITIONS[mu]
+
+    def test_single_cloud(self):
+        assert _digest(*_single_cloud_outputs()) == _SINGLE_CLOUD
 
     def test_slepian_report(self):
         r = checks.check_slepian_monotonicity([0.1, 1.0, 10.0, math.inf],
