@@ -274,11 +274,10 @@ def check_slepian_monotonicity(mu_list, phi: TestFunction, t: float, n: int,
 
     def draw(j, m):
         forest = simulate_forest(base_mu, t, m, substream(seed, j))
-        rep = forest.rep[forest.is_leaf]
+        rep = forest.rep[forest.leaf_index]
         vals = np.empty((m, len(mus)))
         for i, mu in enumerate(mus):
-            x = forest.x_end[forest.is_leaf] if mu == base_mu \
-                else forest.positions_for(mu)
+            x = forest.leaf_positions if mu == base_mu else forest.positions_for(mu)
             atoms = lams[i] * x - m_t
             vals[:, i] = np.exp(-np.bincount(rep, weights=phi(atoms), minlength=m))
         return vals

@@ -11,8 +11,9 @@ step over a segment is `_ou_step`, shared by the wave core and by
 `Forest.positions_for`, which replays a tree under another spring constant.
 
 A Forest stores the whole tree as flat node arrays in wave (generation)
-order, for the readers of the genealogy: a ParticleCloud (the single-replica
-view of the public API) and the coupling of spring constants through
+order, for the readers of the genealogy: a single cloud, which is the
+one-replica Forest that `simulate_cloud` returns (`mrca_time`,
+`variable_speed_view`), and the coupling of spring constants through
 `Forest.positions_for`.  Monte Carlo that reads only the leaves takes them
 from `window.leaves`, which stores no node.
 """
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -40,6 +42,7 @@ class Forest:
     Node i is the particle segment from its birth to its branch time (or the
     horizon).  `xi` holds the segment's standard-normal innovation so that
     positions can be re-derived for any spring constant on the same tree.
+    Leaves are read through `leaf_index`, in storage order.
     """
 
     mu: float
@@ -58,12 +61,48 @@ class Forest:
     def n_nodes(self) -> int:
         return int(self.rep.size)
 
+    @cached_property
+    def leaf_index(self) -> np.ndarray:
+        # index gathers: a boolean mask as random as `is_leaf` gathers far slower
+        return np.flatnonzero(self.is_leaf)
+
+    @property
+    def leaf_count(self) -> int:
+        return int(self.leaf_index.size)
+
+    @property
+    def leaf_positions(self) -> np.ndarray:
+        return self.x_end[self.leaf_index]
+
     @property
     def t_birth(self) -> np.ndarray:
-        birth = np.zeros(self.n_nodes)
-        has_parent = self.parent >= 0
-        birth[has_parent] = self.t_end[self.parent[has_parent]]
-        return birth
+        return self._at_parent(self.t_end)
+
+    def _at_parent(self, values, nodes=slice(None)) -> np.ndarray:
+        """`values` at the parent of each of `nodes`; 0 (birth time and place) at a root."""
+        par = self.parent[nodes]
+        return np.where(par >= 0, values[np.maximum(par, 0)], 0.0)
+
+    def mrca_time(self, u: int, v: int) -> float:
+        """Branch time of the most recent common ancestor of leaves u, v.
+
+        Leaves are indexed in storage order; the MRCA of a leaf with itself
+        is the horizon.
+        """
+        a, b = int(self.leaf_index[u]), int(self.leaf_index[v])
+        if a == b:
+            return self.horizon_t
+        anc = {}
+        node = a
+        while node >= 0:
+            anc[node] = True
+            node = int(self.parent[node])
+        node = b
+        while node >= 0:
+            if node in anc:
+                return float(self.t_end[node]) if not self.is_leaf[node] else self.horizon_t
+            node = int(self.parent[node])
+        raise AssertionError("leaves share no root")  # pragma: no cover
 
     def positions_for(self, mu) -> np.ndarray:
         """Leaf positions on the same tree under another spring constant.
@@ -73,14 +112,12 @@ class Forest:
         N(0, horizon_t) leaves that the tree supports in that limit.
         """
         if math.isinf(mu):
-            return math.sqrt(self.horizon_t) * self.xi[self.is_leaf]
+            return math.sqrt(self.horizon_t) * self.xi[self.leaf_index]
         x = np.empty(self.n_nodes)
         for start, end in self.wave_edges:
             sl = slice(start, end)
-            par = self.parent[sl]
-            x_par = np.where(par >= 0, x[np.maximum(par, 0)], 0.0)
-            x[sl] = _ou_step(mu, self.duration[sl], x_par, self.xi[sl])
-        return x[self.is_leaf]
+            x[sl] = _ou_step(mu, self.duration[sl], self._at_parent(x, sl), self.xi[sl])
+        return x[self.leaf_index]
 
 
 def _decayed(mu, dur, x):
@@ -178,81 +215,37 @@ def simulate_forest(mu: float, horizon_t: float, n_reps: int, rng) -> Forest:
                   wave_edges=list(zip([0] + ends[:-1], ends)))
 
 
-class ParticleCloud:
-    """One branching-diffusion realization with its full genealogy."""
-
-    def __init__(self, spring: SpringParams, forest: Forest):
-        self.spring = spring
-        self._forest = forest
-
-    @property
-    def leaf_count(self) -> int:
-        return int(np.count_nonzero(self._forest.is_leaf))
-
-    @property
-    def leaf_positions(self) -> np.ndarray:
-        return self._forest.x_end[self._forest.is_leaf]
-
-    @property
-    def forest(self) -> Forest:
-        return self._forest
-
-    def mrca_time(self, u: int, v: int) -> float:
-        """Branch time of the most recent common ancestor of leaves u, v.
-
-        Leaves are indexed in storage order; the MRCA of a leaf with itself
-        is the horizon.
-        """
-        f = self._forest
-        leaves = np.flatnonzero(f.is_leaf)
-        a, b = int(leaves[u]), int(leaves[v])
-        if a == b:
-            return f.horizon_t
-        anc = {}
-        node = a
-        while node >= 0:
-            anc[node] = True
-            node = int(f.parent[node])
-        node = b
-        while node >= 0:
-            if node in anc:
-                return float(f.t_end[node]) if not f.is_leaf[node] else f.horizon_t
-            node = int(f.parent[node])
-        raise AssertionError("leaves share no root")  # pragma: no cover
+def simulate_cloud(spring: SpringParams, rng) -> Forest:
+    """Exact-law sample of one cloud run to spring.horizon_t: a one-replica Forest."""
+    return simulate_forest(spring.mu, spring.horizon_t, 1, rng)
 
 
-def simulate_cloud(spring: SpringParams, rng) -> ParticleCloud:
-    """Exact-law sample of one cloud run to spring.horizon_t."""
-    forest = simulate_forest(spring.mu, spring.horizon_t, 1, rng)
-    return ParticleCloud(spring, forest)
-
-
-def extremal_measure(cloud: ParticleCloud, centering: Centering) -> PointMeasure:
+def extremal_measure(cloud: Forest, centering: Centering) -> PointMeasure:
     """Centred, variance-normalized leaf positions as a point measure."""
-    if not math.isclose(centering.t, cloud.spring.horizon_t, rel_tol=1e-12):
+    if not math.isclose(centering.t, cloud.horizon_t, rel_tol=1e-12):
         raise ValueError("centering horizon must match the cloud horizon")
-    lam = normalization_factor(cloud.spring.mu, cloud.spring.horizon_t)
+    lam = normalization_factor(cloud.mu, cloud.horizon_t)
     return PointMeasure(lam * cloud.leaf_positions - centering.value)
 
 
-def _brownian_leaves(cloud: ParticleCloud):
+def _brownian_leaves(cloud: Forest):
     """(replica, position) of a Brownian cloud's leaves; the martingales need mu = 0."""
-    if cloud.spring.mu != 0.0:
+    if cloud.mu != 0.0:
         raise ValueError("the additive and derivative martingales are defined for mu = 0")
     x = cloud.leaf_positions
     return np.zeros(x.size, dtype=np.int64), x
 
 
-def additive_martingale(cloud: ParticleCloud, beta: float) -> float:
+def additive_martingale(cloud: Forest, beta: float) -> float:
     """Sum of exp(beta X - (beta^2/2 + 1) t) over leaves (Brownian clouds only)."""
     return float(additive_martingale_per_rep(
-        *_brownian_leaves(cloud), cloud.spring.horizon_t, 1, beta)[0])
+        *_brownian_leaves(cloud), cloud.horizon_t, 1, beta)[0])
 
 
-def derivative_martingale(cloud: ParticleCloud) -> float:
+def derivative_martingale(cloud: Forest) -> float:
     """Sum of (sqrt(2) t - X) exp(sqrt(2) X - 2t) over leaves (mu = 0 only)."""
     return float(derivative_martingale_per_rep(
-        *_brownian_leaves(cloud), cloud.spring.horizon_t, 1)[0])
+        *_brownian_leaves(cloud), cloud.horizon_t, 1)[0])
 
 
 def additive_martingale_per_rep(rep, x, t: float, n_reps: int, beta: float) -> np.ndarray:
@@ -267,33 +260,31 @@ def derivative_martingale_per_rep(rep, x, t: float, n_reps: int) -> np.ndarray:
     return np.bincount(rep, weights=w, minlength=n_reps)
 
 
-def variable_speed_view(cloud: ParticleCloud, gamma: float, s: float, rng) -> np.ndarray:
+def variable_speed_view(cloud: Forest, gamma: float, s: float, rng) -> np.ndarray:
     """Time-changed positions Y_s of all lineages alive at time s.
 
     Requires the cloud to have been run with mu = gamma / t; interior times
     are filled in by exact OU bridges between stored segment endpoints, so
     Var(Y_s) = t (e^{2 gamma s/t} - 1)/(e^{2 gamma} - 1).
     """
-    t = cloud.spring.horizon_t
-    if not math.isclose(cloud.spring.mu * t, gamma, rel_tol=1e-9, abs_tol=1e-12):
+    t = cloud.horizon_t
+    if not math.isclose(cloud.mu * t, gamma, rel_tol=1e-9, abs_tol=1e-12):
         raise ValueError("cloud must satisfy mu * horizon_t = gamma")
     if not 0.0 <= s <= t:
         raise ValueError("s must lie in [0, horizon_t]")
     scale = gamma_constants(gamma).c_gamma * math.exp(gamma * s / t)
     if s == 0.0:
         return np.zeros(1)
-    f = cloud.forest
-    birth = f.t_birth
-    alive = f.is_leaf if s == t else (birth < s) & (s <= f.t_end)
-    idx = np.flatnonzero(alive)
-    x_birth = np.where(f.parent[idx] >= 0, f.x_end[np.maximum(f.parent[idx], 0)], 0.0)
-    at_end = np.isclose(f.t_end[idx], s)
+    birth = cloud.t_birth
+    idx = cloud.leaf_index if s == t else np.flatnonzero((birth < s) & (s <= cloud.t_end))
+    x_birth = cloud._at_parent(cloud.x_end, idx)
+    at_end = np.isclose(cloud.t_end[idx], s)
     pos = np.empty(idx.size)
-    pos[at_end] = f.x_end[idx[at_end]]
+    pos[at_end] = cloud.x_end[idx[at_end]]
     mid = ~at_end
     if np.any(mid):
         i = idx[mid]
         pos[mid] = sample_ou_bridge(
-            x_birth[mid], f.x_end[i], cloud.spring.mu,
-            s - birth[i], f.t_end[i] - s, rng)
+            x_birth[mid], cloud.x_end[i], cloud.mu,
+            s - birth[i], cloud.t_end[i] - s, rng)
     return scale * pos

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from bouex.cloud import (ParticleCloud, additive_martingale,
-                         additive_martingale_per_rep, derivative_martingale,
-                         derivative_martingale_per_rep, extremal_measure,
-                         simulate_cloud, variable_speed_view)
+from bouex.cloud import (additive_martingale, additive_martingale_per_rep,
+                         derivative_martingale, derivative_martingale_per_rep,
+                         extremal_measure, simulate_cloud, variable_speed_view)
 from bouex import cli, cloud as cloud_mod, window
 from bouex.checks import (check_many_to_one, check_many_to_two, check_spine_identity,
                           check_yule_counts, exponential_window, smooth_step)
@@ -53,8 +52,7 @@ class TestSimulateCloud:
         assert stats.kstest(picks / sd, "norm").pvalue > 0.01
 
     def test_branch_times_increase_along_paths(self):
-        cloud = simulate_cloud(SpringParams(0.5, 4.0), substream(4, 0))
-        f = cloud.forest
+        f = simulate_cloud(SpringParams(0.5, 4.0), substream(4, 0))
         has_parent = f.parent >= 0
         assert np.all(f.t_end[has_parent] > f.t_end[f.parent[has_parent]] - 1e-15)
 

@@ -348,7 +348,7 @@ def _single_cloud_outputs():
                            (2.0, 4.0, 104)):
         cloud = simulate_cloud(SpringParams(gamma / t, t), substream(seed, 0))
         k = cloud.leaf_count
-        out += [cloud.leaf_positions, cloud.forest.t_birth,
+        out += [cloud.leaf_positions, cloud.t_birth,
                 np.array([cloud.mrca_time(u, v) for u in range(k) for v in range(k)]),
                 extremal_measure(cloud, Centering("bou_tilde", t)).atoms]
         if gamma == 0.0:
