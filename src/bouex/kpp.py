@@ -15,6 +15,13 @@ is kept for sensitivity studies; note that a ramp of slope b inflates the
 tail on the ray x = sqrt(2) rho t by roughly 1 + sqrt(2) rho/(b - sqrt(2) rho),
 which is why it is not the default.
 
+Time grid: every stored field lies on the grid k dt, k = 0, 1, ...  The
+default dt is the largest step within the stability bound that divides
+`t_switch`, so the u phase ends on the grid and every integer time is a grid
+time.  A checkpoint must be a whole number of steps (to 1e-9 relative), lie
+in [0, t_max] and, in step mode, not precede `t_switch`; it is stored at
+its own step, k = checkpoint / dt.
+
 The implicit matrix of each phase is constant, so it is LU-factored once
 and every time step is a banded triangular solve against those factors;
 results therefore match a per-step `scipy.linalg.solve_banded` exactly.
@@ -65,6 +72,15 @@ class KppParams:
             raise ValueError(
                 f"dt={self.dt} exceeds the gradient-CFL stability bound "
                 f"{self.stability_dt:.3g} for this domain")
+        dt = self.dt_value
+        first = self.t_switch if self.ic_mode == "step" else 0.0
+        for tc in self.checkpoint_times:
+            if not first <= tc <= self.t_max * (1 + 1e-9):
+                raise ValueError(f"checkpoint {tc} lies outside [{first}, {self.t_max}] "
+                                 f"for ic_mode {self.ic_mode!r}")
+            if abs(tc / dt - round(tc / dt)) > 1e-9 * tc / dt:
+                raise ValueError(f"checkpoint {tc} is not a whole number of "
+                                 f"dt={dt:.6g} steps")
 
     @property
     def x_hi(self) -> float:
@@ -73,14 +89,18 @@ class KppParams:
     @property
     def stability_dt(self) -> float:
         # the explicit (w_x)^2 term advects at speed |w_x|, which is at most
-        # x_hi / t_switch once log space is entered
-        grad = max(self.x_hi / max(self.t_switch, 1e-6), self.ic_slope)
+        # x_hi / t_switch once log space is entered, or the ramp's slope
+        grad = self.x_hi / self.t_switch
+        if self.ic_mode == "ramp":
+            grad = max(grad, self.ic_slope)
         return 0.5 * self.dx / grad
 
     @property
     def dt_value(self) -> float:
-        return self.dt if self.dt is not None else min(0.25 * self.dx**2,
-                                                       self.stability_dt)
+        if self.dt is not None:
+            return self.dt
+        bound = min(0.25 * self.dx**2, self.stability_dt)
+        return self.t_switch / math.ceil(self.t_switch / bound)
 
     @property
     def checkpoint_times(self) -> tuple:
@@ -170,9 +190,13 @@ def solve_kpp(params: KppParams) -> KppField:
     nonlin = params.nonlinear
 
     cps = list(params.checkpoint_times)
-    if cps and cps[-1] > params.t_max + 1e-9:
-        raise ValueError("checkpoint beyond t_max")
+    cp_steps = [round(tc / dt) for tc in cps]
     stored_t, stored_w = [], []
+
+    def store(step: int, w: np.ndarray):
+        while len(stored_t) < len(cps) and cp_steps[len(stored_t)] == step:
+            stored_t.append(cps[len(stored_t)])
+            stored_w.append(w.copy())
 
     def left_bc_w(t: float) -> float:
         if params.ic_mode == "uniform":
@@ -184,6 +208,7 @@ def solve_kpp(params: KppParams) -> KppField:
         return 0.0
 
     t = 0.0
+    n_u = 0
     if params.ic_mode == "step":
         u = np.where(x < 0, 1.0, 0.0)
         i0 = int(np.argmin(np.abs(x)))
@@ -205,9 +230,7 @@ def solve_kpp(params: KppParams) -> KppField:
     else:
         w = np.full(n, math.log(params.ic_value))
 
-    ci = 0
-    while ci < len(cps) and cps[ci] < t - 1e-9:
-        ci += 1
+    store(n_u, w)
     total_steps = int(round((params.t_max - t) / dt))
     check_every = max(1, total_steps // 50)
     wx = np.zeros(n)
@@ -225,10 +248,7 @@ def solve_kpp(params: KppParams) -> KppField:
                 raise NumericalFailureError(
                     f"instability at t={t:.4f} (step {k}): "
                     f"max w={np.nanmax(w):.3g}, dt={dt:.3g}, dx={dx}")
-        while ci < len(cps) and t >= cps[ci] - 1e-9:
-            stored_t.append(cps[ci])
-            stored_w.append(w.copy())
-            ci += 1
+        store(n_u + k + 1, w)
     return KppField(x=x, times=stored_t, w=stored_w, params=params)
 
 

@@ -132,6 +132,15 @@ class TestKpp:
         assert "--rho must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_checkpoint_before_t_switch_usage_error(self, tmp_path, capsys):
+        # the step IC's u phase stores no field, so t = 0.25 has no row to write
+        out = tmp_path / "kpp.csv"
+        code = run(["kpp", "--rho", "2", "--t-max", "3", "--dx", "0.2",
+                    "--checkpoints", "0.25", "1", "2", "-o", str(out)])
+        assert code == 2
+        assert "checkpoint 0.25" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_positive_dt_usage_error(self, tmp_path, capsys):
         out = tmp_path / "kpp.csv"
         code = run(["kpp", "--rho", "1.5", "--t-max", "3", "--dx", "0.2",

@@ -92,6 +92,23 @@ class TestSolver:
             with pytest.raises(ValueError):
                 KppParams(dx=0.05, dt=dt, t_max=4.0, rho_max=2.0)
 
+    def test_default_run_stores_every_checkpoint(self):
+        # the default dt divides t_switch, so t_max = 10 is a grid time and is stored
+        params = KppParams()
+        assert params.t_switch / params.dt_value == round(params.t_switch / params.dt_value)
+        assert solve_kpp(params).times == [5.0, 6.0, 7.0, 8.0, 9.0, 10.0]
+
+    @pytest.mark.parametrize("checkpoints", [(0.25, 1.0, 2.0), (11.0,), (-1.0,), (1.0001,)])
+    def test_rejects_checkpoint_off_the_grid(self, checkpoints):
+        # before the step IC's u phase, beyond t_max, or not a whole number of steps
+        with pytest.raises(ValueError, match="checkpoint"):
+            KppParams(checkpoints=checkpoints)
+
+    @pytest.mark.parametrize("dx, t_max", [(0.1, 6.0), (0.05, 10.0)])
+    def test_step_mode_dt_ignores_ic_slope(self, dx, t_max):
+        dts = {KppParams(dx=dx, t_max=t_max, ic_slope=b).dt_value for b in (1.0, 50.0, 500.0)}
+        assert len(dts) == 1
+
     def test_front_speed_with_log_correction(self):
         # the half-level set follows sqrt2 t - (3/(2 sqrt2)) log t + O(1);
         # with the known log term removed, the speed must be sqrt2 within 2%
