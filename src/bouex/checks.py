@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 from scipy import integrate, stats
-from scipy.special import expit, ndtri
+from scipy.special import expit, ndtr, ndtri
 
 from .cloud import simulate_forest
 from .gaussian import SQRT2, normalization_factor, ou_variance
@@ -178,25 +178,40 @@ def pair_expectation(f: TestFunction, v: float, c: float) -> float:
         shift = b * (v + c)
         log_pref = b * b * (v + c) - 2.0 * b * a
         return math.exp(log_pref) * _bvn_upper(a - shift, a - shift, v, c)
-    # smooth_step: 2-d quadrature through a Cholesky transform
-    sd = math.sqrt(v)
+    # smooth_step: X2 | X1 = x is N(rho x, v - c rho); one quadrature over x
     rho = min(max(c / v, -1.0), 1.0)
-    a21 = sd * rho
-    a22 = sd * math.sqrt(max(1.0 - rho * rho, 0.0))
+    s = math.sqrt(max(v - c * rho, 0.0))
+    scale = 1.0 / math.sqrt(2.0 * math.pi * v)
 
-    def inner(z1):
-        x1 = sd * z1
-        f1 = float(f(x1))
-        if f1 == 0.0:
-            return 0.0
-        lo = (f.support_left - a21 * z1) / a22 if a22 > 0 else -np.inf
-        val, _ = integrate.quad(lambda z2: float(f(a21 * z1 + a22 * z2))
-                                * stats.norm.pdf(z2), lo, np.inf, limit=100)
-        return f1 * val * stats.norm.pdf(z1)
+    def outer(x):
+        return float(f(x)) * scale * math.exp(-0.5 * x * x / v) \
+            * _smooth_step_mean(f, rho * x, s)
 
-    lo1 = f.support_left / sd
-    val, _ = integrate.quad(inner, lo1, np.inf, limit=100)
-    return val
+    ramp_end = f.y + f.eps
+    return integrate.quad(outer, f.y, ramp_end, limit=100)[0] \
+        + integrate.quad(outer, ramp_end, np.inf, limit=100)[0]
+
+
+def _smooth_step_mean(f: TestFunction, m: float, s: float) -> float:
+    """E[f(m + s Z)], Z standard normal, for a smooth step f, in closed form.
+
+    On the ramp, Z in [a, b], f = height (3u^2 - 2u^3) with u = alpha + beta Z;
+    its mean comes from the normal's partial moments m_k = int_a^b z^k phi(z) dz.
+    The plateau, Z > b, adds height P(Z > b).
+    """
+    if s <= 0.0:
+        return float(f(m))
+    a, b = (f.y - m) / s, (f.y + f.eps - m) / s
+    alpha, beta = (m - f.y) / f.eps, s / f.eps
+    pa, pb = (math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi) for z in (a, b))
+    m0 = float(ndtr(b) - ndtr(a))
+    m1 = pa - pb
+    m2 = m0 + a * pa - b * pb
+    m3 = 2.0 * m1 + a * a * pa - b * b * pb
+    u2 = alpha * alpha * m0 + 2.0 * alpha * beta * m1 + beta * beta * m2
+    u3 = alpha ** 3 * m0 + 3.0 * alpha * alpha * beta * m1 \
+        + 3.0 * alpha * beta * beta * m2 + beta ** 3 * m3
+    return f.height * (3.0 * u2 - 2.0 * u3 + float(ndtr(-b)))
 
 
 def iid_limit_functional(phi: TestFunction) -> float:
@@ -292,7 +307,7 @@ def check_slepian_monotonicity(mu_list, phi: TestFunction, t: float, n: int,
 
 
 def _leaf_sums(mu: float, t: float, f, n: int, seed: int) -> np.ndarray:
-    """sum_u f(X_t(u)) per replica, over forests of 512 replicas per stream."""
+    """sum_u f(X_t(u)) per replica, from `window.leaves` in chunks of 512 replicas."""
     def draw(j, m):
         rep, x = leaves(mu, t, m, substream(seed, j))
         return np.bincount(rep, weights=f(x), minlength=m)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -81,6 +82,16 @@ class TestOracles:
         se = (f(z1) * f(z2)).std() / math.sqrt(z1.size)
         assert abs(val - emp) < 5 * se + 0.003
 
+    @pytest.mark.parametrize("v", [1.3, 2.0])
+    def test_pair_expectation_smooth_step_limits(self, v):
+        # closed-form conditional mean: independence factorizes, full correlation squares
+        f = smooth_step(-0.5, 0.8, height=2.0)
+        single = gaussian_expectation(f, v, -0.5)
+        assert pair_expectation(f, v, 0.0) == pytest.approx(single * single, rel=1e-8)
+        square = gaussian_expectation(lambda x: f(x) ** 2, v, -0.5)
+        assert pair_expectation(f, v, v) == pytest.approx(square, rel=1e-8)
+        assert pair_expectation(f, v, v * (1 - 1e-12)) == pytest.approx(square, rel=1e-8)
+
     def test_iid_limit_formula_at_zero(self):
         # the limiting CDF of the maximum at z=0 is exactly 1/2 under the
         # tilde centring; in these (m_t) coordinates the plateau-inf step at 0
@@ -136,6 +147,13 @@ class TestChecksReduced:
 
     def test_many_to_two_exponential(self):
         r = check_many_to_two(1.0, 1.5, exponential_window(0.5, 0.0), 20_000, seed=83)
+        assert r.passed
+
+    def test_many_to_two_smooth_step(self):
+        # its target quadrature used to take minutes; the Monte Carlo side takes ms
+        start = time.perf_counter()
+        r = check_many_to_two(1.0, 2.0, smooth_step(0.0, 1.0), 200, seed=2)
+        assert time.perf_counter() - start < 30.0
         assert r.passed
 
     def test_many_to_two_decorrelation_large_mu(self):
