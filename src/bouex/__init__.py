@@ -14,9 +14,8 @@ from .gaussian import (SQRT2, GammaConstants, SpringParams, TailBoundPair,
                        gaussian_tail_bounds, normalization_factor,
                        ou_transition, pair_covariance, sample_ou_step)
 from .measure import Centering, PointMeasure, max_and_counts
-from .cloud import (Forest, additive_martingale, derivative_martingale,
-                    extremal_measure, simulate_cloud, simulate_forest,
-                    variable_speed_view)
+from .cloud import (additive_martingale, derivative_martingale, extremal_measure,
+                    simulate_cloud, simulate_forest, variable_speed_view)
 from .spine import (EstimatorResult, LimitProcessSample, SpineRealization,
                     estimate_C, estimate_C_curve, limit_intensity,
                     sample_decoration, sample_limit_process, sample_spine,
