@@ -87,22 +87,19 @@ class Forest:
         """Branch time of the most recent common ancestor of leaves u, v.
 
         Leaves are indexed in storage order; the MRCA of a leaf with itself
-        is the horizon.
+        is the leaf, which ends at the horizon.
         """
-        a, b = int(self.leaf_index[u]), int(self.leaf_index[v])
-        if a == b:
-            return self.horizon_t
-        anc = {}
-        node = a
+        ancestors = set()
+        node = int(self.leaf_index[u])
         while node >= 0:
-            anc[node] = True
+            ancestors.add(node)
             node = int(self.parent[node])
-        node = b
-        while node >= 0:
-            if node in anc:
-                return float(self.t_end[node]) if not self.is_leaf[node] else self.horizon_t
+        node = int(self.leaf_index[v])
+        while node not in ancestors:
             node = int(self.parent[node])
-        raise AssertionError("leaves share no root")  # pragma: no cover
+            if node < 0:
+                raise ValueError(f"leaves {u} and {v} lie in different replicas")
+        return float(self.t_end[node])
 
     def positions_for(self, mu) -> np.ndarray:
         """Leaf positions on the same tree under another spring constant.

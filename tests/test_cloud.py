@@ -184,6 +184,15 @@ class TestSiblingCovariance:
         assert abs(resid.mean()) < 4.0 * se
 
 
+    def test_mrca_across_replicas_is_an_error(self):
+        f = cloud_mod.simulate_forest(0.0, 1.0, 2, substream(23, 0))
+        reps = f.rep[f.leaf_index]
+        u, v = int(np.flatnonzero(reps == 0)[0]), int(np.flatnonzero(reps == 1)[0])
+        assert f.mrca_time(u, u) == 1.0
+        with pytest.raises(ValueError, match="different replicas"):
+            f.mrca_time(u, v)
+
+
 class TestVariableSpeedView:
     def test_boundary_times(self):
         gamma, t = 1.0, 4.0
