@@ -22,6 +22,12 @@ def coarse_field():
     return solve_kpp(params)
 
 
+@pytest.fixture(scope="module")
+def default_field():
+    # the `kpp` CLI default and the benchmark grid: dx=0.05, t_max=10, rho_max=2
+    return solve_kpp(KppParams())
+
+
 class TestSolver:
     def test_uniform_ic_follows_logistic(self):
         u0 = 0.3
@@ -92,11 +98,11 @@ class TestSolver:
             with pytest.raises(ValueError):
                 KppParams(dx=0.05, dt=dt, t_max=4.0, rho_max=2.0)
 
-    def test_default_run_stores_every_checkpoint(self):
+    def test_default_run_stores_every_checkpoint(self, default_field):
         # the default dt divides t_switch, so t_max = 10 is a grid time and is stored
-        params = KppParams()
+        params = default_field.params
         assert params.t_switch / params.dt_value == round(params.t_switch / params.dt_value)
-        assert solve_kpp(params).times == [5.0, 6.0, 7.0, 8.0, 9.0, 10.0]
+        assert default_field.times == [5.0, 6.0, 7.0, 8.0, 9.0, 10.0]
 
     @pytest.mark.parametrize("checkpoints", [(0.25, 1.0, 2.0), (11.0,), (-1.0,), (1.0001,)])
     def test_rejects_checkpoint_off_the_grid(self, checkpoints):
@@ -194,6 +200,41 @@ class TestEstimate:
 
     def test_prefactor_of_t_positive(self, coarse_field):
         assert prefactor_of_t(coarse_field, 1.5, 6.0) > 0.0
+
+
+# c(t) at every checkpoint, then the extrapolated c and its Richardson spread,
+# from the (2, 1)-banded LU solve (LAPACK gbsv) of every implicit step.  A
+# change of the linear solver may move them at rounding level only.
+_PINNED_PREFACTORS = {
+    "coarse_field": {  # the smoke grid: kpp --t-max 6 --dx 0.1
+        1.5: ((0.18375150331147871, 0.1816801710743324, 0.18012517724956406,
+               0.17892537520926813),
+              0.1734801806464227, 0.0009788369427022325),
+        2.0: ((0.22402465854529532, 0.22429792524603975, 0.22442821554275458,
+               0.22450642354124728),
+              0.22492683547349815, 5.1913195903086073e-05),
+    },
+    "default_field": {  # the benchmark grid
+        1.5: ((0.17786562180926552, 0.1765976529169456, 0.1755929413699925,
+               0.17477837289772977, 0.17410524735990604, 0.17354001454384252),
+              0.16859644143453295, 0.0002673238580453985),
+        2.0: ((0.21870134603729566, 0.21862092139098385, 0.2185492239801515,
+               0.21848812930501496, 0.21843678931936195, 0.21839376795886342),
+              0.21801704160490415, 1.949371976112113e-05),
+    },
+}
+
+
+@pytest.mark.parametrize("grid", list(_PINNED_PREFACTORS))
+@pytest.mark.parametrize("rho", [1.5, 2.0])
+def test_prefactors_are_pinned(grid, rho, request):
+    field = request.getfixturevalue(grid)
+    c_of_t, c, spread = _PINNED_PREFACTORS[grid][rho]
+    res = estimate_C_pde(field, rho)
+    assert list(res.extra["c_of_t"]) == field.times
+    assert list(res.extra["c_of_t"].values()) == pytest.approx(c_of_t, rel=1e-10, abs=0)
+    assert res.estimate == pytest.approx(c, rel=1e-10, abs=0)
+    assert res.stderr == pytest.approx(spread, rel=0, abs=1e-10)
 
 
 class TestPhiConversion:
