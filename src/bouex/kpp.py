@@ -66,6 +66,9 @@ class KppParams:
     def __post_init__(self):
         if not all(0.0 < v < math.inf for v in (self.dx, self.t_max, self.rho_max)):
             raise ValueError("dx, t_max, rho_max must be finite and positive")
+        if self.n_points < 5:
+            raise ValueError(f"the grid has {self.n_points} points; the implicit "
+                             f"solve needs at least 5 (reduce dx)")
         if self.ic_mode not in ("step", "ramp", "uniform"):
             raise ValueError(f"unknown ic_mode {self.ic_mode!r}")
         if self.ic_mode == "uniform" and not 0.0 < self.ic_value < 1.0:
@@ -89,6 +92,10 @@ class KppParams:
     @property
     def x_hi(self) -> float:
         return SQRT2 * self.rho_max * self.t_max + self.margin
+
+    @property
+    def n_points(self) -> int:
+        return int(round((self.x_hi - self.x_lo) / self.dx)) + 1
 
     @property
     def stability_dt(self) -> float:
@@ -176,7 +183,7 @@ def _log_tail(x: np.ndarray, t: float) -> np.ndarray:
 def solve_kpp(params: KppParams) -> KppField:
     """Advance the field to t_max, storing the requested checkpoints."""
     dx, dt = params.dx, params.dt_value
-    n = int(round((params.x_hi - params.x_lo) / dx)) + 1
+    n = params.n_points
     x = params.x_lo + dx * np.arange(n)
     r = 0.5 * dt / dx**2
     nonlin = params.nonlinear

@@ -311,6 +311,7 @@ def test_header_reruns_to_the_same_bytes(argv, tmp_path):
     pytest.param(["simulate", "--mu", "0", "--t", "nan", "--replicas", "1",
                   "--emit", "martingales"], id="simulate-martingales-t-nan"),
     pytest.param(["kpp", "--rho", "2", "--t-max", "inf"], id="kpp-t-max-inf"),
+    pytest.param(["kpp", "--rho", "1.5", "--t-max", "3", "--dx", "8"], id="kpp-four-points"),
     pytest.param(["estimate-c", "--rho-min", "1.5", "--rho-max", "2", "--steps", "2",
                   "--replicas", "0", "--coupled"], id="estimate-c-coupled-no-replicas"),
     pytest.param(["limit-process", "--gamma", "inf", "--c-value", "0.3"],

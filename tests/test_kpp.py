@@ -92,6 +92,13 @@ class TestSolver:
         with pytest.raises(ValueError):
             KppParams(**{field: math.inf})
 
+    def test_rejects_grid_without_interior(self):
+        # dx=8 on [-8, 14.4] gives 4 points: the w phase would have one
+        # interior point between its Dirichlet rows; 5 points are the least
+        assert KppParams(rho_max=1.5, t_max=3.0, dx=5.6).n_points == 5
+        with pytest.raises(ValueError, match="4 points"):
+            KppParams(rho_max=1.5, t_max=3.0, dx=8.0)
+
     def test_dt_validation(self):
         for dt in (0.1, 0.0, -0.01):
             with pytest.raises(ValueError):
