@@ -20,8 +20,7 @@ from .spine import (EstimatorResult, LimitProcessSample, SpineRealization,
                     estimate_C, estimate_C_curve, limit_intensity,
                     sample_decoration, sample_limit_process, sample_spine,
                     truncation_horizon)
-from .kpp import (KppField, KppParams, estimate_C_pde, front_tail,
-                  phi_conversion, solve_kpp)
+from .kpp import KppField, KppParams, estimate_C_pde, front_tail, solve_kpp
 from .checks import (CheckReport, TestFunction, check_first_moment,
                      check_iid_limit, check_many_to_one, check_many_to_two,
                      check_max_limit_law, check_second_moment_gap,

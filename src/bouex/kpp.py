@@ -134,13 +134,6 @@ class KppField:
                 return wk
         raise ValueError(f"t={t} is not a stored checkpoint (have {self.times})")
 
-    def validate(self, tol: float = 1e-8):
-        for tk, wk in zip(self.times, self.w):
-            if np.any(wk > tol):
-                raise NumericalFailureError(f"w > 0 at checkpoint t={tk}")
-            if np.any(np.diff(wk) > tol):
-                raise NumericalFailureError(f"w increasing in x at checkpoint t={tk}")
-
 
 def _implicit_solver(n: int, r: float, right_extrapolation: bool):
     """Factor one phase's implicit matrix once; return its per-step solve.
@@ -311,13 +304,6 @@ def estimate_C_pde(field: KppField, rho: float, t_list=None):
         spread = float(diffs[-1])
     return EstimatorResult(estimate=estimate, stderr=spread, n_samples=len(ts),
                            extra={"c_of_t": dict(zip(map(float, ts), map(float, cs)))})
-
-
-def phi_conversion(c_value: float, rho: float) -> float:
-    """Convert the prefactor to the front-expansion convention value at 2 rho."""
-    if rho <= 1.0:
-        raise ValueError("rho must be > 1")
-    return c_value * math.sqrt(4.0 * math.pi) / rho
 
 
 def dump_checkpoints(field: KppField, path: str):

@@ -10,7 +10,7 @@ from scipy.linalg import solve_banded
 
 from bouex.errors import NumericalFailureError
 from bouex.kpp import (KppParams, _implicit_solver, dump_checkpoints, estimate_C_pde,
-                       front_tail, phi_conversion, prefactor_of_t, solve_kpp)
+                       front_tail, prefactor_of_t, solve_kpp)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -75,7 +75,6 @@ class TestSolver:
         assert np.all(step.w_at(3.0) <= ramp.w_at(3.0) + 1e-6)
 
     def test_field_invariants(self, coarse_field):
-        coarse_field.validate()
         for t in coarse_field.times:
             w = coarse_field.w_at(t)
             assert np.all(w <= 1e-10)
@@ -255,21 +254,6 @@ def test_prefactors_are_pinned(grid, rho, request):
     assert list(res.extra["c_of_t"].values()) == pytest.approx(c_of_t, rel=1e-10, abs=0)
     assert res.estimate == pytest.approx(c, rel=1e-10, abs=0)
     assert res.stderr == pytest.approx(spread, rel=0, abs=1e-10)
-
-
-class TestPhiConversion:
-    def test_round_trip(self):
-        c = 0.1234
-        phi = phi_conversion(c, 1.7)
-        assert phi * 1.7 / math.sqrt(4 * math.pi) == pytest.approx(c, rel=1e-12)
-
-    def test_large_rho_consistency(self):
-        val = phi_conversion(1.0 / math.sqrt(4 * math.pi), 100.0)
-        assert val == pytest.approx(1.0 / 100.0, rel=1e-12)
-
-    def test_rejects_rho_at_most_one(self):
-        with pytest.raises(ValueError):
-            phi_conversion(0.1, 1.0)
 
 
 def test_dump_checkpoints_roundtrip(tmp_path, coarse_field):
