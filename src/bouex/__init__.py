@@ -9,10 +9,9 @@ identities and limit laws statistically.
 
 __version__ = "0.1.0"
 
-from .gaussian import (SQRT2, GammaConstants, SpringParams, TailBoundPair,
-                       bivariate_tail_bound, gamma_constants,
-                       gaussian_tail_bounds, normalization_factor,
-                       ou_transition, pair_covariance, sample_ou_step)
+from .gaussian import (SQRT2, GammaConstants, SpringParams, gamma_constants,
+                       normalization_factor, ou_transition, pair_covariance,
+                       sample_ou_step)
 from .measure import Centering, PointMeasure, max_and_counts
 from .cloud import (additive_martingale, derivative_martingale, extremal_measure,
                     simulate_cloud, simulate_forest, variable_speed_view)

@@ -17,6 +17,17 @@ Finite-horizon allowances (0.2 first-moment band, 0.05 KS and Laplace
 levels, the +-0.5 slope window) are calibrations of this artifact, not
 limit-theorem constants; the reports carry the trend data that justifies
 them.
+
+Import rule: at module level this file uses only `scipy.special`, which
+`window` loads anyway; `scipy.stats` is not used, and `scipy.integrate` is
+imported by `_quad` on the first quadrature, so a process that runs none
+(`kpp`, `simulate`, the prefactor benchmark) never pays for loading it.
+The Gaussian oracles are closed forms instead: the N(0, sd^2) density in
+scipy.stats.norm.pdf's own arithmetic (`_norm_pdf`), the tail as
+ndtr(-b/sd), the equal-threshold bivariate tail through Owen's T function
+(`_bvn_upper`), the two-sided KS distance on the sorted sample
+(`_ks_statistic`) and Pearson's chi-square with its chdtrc p-value
+(`_chisquare`).
 """
 
 from __future__ import annotations
@@ -27,8 +38,7 @@ from dataclasses import dataclass, field, asdict
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, stats
-from scipy.special import expit, ndtr, ndtri
+from scipy.special import chdtrc, expit, ndtr, ndtri, owens_t
 
 from .cloud import simulate_forest
 from .gaussian import SQRT2, normalization_factor, ou_variance
@@ -38,6 +48,7 @@ from .spine import _spine_atoms, sample_limit_process
 from .window import leaves, windowed_extremal_atoms
 
 CHUNK = 2048
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -146,38 +157,54 @@ def reports_to_json(reports) -> str:
 # oracle-side expectations
 
 
+def _quad(func, a, b, **kwargs):
+    """`scipy.integrate.quad`, imported on the first call (loading it takes ~0.3 s)."""
+    from scipy.integrate import quad
+    return quad(func, a, b, **kwargs)
+
+
+def _norm_pdf(x, sd):
+    """N(0, sd^2) density, in the arithmetic of scipy.stats.norm.pdf(x, scale=sd).
+
+    z * z is what numpy's array z**2 computes; a numpy scalar's z**2 calls pow
+    and can differ in the last bit.
+    """
+    z = np.asarray(x, dtype=float) / sd
+    return np.exp(-(z * z) / 2.0) / _SQRT_2PI / sd
+
+
 def gaussian_expectation(f: Callable, var: float, lo: float) -> float:
     """E[f(X)] for X ~ N(0, var), by adaptive quadrature; f vanishes below `lo`."""
     sd = math.sqrt(var)
-    val, _ = integrate.quad(lambda x: f(x) * stats.norm.pdf(x, scale=sd), lo, np.inf,
-                            limit=200)
+    val, _ = _quad(lambda x: f(x) * _norm_pdf(x, sd), lo, np.inf, limit=200)
     return val
 
 
-def _bvn_upper(b1: float, b2: float, v: float, c: float) -> float:
-    """P(X1 >= b1, X2 >= b2) for a centred bivariate normal."""
-    sd = math.sqrt(v)
-    if b1 == -np.inf and b2 == -np.inf:
+def _bvn_upper(b: float, v: float, c: float) -> float:
+    """P(X1 >= b, X2 >= b) for a centred bivariate normal, variance v, covariance c.
+
+    Owen's (1956) equal-threshold form: with h = b/sqrt(v) and rho = c/v it
+    is Phibar(h) - 2 T(h, sqrt((1-rho)/(1+rho))), T being Owen's T function;
+    rho = 1 gives Phibar(h), and rho = -1 (a = inf) gives max(0, Phibar(h) - Phi(h)).
+    """
+    if b == -math.inf:
         return 1.0
-    if b1 == -np.inf:
-        return float(stats.norm.sf(b2, scale=sd))
-    if b2 == -np.inf:
-        return float(stats.norm.sf(b1, scale=sd))
-    cov = np.array([[v, c], [c, v]])
-    return float(stats.multivariate_normal(mean=[0.0, 0.0], cov=cov,
-                                           allow_singular=True).cdf([-b1, -b2]))
+    h = b / math.sqrt(v)
+    rho = min(max(c / v, -1.0), 1.0)
+    a = math.sqrt((1.0 - rho) / (1.0 + rho)) if rho > -1.0 else math.inf
+    return max(0.0, float(ndtr(-h) - 2.0 * owens_t(h, a)))
 
 
 def pair_expectation(f: TestFunction, v: float, c: float) -> float:
     """E[f(X1) f(X2)] for a centred bivariate normal with variance v, covariance c."""
     if f.kind == "indicator":
-        return _bvn_upper(f.a, f.a, v, c)
+        return _bvn_upper(f.a, v, c)
     if f.kind == "exponential_window":
         b, a = f.beta, f.a
         # exponential tilting: E[e^{b(X1+X2)} 1{X1>=a, X2>=a}]
         shift = b * (v + c)
         log_pref = b * b * (v + c) - 2.0 * b * a
-        return math.exp(log_pref) * _bvn_upper(a - shift, a - shift, v, c)
+        return math.exp(log_pref) * _bvn_upper(a - shift, v, c)
     # smooth_step: X2 | X1 = x is N(rho x, v - c rho); one quadrature over x
     rho = min(max(c / v, -1.0), 1.0)
     s = math.sqrt(max(v - c * rho, 0.0))
@@ -188,8 +215,8 @@ def pair_expectation(f: TestFunction, v: float, c: float) -> float:
             * _smooth_step_mean(f, rho * x, s)
 
     ramp_end = f.y + f.eps
-    return integrate.quad(outer, f.y, ramp_end, limit=100)[0] \
-        + integrate.quad(outer, ramp_end, np.inf, limit=100)[0]
+    return _quad(outer, f.y, ramp_end, limit=100)[0] \
+        + _quad(outer, ramp_end, np.inf, limit=100)[0]
 
 
 def _smooth_step_mean(f: TestFunction, m: float, s: float) -> float:
@@ -217,7 +244,7 @@ def _smooth_step_mean(f: TestFunction, m: float, s: float) -> float:
 def iid_limit_functional(phi: TestFunction) -> float:
     """Closed-form limiting Laplace functional of the uncorrelated case."""
     y0 = phi.support_left
-    val, _ = integrate.quad(
+    val, _ = _quad(
         lambda y: (1.0 - math.exp(-float(phi(y)))) * math.exp(-SQRT2 * y),
         y0, np.inf, limit=200)
     return 1.0 / (1.0 + val / math.sqrt(2.0 * math.pi))
@@ -227,14 +254,47 @@ def iid_finite_t_functional(phi: TestFunction, t: float) -> float:
     """Exact finite-horizon Laplace functional of the uncorrelated case."""
     m_t = Centering("bou_onehalf", t).value
     sd = math.sqrt(t)
-    q, _ = integrate.quad(
-        lambda x: (1.0 - math.exp(-float(phi(x - m_t)))) * stats.norm.pdf(x, scale=sd),
+    q, _ = _quad(
+        lambda x: (1.0 - math.exp(-float(phi(x - m_t)))) * _norm_pdf(x, sd),
         m_t + phi.support_left, np.inf, limit=200)
     return (1.0 - q) / (math.exp(t) * q + 1.0 - q)
 
 
 # ---------------------------------------------------------------------------
 # checks
+
+
+def _ks_statistic(sample, cdf) -> float:
+    """Two-sided Kolmogorov-Smirnov distance max(D+, D-) of `sample` from `cdf`.
+
+    Same arithmetic as scipy.stats.kstest(sample, cdf).statistic.
+    """
+    x = np.sort(np.asarray(sample, dtype=float))
+    n = x.size
+    cdfvals = cdf(x)
+    d_plus = (np.arange(1.0, n + 1) / n - cdfvals).max()
+    d_minus = (cdfvals - np.arange(0.0, n) / n).max()
+    return float(d_plus if d_plus > d_minus else d_minus)
+
+
+def _chisquare(obs, expected):
+    """Pearson's chi-square of counts `obs` against `expected`, and its p-value.
+
+    Same arithmetic as scipy.stats.chisquare(obs, f_exp=expected), including
+    its ValueError when the two totals differ by more than sqrt(eps) relative;
+    the p-value is the chi-square upper tail on len(obs) - 1 degrees of freedom.
+    """
+    obs = np.asarray(obs, dtype=float)
+    expected = np.asarray(expected, dtype=float)
+    total_obs, total_exp = obs.sum(), expected.sum()
+    rtol = np.finfo(float).eps ** 0.5
+    rel = abs(total_obs - total_exp) / min(total_obs, total_exp)
+    if rel > rtol:
+        raise ValueError(f"the sum of the observed frequencies must agree with the sum "
+                         f"of the expected frequencies to a relative tolerance of "
+                         f"{rtol}, but they differ by {rel}")
+    chi2 = ((obs - expected) ** 2 / expected).sum()
+    return float(chi2), float(chdtrc(obs.size - 1, chi2))
 
 
 def _replica_values(n: int, size: int, draw) -> np.ndarray:
@@ -264,7 +324,7 @@ def check_max_limit_law(mu: float, t: float, n: int, seed: int,
     def cdf(z):
         return expit(SQRT2 * np.asarray(z, dtype=float))
 
-    ks = stats.kstest(maxima, cdf).statistic
+    ks = _ks_statistic(maxima, cdf)
     return CheckReport.make("max_limit_law", ks, threshold, n,
                             median=float(np.median(maxima)),
                             below_window=missing, t=t, mu=mu)
@@ -335,7 +395,7 @@ def check_many_to_two(mu: float, t: float, f: TestFunction, n: int,
         c = math.exp(-2.0 * mu * (t - s)) * ou_variance(mu, s)
         return math.exp(2.0 * t - s) * pair_expectation(f, v, c)
 
-    pair_term, _ = integrate.quad(integrand, 0.0, t, limit=100)
+    pair_term, _ = _quad(integrand, 0.0, t, limit=100)
     # square the test function analytically where naive squaring overflows
     f_sq = exponential_window(2.0 * f.beta, f.a) if f.kind == "exponential_window" \
         else (lambda x: f(x) ** 2)
@@ -467,7 +527,7 @@ def simulate_iid_laplace(phi: TestFunction, t: float, n: int, seed: int):
     m_t = Centering("bou_onehalf", t).value
     sd = math.sqrt(t)
     cut = m_t + phi.support_left
-    p_tail = float(stats.norm.sf(cut, scale=sd))
+    p_tail = float(ndtr(-(cut / sd)))
     p_leaf = math.exp(-t)
 
     def draw(j, m):
@@ -519,7 +579,7 @@ def check_yule_counts(t: float, n: int, seed: int) -> CheckReport:
     obs = np.bincount(np.minimum(counts, kmax), minlength=kmax + 1)[1:]
     obs[-1] = np.count_nonzero(counts >= kmax)
     probs = np.append(probs[:-1], (1 - p) ** (kmax - 1))
-    chi2, pvalue = stats.chisquare(obs, f_exp=n * probs)
+    chi2, pvalue = _chisquare(obs, n * probs)
     stat = -math.log10(max(pvalue, 1e-300))  # against -log10(0.01) = 2
     return CheckReport.make("yule_geometric_counts", stat, 2.0, n,
                             chi2=float(chi2), pvalue=float(pvalue), t=t,

@@ -1,10 +1,9 @@
-"""Exact Gaussian/Ornstein-Uhlenbeck transition laws and analytic tail bounds.
+"""Exact Gaussian/Ornstein-Uhlenbeck transition laws.
 
 This is the shared numerical core: every simulation module builds on the
 closed-form OU transition N(x e^{-mu s}, (1-e^{-2 mu s})/(2 mu)), the
-variance-t normalization, the pairwise covariance induced by a shared
-ancestry time, and the classical one- and two-dimensional Gaussian tail
-bounds.  All formulas with a 2*mu (or 2*gamma) denominator are evaluated
+variance-t normalization and the pairwise covariance induced by a shared
+ancestry time.  All formulas with a 2*mu (or 2*gamma) denominator are evaluated
 through expm1, which is cancellation-free down to mu = 0+; mu = 0 itself
 takes the exact Brownian branch.  The transition variance has one
 implementation, `ou_variance`, for one spring constant and any number of
@@ -48,16 +47,6 @@ class GammaConstants:
     gamma: float
     c_gamma: float
     d_gamma: float
-
-
-@dataclass(frozen=True)
-class TailBoundPair:
-    lower: float
-    upper: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.lower <= self.upper):
-            raise ValueError("need 0 <= lower <= upper")
 
 
 def ou_variance(mu, s):
@@ -146,28 +135,6 @@ def gamma_constants(gamma: float) -> GammaConstants:
     two_g = 2.0 * gamma
     c = math.sqrt(two_g / math.expm1(two_g)) if two_g < 700 else 0.0
     return GammaConstants(gamma=gamma, c_gamma=c, d_gamma=normalization_factor(gamma, 1.0))
-
-
-def gaussian_tail_bounds(x: float) -> TailBoundPair:
-    """Classical standard-normal tail sandwich at level x > 0."""
-    if not x > 0:
-        raise ValueError("x must be positive")
-    upper = math.exp(-0.5 * x * x) / (x * math.sqrt(2.0 * math.pi))
-    lower = max(0.0, (1.0 - 1.0 / (x * x)) * upper)
-    return TailBoundPair(lower=lower, upper=min(upper, 1.0))
-
-
-def bivariate_tail_bound(x: float, alpha: float) -> float:
-    """Upper bound on P(X1 >= x, X2 >= x) for unit-variance correlation-alpha pairs."""
-    if not x > 0:
-        raise ValueError("x must be positive")
-    if alpha >= 1.0 or alpha < -1.0:
-        raise ValueError("correlation must lie in [-1, 1)")
-    if alpha == -1.0:
-        return 0.0
-    one_plus = 1.0 + alpha
-    return (one_plus * one_plus * math.exp(-x * x / one_plus)
-            / (2.0 * math.pi * x * x * math.sqrt(1.0 - alpha * alpha)))
 
 
 def ou_bridge_moments(x_a, x_b, mu, d_as, d_sb):

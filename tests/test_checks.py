@@ -3,11 +3,15 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+from bouex import checks
 from bouex.checks import (CheckReport, check_first_moment,
                           check_iid_limit, check_many_to_one, check_many_to_two,
                           check_max_limit_law, check_second_moment_gap,
@@ -106,6 +110,107 @@ class TestOracles:
         d14 = abs(iid_finite_t_functional(phi, 14.0) - iid_limit_functional(phi))
         assert d14 < d10 < 0.08
         assert d14 < 0.05
+
+
+class TestClosedForms:
+    """The scipy-free oracle formulas of `checks` against scipy.stats itself."""
+
+    def test_norm_pdf_is_scipy_bit_for_bit(self):
+        from scipy.stats import norm
+        rng = np.random.default_rng(3)
+        x = np.concatenate([5.0 * rng.standard_normal(20_000),
+                            [0.0, -0.0, 40.0, np.inf, -np.inf]])
+        for sd in (0.3, 1.0, math.sqrt(1.7), math.sqrt(10.0)):
+            np.testing.assert_array_equal(checks._norm_pdf(x, sd), norm.pdf(x, scale=sd))
+            for xi in x[:2000]:
+                assert checks._norm_pdf(float(xi), sd) == norm.pdf(float(xi), scale=sd)
+
+    def test_gaussian_expectation_is_scipy_bit_for_bit(self):
+        from scipy.integrate import quad
+        from scipy.stats import norm
+        for f, v, lo in ((indicator(0.8), 1.7, 0.8),
+                         (exponential_window(0.6, 0.3), 1.7, 0.3),
+                         (smooth_step(-0.5, 0.8, height=2.0), 3.0, -0.5)):
+            sd = math.sqrt(v)
+            ref, _ = quad(lambda x: f(x) * norm.pdf(x, scale=sd), lo, np.inf, limit=200)
+            assert gaussian_expectation(f, v, lo) == ref
+
+    def test_ks_statistic_is_scipy_bit_for_bit(self):
+        from scipy.stats import kstest
+        rng = np.random.default_rng(4)
+
+        def cdf(z):
+            return 1.0 / (1.0 + np.exp(-SQRT2 * np.asarray(z, dtype=float)))
+
+        for n in (1, 2, 7, 100, 2000):
+            for _ in range(5):
+                # rounding to one decimal makes ties; -inf stands for an empty replica
+                sample = np.round(rng.standard_normal(n), 1)
+                sample[rng.random(n) < 0.2] = -np.inf
+                assert checks._ks_statistic(sample, cdf) == kstest(sample, cdf).statistic
+        assert checks._ks_statistic(np.full(5, -np.inf), cdf) == 1.0
+
+    def test_chisquare_is_scipy_bit_for_bit(self):
+        from scipy.stats import chisquare
+        rng = np.random.default_rng(5)
+        for k in (2, 3, 10, 40):
+            for n in (50, 3000):
+                probs = rng.random(k) + 0.05
+                probs /= probs.sum()
+                obs = rng.multinomial(n, probs)
+                ref = chisquare(obs, f_exp=n * probs)
+                assert checks._chisquare(obs, n * probs) == (ref.statistic, ref.pvalue)
+
+    def test_chisquare_rejects_unequal_totals(self):
+        from scipy.stats import chisquare
+        obs, expected = np.array([10, 20, 30]), np.array([10.0, 20.0, 31.0])
+        with pytest.raises(ValueError):
+            chisquare(obs, f_exp=expected)
+        with pytest.raises(ValueError, match="relative tolerance"):
+            checks._chisquare(obs, expected)
+
+    @pytest.mark.parametrize("v", [0.7, 2.5])
+    def test_bvn_upper_matches_multivariate_normal(self, v):
+        from scipy.stats import multivariate_normal
+        for h in (-3.0, -0.5, 0.0, 0.4, 2.0, 6.0):
+            for rho in (-0.9, 0.0, 0.5, 0.99):
+                b, c = h * math.sqrt(v), rho * v
+                ref = multivariate_normal(mean=[0.0, 0.0], cov=[[v, c], [c, v]]).cdf([-b, -b])
+                assert checks._bvn_upper(b, v, c) == pytest.approx(ref, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("h", [-3.0, -0.5, 0.0, 0.4, 2.0, 6.0])
+    def test_bvn_upper_degenerate_correlations(self, h):
+        from scipy.special import ndtr
+        v = 1.9
+        b = h * math.sqrt(v)
+        assert checks._bvn_upper(b, v, v) == ndtr(-h)
+        assert checks._bvn_upper(b, v, -v) == pytest.approx(
+            max(0.0, ndtr(-h) - ndtr(h)), rel=0, abs=1e-15)
+        assert checks._bvn_upper(-math.inf, v, 0.3 * v) == 1.0
+
+
+def test_scipy_stats_and_integrate_load_only_on_first_quadrature(tmp_path):
+    # a fresh interpreter: importing bouex and running kpp and simulate loads
+    # neither scipy.stats nor scipy.integrate; the first quadrature loads integrate
+    src = os.path.dirname(os.path.dirname(os.path.abspath(checks.__file__)))
+    script = """
+import sys
+import bouex, bouex.cli
+from bouex.checks import gaussian_expectation, indicator
+out = sys.argv[1]
+assert bouex.cli.main(["kpp", "--rho", "1.5", "--t-max", "2", "--dx", "0.2", "-o", out]) == 0
+assert bouex.cli.main(["simulate", "--mu", "1.0", "--t", "2.0", "--replicas", "5",
+                       "--emit", "max", "--seed", "1", "-o", out]) == 0
+print("scipy.stats" in sys.modules, "scipy.integrate" in sys.modules)
+gaussian_expectation(indicator(0.5), 1.0, 0.5)
+print("scipy.integrate" in sys.modules)
+"""
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-c", script, str(tmp_path / "out.csv")],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["False", "False", "True"]
 
 
 class TestReports:
@@ -290,7 +395,7 @@ class TestSuite:
         # fixed-seed output of the whole smoke suite (seed 123): a change to a
         # check's signature, name or threshold must leave these bytes alone
         digest = hashlib.sha256(reports_to_json(smoke_run.reports).encode()).hexdigest()
-        assert digest == "56231faac7750a00e3e4952d18c696f4fe7fd3a932c098c2e29d4f47d90801d4"
+        assert digest == "298e8c1467d7bfa1a49874e3717744434d74a0132978030f7365ea8a3bd76dd1"
 
     def test_threshold_scaling_meta(self):
         # doubling n must not flip a robust pass (statistical thresholds

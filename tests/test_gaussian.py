@@ -1,4 +1,4 @@
-"""Core transition laws, constants, and tail bounds."""
+"""Core transition laws and constants."""
 
 import math
 
@@ -6,17 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from scipy.special import erfc
 
-from bouex.gaussian import (GammaConstants, SpringParams, bivariate_tail_bound,
-                            gamma_constants, gaussian_tail_bounds,
+from bouex.gaussian import (GammaConstants, SpringParams, gamma_constants,
                             normalization_factor, ou_transition, ou_variance,
                             pair_covariance, sample_ou_step, sample_ou_bridge)
 from bouex.rng import substream
-
-
-def exact_tail(x):
-    return 0.5 * erfc(x / math.sqrt(2.0))
 
 
 class TestOuTransition:
@@ -168,49 +162,6 @@ class TestGammaConstants:
         assert gc.d_gamma ** 2 * -math.expm1(-2 * gamma) == pytest.approx(
             2 * gamma, rel=1e-12)
         assert 0.0 < gc.c_gamma < 1.0 < gc.d_gamma
-
-
-class TestGaussianTailBounds:
-    def test_unit_level(self):
-        tb = gaussian_tail_bounds(1.0)
-        assert tb.lower == 0.0
-        assert tb.upper == pytest.approx(0.24197072451914337, rel=1e-12)
-
-    def test_brackets_exact_tail(self):
-        for x in (0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0, 12.0):
-            tb = gaussian_tail_bounds(x)
-            assert tb.lower <= exact_tail(x) <= tb.upper
-
-    def test_mills_regime(self):
-        tb = gaussian_tail_bounds(10.0)
-        assert tb.upper / exact_tail(10.0) == pytest.approx(1.0, abs=0.02)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            gaussian_tail_bounds(0.0)
-
-
-class TestBivariateTailBound:
-    def test_dominates_independent_product(self):
-        assert bivariate_tail_bound(3.0, 0.0) >= exact_tail(3.0) ** 2
-
-    def test_dominates_monte_carlo(self):
-        rng = substream(13, 0)
-        n = 1_000_000
-        z1 = rng.standard_normal(n)
-        z2 = 0.5 * z1 + math.sqrt(1 - 0.25) * rng.standard_normal(n)
-        emp = np.mean((z1 >= 4.0) & (z2 >= 4.0))
-        assert bivariate_tail_bound(4.0, 0.5) >= emp
-
-    def test_monotone_in_alpha(self):
-        x = math.sqrt(2.0)
-        vals = [bivariate_tail_bound(x, a) for a in np.arange(0.0, 0.91, 0.1)]
-        assert all(b > a for a, b in zip(vals, vals[1:]))
-
-    def test_degenerate_correlation_rejected(self):
-        with pytest.raises(ValueError):
-            bivariate_tail_bound(1.0, 1.0)
-        assert bivariate_tail_bound(1.0, -1.0) == 0.0
 
 
 class TestBridge:
