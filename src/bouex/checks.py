@@ -230,7 +230,7 @@ def _smooth_step_mean(f: TestFunction, m: float, s: float) -> float:
         return float(f(m))
     a, b = (f.y - m) / s, (f.y + f.eps - m) / s
     alpha, beta = (m - f.y) / f.eps, s / f.eps
-    pa, pb = (math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi) for z in (a, b))
+    pa, pb = (math.exp(-0.5 * z * z) / _SQRT_2PI for z in (a, b))
     m0 = float(ndtr(b) - ndtr(a))
     m1 = pa - pb
     m2 = m0 + a * pa - b * pb
@@ -247,7 +247,7 @@ def iid_limit_functional(phi: TestFunction) -> float:
     val, _ = _quad(
         lambda y: (1.0 - math.exp(-float(phi(y)))) * math.exp(-SQRT2 * y),
         y0, np.inf, limit=200)
-    return 1.0 / (1.0 + val / math.sqrt(2.0 * math.pi))
+    return 1.0 / (1.0 + val / _SQRT_2PI)
 
 
 def iid_finite_t_functional(phi: TestFunction, t: float) -> float:
