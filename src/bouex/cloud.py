@@ -7,8 +7,20 @@ exact OU transition, so there is no time discretization anywhere.
 and for the windowed collector in `window.py` alike.  Its clock is each
 node's remaining time tau: a node is a leaf when its exponential lifetime is
 at least tau, and its children start with tau minus that lifetime.  The OU
-step over a segment is `_ou_step`, shared by the wave core and by
-`Forest.positions_for`, which replays a tree under another spring constant.
+step over a segment is `_ou_step`, the scale `_ou_scale` times the
+innovation plus the mean `_decayed`; `Forest.positions_for` replays it under
+another spring constant, and the wave core takes the same terms, the scale
+and the mean before the innovation is drawn.
+
+A wave of at least _SPLIT_ROWS rows is cut into one contiguous slice of rows
+per usable core, and the row-wise work of the slices (the collector's prune
+decision, the node gathers, the OU step, the leaf test) runs at once on the
+calling thread and a thread pool made on first use.  No output bit depends
+on the cut: the calling thread makes every random draw, of the same sizes in
+the same order; every step is row-wise; the collector adds its dropped
+bounds in node order and takes its atoms slice by slice; and its early stops
+take effect between waves.  A smaller wave, and every wave with one usable
+core, runs on the calling thread alone, and then no pool is made.
 
 A Forest stores the whole tree as flat node arrays in wave (generation)
 order, for the readers of the genealogy: a single cloud, which is the
@@ -21,8 +33,11 @@ from `window.leaves`, which stores no node.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property, partial
+from itertools import accumulate
 
 import numpy as np
 
@@ -33,6 +48,10 @@ from .measure import Centering, PointMeasure
 
 HORIZON_CAP = 16.0
 _NODE_CAP = 80_000_000
+_SPLIT_ROWS = 1 << 16  # a wave of fewer rows runs whole on the calling thread
+# the usable cores: the threads that share a larger wave
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else \
+    os.cpu_count() or 1
 
 
 @dataclass
@@ -117,68 +136,229 @@ class Forest:
         return x[self.leaf_index]
 
 
-def _decayed(mu, dur, x):
-    """The OU mean x e^{-mu dur}, computed in place; x itself at mu = 0."""
+def _decayed(mu, dur, x, out=None):
+    """The OU mean x e^{-mu dur}, into `out` (which may be x) or a new array;
+    x itself at mu = 0."""
     if not mu:
         return x
-    out = np.multiply(dur, -mu)
-    np.exp(out, out=out)
-    out *= x
-    return out
+    decay = np.multiply(dur, -mu)
+    np.exp(decay, out=decay)
+    return np.multiply(decay, x, out=decay if out is None else out)
+
+
+def _ou_scale(mu, dur, out=None):
+    """The OU step's standard deviation sqrt(var_mu(dur)), into `out` or a new array."""
+    var = ou_variance(mu, dur)
+    return np.sqrt(var, out=var if out is None else out)
 
 
 def _ou_step(mu, dur, x, xi):
-    """The exact OU step x e^{-mu dur} + sqrt(var_mu(dur)) xi, in a new array.
-
-    The one place a position is moved over a segment: the wave core draws
-    with it, and `Forest.positions_for` replays it for another mu.
-    """
-    out = ou_variance(mu, dur)
-    np.sqrt(out, out=out)
+    """The exact OU step x e^{-mu dur} + sqrt(var_mu(dur)) xi, in a new array."""
+    out = _ou_scale(mu, dur)
     out *= xi
     out += _decayed(mu, dur, x)
     return out
 
 
-def _waves(mu, tau, x, rng, node_cap, expand=None):
+@cache
+def _pool(threads, pid):
+    """The threads that share large waves with the calling thread, made on first
+    use in each process: a forked child has none of its parent's threads."""
+    return ThreadPoolExecutor(threads, thread_name_prefix="bouex-wave")
+
+
+def _run(tasks, draw=None):
+    """Run the tasks on the pool and the calling thread at once.
+
+    The pool starts the tasks while the calling thread makes `draw()`, a
+    random draw, which releases the interpreter lock; with no draw the
+    calling thread keeps the last task for itself.  Then it runs each task
+    no pool thread has started and waits for the rest.  Returns the tasks'
+    results in order and what `draw` returned.
+    """
+    pool = _pool(_WORKERS - 1, os.getpid())
+    shared = tasks if draw else tasks[:-1]
+    futures = [pool.submit(task) for task in shared]
+    drawn = draw() if draw else None
+    last = [] if draw else [tasks[-1]()]
+    taken = [f.cancel() for f in futures[::-1]][::-1]  # cancel succeeds if not started
+    ran = [task() if mine else None for task, mine in zip(shared, taken)]
+    return [r if mine else f.result() for r, f, mine in zip(ran, futures, taken)] + last, \
+        drawn
+
+
+def _take(columns, idx, out=None):
+    """Each of `columns` at idx, into the arrays `out` if given.  Mode "clip"
+    leaves an index in range as it is and fills `out` in place, where the
+    default mode would fill a copy of it."""
+    if out is None:
+        return [col[idx] for col in columns]
+    return [np.take(col, idx, out=o, mode="clip") for col, o in zip(columns, out)]
+
+
+def _gather(rows, kept, pair, out=None):
+    """The (tau, x, root) of the nodes of the kept rows, into `out` if given:
+    each row stands for `pair` nodes."""
+    return _take(rows, np.repeat(kept, pair), out)
+
+
+def _grow(mu, life, tau, x, out=(None, None, None)):
+    """All of a node's step that its innovation does not enter.
+
+    Returns leaf, duration and the OU step's scale, into `out` if given,
+    the step's mean, computed into x, and the splitting nodes.
+    """
+    leaf = np.greater_equal(life, tau, out=out[0])
+    dur = np.minimum(life, tau, out=out[1])  # tau on the leaves
+    scale = _ou_scale(mu, dur, out=out[2])
+    mean = _decayed(mu, dur, x, out=x)
+    # index gathers: a boolean mask as random as `leaf` gathers far slower
+    return leaf, dur, scale, mean, np.flatnonzero(~leaf)
+
+
+def _move(scale, xi, mean, tau, root, life, split, out=None):
+    """The OU step x_new = scale * xi + mean, computed into scale, and the
+    children's (tau, x, root) rows, into `out` if given."""
+    scale *= xi
+    scale += mean
+    children = _take((tau, scale, root), split, out)
+    children[0] -= life[split]
+    return children
+
+
+def _empty(m, *kinds):
+    """Uninitialized arrays of m items, one of each dtype in kinds."""
+    return tuple(np.empty(m, kind) for kind in kinds)
+
+
+_ROWS = (float, float, np.int64)  # the dtypes of tau, x and root
+
+
+class _Wave:
+    """One drawn wave: its node columns root, tau, life, xi, leaf, dur and
+    x_new; `found`, what `at_leaves` returned on each slice of its nodes, in
+    order; and `children`, the (tau, x, root) rows of the next wave."""
+
+    def __init__(self, root, tau, life, xi, leaf, dur, x_new, found, children):
+        self.root, self.tau, self.life, self.xi = root, tau, life, xi
+        self.leaf, self.dur, self.x_new = leaf, dur, x_new
+        self.found, self.children = found, children
+
+
+def _whole_wave(mu, rows, pair, rng, decide, settle, at_leaves, n, node_cap):
+    """A wave on the calling thread alone, or None when every row is
+    dropped; see `_waves`.  Empties the list `rows` once its nodes are
+    gathered, so the rows die before the wave's draws are made."""
+    if decide is None:
+        kept = np.arange(rows[0].size)
+    else:
+        kept, tally = decide(*rows)
+        settle([tally], pair)
+    m = pair * kept.size
+    if not m:
+        return None
+    _check_cap(n, m, node_cap)
+    tau, x, root = _gather(rows, kept, pair)
+    rows.clear()
+    life = rng.exponential(size=m)
+    leaf, dur, x_new, mean, split = _grow(mu, life, tau, x)
+    xi = rng.standard_normal(m)
+    children = _move(x_new, xi, mean, tau, root, life, split)
+    found = None if at_leaves is None else [at_leaves(root, x_new, leaf)]
+    return _Wave(root, tau, life, xi, leaf, dur, x_new, found, children)
+
+
+def _split_wave(mu, rows, pair, rng, decide, settle, at_leaves, n, node_cap):
+    """A wave cut into _WORKERS contiguous slices of rows, or None when
+    every row is dropped; see `_waves`.
+
+    The steps of `_whole_wave` run on all slices at once, on the pool and
+    the calling thread, while the calling thread draws.  It allocates every
+    column the slices fill, so what a pool thread allocates dies within
+    its step, and it empties `rows` as `_whole_wave` does.
+    """
+    size = rows[0].size
+    cuts = [size * i // _WORKERS for i in range(_WORKERS + 1)]
+    parts = [tuple(col[a:b] for col in rows) for a, b in zip(cuts, cuts[1:])]
+    if decide is None:
+        kept = [np.arange(part[0].size) for part in parts]
+    else:
+        kept, tallies = zip(*_run([partial(decide, *part) for part in parts])[0])
+        settle(tallies, pair)
+    ends = list(accumulate((pair * k.size for k in kept), initial=0))
+    m = ends[-1]
+    if not m:
+        return None
+    _check_cap(n, m, node_cap)
+    nodes = [slice(a, b) for a, b in zip(ends, ends[1:])]
+    tau, x, root, leaf, dur, x_new = _empty(m, *_ROWS, bool, float, float)
+    _, life = _run([partial(_gather, part, k, pair, (tau[s], x[s], root[s]))
+                    for part, k, s in zip(parts, kept, nodes)],
+                   lambda: rng.exponential(size=m))
+    del parts, kept
+    rows.clear()
+    grown, xi = _run([partial(_grow, mu, life[s], tau[s], x[s], (leaf[s], dur[s], x_new[s]))
+                      for s in nodes], lambda: rng.standard_normal(m))
+    splits = [g[4] for g in grown]
+    del grown
+    ends = list(accumulate((split.size for split in splits), initial=0))
+    children = _empty(ends[-1], *_ROWS)
+
+    def finish(s, split, c):
+        _move(x_new[s], xi[s], x[s], tau[s], root[s], life[s], split,
+              tuple(col[c] for col in children))
+        return None if at_leaves is None else at_leaves(root[s], x_new[s], leaf[s])
+
+    found, _ = _run([partial(finish, s, split, slice(a, b))
+                     for s, split, a, b in zip(nodes, splits, ends, ends[1:])])
+    return _Wave(root, tau, life, xi, leaf, dur, x_new, found, children)
+
+
+def _check_cap(n, m, node_cap):
+    """Raise before drawing m more nodes past n when they pass node_cap."""
+    if n + m > node_cap:
+        raise ResourceLimitError(
+            f"tree traversal exceeds node cap {node_cap}; a shorter horizon, "
+            "a higher window or a larger prune_tol expands fewer nodes")
+
+
+def _waves(mu, tau, x, rng, node_cap, decide=None, settle=None, at_leaves=None):
     """Expand a batch of subtrees generation by generation.
 
     Root i starts at position x[i] with remaining time tau[i] > 0.  Yields
-    one wave at a time: (root, tau, life, xi, leaf, dur, x_new).  The
-    children of a wave's splits, in order, make up the next wave.
+    one `_Wave` at a time, which holds its columns until the next wave is
+    asked for.  The children of a wave's splits, in order, make up the next
+    wave.
 
     Between waves a row of (tau, x, root) stands for `pair` nodes: one for a
     root, two for the children of a split, which share all three.  Before a
-    wave is drawn, `expand(tau, x, root, pair)` may return a mask of the rows
-    to keep, so a prune decision is taken once per sibling pair; the kept
-    rows are then repeated into nodes, exactly the nodes a per-node decision
-    would keep, so no output bit depends on it.
+    wave is drawn, `decide(tau, x, root)` on a slice of rows may return the
+    indices of the rows to expand and a tally of the others, and
+    `settle(tallies, pair)` takes the tallies of all slices, in order.  So a
+    prune decision is taken once per sibling pair, and the kept rows are
+    repeated into nodes, exactly the nodes a per-node decision would keep.
+    `found` lists `at_leaves(root, x_new, leaf)` on each slice of nodes.
+
+    A wave of fewer than _SPLIT_ROWS rows, or any wave with one usable core,
+    is one slice on the calling thread (`_whole_wave`); a larger one is cut
+    into _WORKERS slices (`_split_wave`).  Every step is row-wise and the
+    calling thread makes every draw, of the same sizes in the same order, so
+    no output bit depends on the cut.
     """
-    root = np.arange(tau.size, dtype=np.int64)
+    rows = [tau, x, np.arange(tau.size, dtype=np.int64)]
+    del tau, x
     pair = 1
     n = 0
-    while tau.size:
-        keep = np.ones(tau.size, bool) if expand is None else expand(tau, x, root, pair)
-        nodes = np.repeat(np.flatnonzero(keep), pair)
-        tau, x, root = tau[nodes], x[nodes], root[nodes]
-        m = tau.size
-        if not m:
+    while rows[0].size:
+        step = _split_wave if rows[0].size >= _SPLIT_ROWS and _WORKERS > 1 else _whole_wave
+        wave = step(mu, rows, pair, rng, decide, settle, at_leaves, n, node_cap)
+        if wave is None:
             return
-        if n + m > node_cap:
-            raise ResourceLimitError(
-                f"tree traversal exceeds node cap {node_cap}; a shorter horizon, "
-                "a higher window or a larger prune_tol expands fewer nodes")
-        life = rng.exponential(size=m)
-        xi = rng.standard_normal(m)
-        leaf = life >= tau
-        dur = np.minimum(life, tau)  # tau on the leaves
-        x_new = _ou_step(mu, dur, x, xi)
-        yield root, tau, life, xi, leaf, dur, x_new
-        # index gathers: a boolean mask as random as `leaf` gathers far slower
-        split = np.flatnonzero(~leaf)
-        n += m
-        tau, x, root, pair = tau[split], x_new[split], root[split], 2
-        tau -= life[split]
+        yield wave
+        rows = list(wave.children)
+        n += wave.tau.size
+        wave.__dict__.clear()  # what the consumer did not keep dies here
+        pair = 2
 
 
 def _check_full_tree(mu: float, horizon_t: float) -> None:
@@ -200,13 +380,13 @@ def simulate_forest(mu: float, horizon_t: float, n_reps: int, rng) -> Forest:
     waves = []  # the seven node columns of each wave
     parent = np.full(n_reps, -1, dtype=np.int64)
     n = 0  # nodes before this wave
-    for rep, tau, life, xi, leaf, dur, x_new in _waves(
-            mu, np.full(n_reps, float(horizon_t)), np.zeros(n_reps), rng, _NODE_CAP):
-        t_end = np.where(leaf, horizon_t, horizon_t - tau + life)
-        waves.append((rep, parent, t_end, dur, xi, x_new, leaf))
+    for w in _waves(mu, np.full(n_reps, float(horizon_t)), np.zeros(n_reps), rng,
+                    _NODE_CAP):
+        t_end = np.where(w.leaf, horizon_t, horizon_t - w.tau + w.life)
+        waves.append((w.root, parent, t_end, w.dur, w.xi, w.x_new, w.leaf))
         # the next wave is the two children of each split, in order
-        parent = np.repeat(np.flatnonzero(~leaf) + n, 2)
-        n += rep.size
+        parent = np.repeat(np.flatnonzero(~w.leaf) + n, 2)
+        n += w.root.size
     ends = np.cumsum([w[0].size for w in waves]).tolist()
     return Forest(mu, horizon_t, n_reps, *(np.concatenate(col) for col in zip(*waves)),
                   wave_edges=list(zip([0] + ends[:-1], ends)))

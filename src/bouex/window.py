@@ -24,6 +24,14 @@ The two children of a split share (tau, x, root), so the decision is taken
 once per sibling pair and its dropped bound is added once per child, in
 node order.  And a cheap lower bound on log Phi(-z) screens out subtrees
 that are kept for certain; only the rest get the exact log_ndtr bound.
+
+The wave core may cut a large wave into slices that threads work on at
+once, so the collector hands it row-wise work only.  `decide` is a pure
+function of a slice of rows: it reads the early-stop flags, which change
+only between waves, and returns the kept rows with the bounds it dropped.
+`settle` then adds the dropped bounds of all slices to `pruned_mass` on the
+calling thread, in node order, and the atoms each slice's leaves emit are
+taken slice by slice, so every output has the bits of the uncut wave.
 """
 
 from __future__ import annotations
@@ -100,15 +108,6 @@ def _prunable(mu, tau, x, level, log_tol):
     return near[drop], log_bound[drop]
 
 
-def subtree_exceedance_bound(mu: float, tau: float, x: float, level: float) -> float:
-    """Certified upper bound on P(some leaf >= level) for one subtree."""
-    if tau <= 0:
-        return 1.0 if x >= level else 0.0
-    tau = np.asarray([tau], float)
-    z = _standard_score(mu, tau, np.asarray([x], float), np.asarray([level], float))
-    return float(np.exp(_exceedance_log_bound(tau, z)[0]))
-
-
 def collect_atoms_above(mu, horizons, x0, levels, scales, offsets, groups, n_groups,
                         rng, prune_tol=1e-9, stop_level=None,
                         node_cap=_DEFAULT_NODE_CAP) -> CollectedAtoms:
@@ -134,39 +133,55 @@ def collect_atoms_above(mu, horizons, x0, levels, scales, offsets, groups, n_gro
     log_tol = math.log(prune_tol) if prune_tol > 0 else None
 
     def emit(x_leaf, root):
+        # the atoms of the leaves that reach their level, with their groups
         hit = np.flatnonzero(x_leaf >= lvl[root])
         root = root[hit]
-        g = grp[root]
-        emitted = scl[root] * x_leaf[hit] + off[root]
+        return grp[root], scl[root] * x_leaf[hit] + off[root]
+
+    def at_leaves(root, x_new, leaf):
+        leaf = np.flatnonzero(leaf)
+        return emit(x_new[leaf], root[leaf])
+
+    def record(g, emitted):
         out_groups.append(g)
         out_atoms.append(emitted)
         if stop_level is not None:
             stopped[g[emitted > stop_level]] = True
 
-    def expand(tau, x, root, pair):
-        # each row stands for `pair` nodes; its dropped bound is added once per
-        # node, in node order, so pruned_mass has the bits of a per-node tally
+    def decide(tau, x, root):
+        # rows of unstopped groups whose bound is above prune_tol are kept;
+        # `stopped` changes only between waves, so every row reads one state
         keep = ~stopped[grp[root]] if stop_level is not None else np.ones(tau.size, bool)
-        if log_tol is not None:
-            drop, log_bound = _prunable(mu, tau, x, lvl[root], log_tol)
+        if log_tol is None:
+            return np.flatnonzero(keep), None
+        drop, log_bound = _prunable(mu, tau, x, lvl[root], log_tol)
+        if stop_level is not None:
             unstopped = keep[drop]
             drop, log_bound = drop[unstopped], log_bound[unstopped]
-            np.add.at(pruned, np.repeat(grp[root[drop]], pair),
-                      np.repeat(np.exp(log_bound), pair))
-            keep[drop] = False
-        return keep
+        keep[drop] = False
+        return np.flatnonzero(keep), (grp[root[drop]], np.exp(log_bound))
+
+    def settle(dropped, pair):
+        # each row stands for `pair` nodes; its dropped bound is added once per
+        # node, in node order, so pruned_mass has the bits of a per-node tally
+        if log_tol is None:
+            return
+        g, bound = dropped[0] if len(dropped) == 1 else map(np.concatenate, zip(*dropped))
+        if g.size:
+            np.add.at(pruned, np.repeat(g, pair), np.repeat(bound, pair))
 
     # a root with tau <= 0 is a leaf already; the wave core expands the rest,
     # whose root ids index the per-root arrays restricted to the live roots
     done = np.flatnonzero(tau <= 0.0)
-    emit(x[done], done)
+    record(*emit(x[done], done))
     live = np.flatnonzero(tau > 0.0)
     lvl, scl, off, grp = (a[live] for a in (lvl, scl, off, grp))
-    for root, tau, _, _, leaf, _, x_new in _waves(mu, tau[live], x[live], rng,
-                                                 node_cap, expand):
-        n_nodes += tau.size
-        leaf = np.flatnonzero(leaf)
-        emit(x_new[leaf], root[leaf])
+    pruning = stop_level is not None or log_tol is not None
+    for wave in _waves(mu, tau[live], x[live], rng, node_cap,
+                       decide if pruning else None, settle, at_leaves):
+        n_nodes += wave.tau.size
+        for g, emitted in wave.found:
+            record(g, emitted)
 
     return CollectedAtoms(group=np.concatenate(out_groups), atoms=np.concatenate(out_atoms),
                           pruned_mass=pruned, stopped=stopped, n_nodes=n_nodes)

@@ -295,10 +295,28 @@ class TestChecksReduced:
         assert r.passed
         assert abs(r.details["median"]) < 0.3
 
-    def test_max_limit_law_cdf_value(self):
-        # limiting CDF at 0 is exactly 1/2
-        from scipy.special import expit
-        assert expit(SQRT2 * 0.0) == 0.5
+    def test_max_limit_law_cdf_value(self, monkeypatch):
+        # replica maxima at the quantiles (i - 1/2)/n of expit(scale z): against
+        # the limit law (1 + e^{-sqrt2 z})^{-1} the KS distance is exactly 1/(2n)
+        # at scale sqrt2, and a law mis-scaled to expit(z) reads far above it
+        from scipy.special import logit
+        n = 400
+        quantiles = logit((np.arange(1, n + 1) - 0.5) / n)
+
+        def report(scale):
+            class Collected:
+                def max_per_group(self):
+                    return quantiles / scale
+
+            monkeypatch.setattr(checks, "windowed_extremal_atoms",
+                                lambda *args, **kwargs: Collected())
+            return check_max_limit_law(1.0, 8.0, n, seed=0)
+
+        exact = report(SQRT2)
+        assert exact.statistic == pytest.approx(1.0 / (2 * n), rel=0, abs=1e-12)
+        assert exact.passed
+        mis_scaled = report(1.0)
+        assert mis_scaled.statistic > 1.5 * mis_scaled.threshold
 
     def test_first_moment(self):
         # at t=8 the finite-horizon deficit at z=-1 already exceeds the 0.2

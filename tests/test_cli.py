@@ -2,15 +2,33 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from bouex import cli
 from bouex.cli import main
 
 
 def run(args):
     return main(args)
+
+
+def test_import_starts_no_thread():
+    # importing the CLI stays cheap: the wave core's thread pool is made on
+    # the first large wave, not at import
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    script = ("import threading, bouex.cli, bouex.cloud; "
+              "print(threading.active_count(), bouex.cloud._pool.cache_info().currsize)")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["1", "0"]
 
 
 class TestEstimateC:

@@ -2,6 +2,9 @@
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import log_ndtr
 
-from bouex import checks, cli
+from bouex import checks, cli, cloud
 from bouex.checks import _leaf_sums, smooth_step, spine_identity_sides
 from bouex.cloud import (additive_martingale, derivative_martingale, extremal_measure,
                          simulate_cloud, simulate_forest, variable_speed_view)
@@ -21,7 +24,7 @@ from bouex.rng import substream
 from bouex.spine import _draw_branches, sample_decoration, sample_limit_process, sample_spine
 from bouex.window import (CollectedAtoms, _exceedance_log_bound, _log_tail_floor,
                           _prunable, _standard_score, collect_atoms_above, leaves,
-                          subtree_exceedance_bound, windowed_extremal_atoms)
+                          windowed_extremal_atoms)
 
 
 def brute_force_counts(mu, t, level_raw, n, seed):
@@ -152,14 +155,6 @@ class TestCollector:
                 np.ones(64), np.zeros(64), np.arange(64), 64, substream(40, 0),
                 prune_tol=0.0, node_cap=10_000)
 
-    def test_subtree_bound_scalar(self):
-        assert subtree_exceedance_bound(0.0, 0.0, 1.0, 0.5) == 1.0
-        assert subtree_exceedance_bound(0.0, 0.0, 0.0, 0.5) == 0.0
-        b = subtree_exceedance_bound(0.0, 2.0, 0.0, 5.0)
-        assert 0.0 < b < 1.0
-        assert b == pytest.approx(math.exp(2.0) * stats.norm.sf(5.0 / math.sqrt(2.0)),
-                                  rel=1e-10)
-
 
 class TestOneWaveCore:
     @pytest.mark.parametrize("mu", [0.0, 1.0])
@@ -232,6 +227,19 @@ class TestPruneScreen:
         want = np.flatnonzero(exact <= log_tol)
         assert np.array_equal(drop, want)
         assert np.array_equal(log_bound, exact[want])
+
+    @pytest.mark.parametrize("mu, tau, x, level", [(0.0, 2.0, 0.0, 5.0),
+                                                    (0.5, 1.5, 0.3, 2.0)])
+    def test_log_bound_closed_form(self, mu, tau, x, level):
+        # the bound of one subtree is e^tau P(N(x e^{-mu tau}, var_mu(tau)) >= level);
+        # at log_tol 0 every subtree whose bound is below 1 is dropped
+        drop, log_bound = _prunable(mu, np.array([tau]), np.array([x]), np.array([level]),
+                                    0.0)
+        sd = math.sqrt(tau if mu == 0.0 else -math.expm1(-2.0 * mu * tau) / (2.0 * mu))
+        bound = math.exp(tau) * stats.norm.sf((level - x * math.exp(-mu * tau)) / sd)
+        assert 0.0 < bound < 1.0
+        assert drop.tolist() == [0]
+        assert math.exp(log_bound[0]) == pytest.approx(bound, rel=1e-10)
 
 
 class TestWindowedExtremal:
@@ -504,3 +512,92 @@ class TestPinnedBits:
         rng = substream(100, 0)
         decorations = [sample_decoration(2.0, 3.0, -3.0, 1000, rng) for _ in range(6)]
         assert _digest(*(d.atoms for d in decorations)) == _DECORATIONS
+
+
+@pytest.fixture(params=[(1, 1), (2, 1), (3, 1), (3, 1000)],
+                ids=["1-worker", "2-workers", "3-workers", "3-workers-gate-1000"])
+def split_waves(request, monkeypatch):
+    """Waves of at least `gate` rows cut into `workers` slices, with threads
+    switching often.  At gate 1 every wave is cut; at gate 1000 whole and
+    cut waves take turns in one traversal; 3 workers are more threads than a
+    2-core host has."""
+    workers, gate = request.param
+    monkeypatch.setattr(cloud, "_WORKERS", workers)
+    monkeypatch.setattr(cloud, "_SPLIT_ROWS", gate)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield request.param
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class TestSplitWaves:
+    """The worker count and the gate of the wave core never change a bit."""
+
+    @pytest.mark.parametrize("name", list(_TRAVERSALS))
+    def test_collect_atoms_above(self, name, split_waves):
+        run, digest, n_nodes = _TRAVERSALS[name]
+        res = run()
+        assert (_digest(res.group, res.atoms, res.pruned_mass, res.stopped),
+                res.n_nodes) == (digest, n_nodes)
+
+    @pytest.mark.parametrize("mu", list(_FORESTS))
+    def test_simulate_forest(self, mu, split_waves):
+        f = simulate_forest(mu, 5.0, 64, substream(97, int(mu)))
+        assert (_digest(f.rep, f.parent, f.t_end, f.duration, f.xi, f.x_end, f.is_leaf,
+                        np.asarray(f.wave_edges)), f.n_nodes) == _FORESTS[mu]
+
+    def test_simulate_max_table(self, tmp_path, split_waves):
+        argv, digest = _CLI_TABLES["simulate-max"]
+        assert _digest(_cli_table(tmp_path, *argv)) == digest
+
+    def test_stop_level_groups_straddle_slices(self, monkeypatch):
+        # 35 groups interleaved over 700 roots: every slice holds rows of every
+        # group, so a stop found in one slice must hold back rows of the others
+        n, g = 700, 35
+
+        def run():
+            return collect_atoms_above(0.3, np.full(n, 3.0), 0.0, np.linspace(-1.0, 1.5, n),
+                                       1.0, 0.0, np.arange(n) % g, g, substream(47, 0),
+                                       prune_tol=1e-6, stop_level=3.5)
+
+        whole = run()
+        assert 0 < whole.stopped.sum() < g
+        monkeypatch.setattr(cloud, "_SPLIT_ROWS", 1)
+        for workers in (2, 3):
+            monkeypatch.setattr(cloud, "_WORKERS", workers)
+            cut = run()
+            for a, b in zip((whole.group, whole.atoms, whole.pruned_mass, whole.stopped),
+                            (cut.group, cut.atoms, cut.pruned_mass, cut.stopped)):
+                assert np.array_equal(a, b)
+            assert cut.n_nodes == whole.n_nodes
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+    def test_one_core_makes_no_pool(self):
+        # a fresh interpreter bound to one core draws the extremes pin, whose
+        # largest waves are cut on more cores, with no thread besides its own
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cloud.__file__)))
+        script = """
+import os, threading
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from bouex import cloud
+from bouex.measure import Centering
+from bouex.rng import substream
+from bouex.window import windowed_extremal_atoms
+res = windowed_extremal_atoms(1.0, 8.0, Centering("bou_tilde", 8.0), 0.5, 256,
+                              substream(91, 0), prune_tol=1e-7)
+for a in (res.group, res.atoms, res.pruned_mass, res.stopped):
+    print(a.tobytes().hex())
+print(res.n_nodes, cloud._WORKERS, cloud._pool.cache_info().currsize,
+      threading.active_count())
+"""
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        *arrays, counts = out.stdout.split("\n")[:5]
+        _, digest, n_nodes = _TRAVERSALS["extremes"]
+        assert _digest(*(bytes.fromhex(a) for a in arrays)) == digest
+        assert counts.split() == [str(n_nodes), "1", "0", "1"]
