@@ -346,7 +346,7 @@ def _waves(mu, tau, x, rng, node_cap, decide=None, settle=None, at_leaves=None):
     no output bit depends on the cut.
     """
     rows = [tau, x, np.arange(tau.size, dtype=np.int64)]
-    del tau, x
+    del tau, x  # `rows` alone holds them, so a wave can let them go once gathered
     pair = 1
     n = 0
     while rows[0].size:
