@@ -5,10 +5,14 @@ Every check is deterministic given (seed, config), draws each replica
 chunk from its own stream (`rng.chunks`), and returns a machine-readable
 CheckReport.
 Replicas are reduced one way: a Monte Carlo check builds an array with one
-row per replica (`_replica_values`), and every replica mean it reports comes
-with the Bessel-corrected standard error of `_mean_se`.  The void-law check
-of the limit process is the one exception: its z-scores use the binomial
-standard error, floored so that a frequency of 0 or 1 stays finite.
+row per replica (`_replica_values`), the one chunk loop of the checks, and
+every replica mean it reports comes with the Bessel-corrected standard error
+of `_mean_se`.  The chunks run at once on the wave core's threads
+(`cloud._run_chunks`); each draws only from its own stream and the rows are
+stacked in chunk order, so no output bit depends on the number of cores.
+The void-law check of the limit process is the one exception to `_mean_se`:
+its z-scores use the binomial standard error, floored so that a frequency of
+0 or 1 stays finite.
 Each check writes its fixed threshold as a literal and names its report
 after itself; the suite (`suite.run_suite`) renames each report after its
 registry key and passes only the thresholds that change with the tier
@@ -35,12 +39,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, asdict
+from functools import partial
 from typing import Callable
 
 import numpy as np
 from scipy.special import chdtrc, expit, ndtr, ndtri, owens_t
 
-from .cloud import simulate_forest
+from .cloud import _run_chunks, simulate_forest
 from .gaussian import SQRT2, normalization_factor, ou_variance
 from .measure import Centering, PointMeasure, group_max
 from .rng import chunks, substream
@@ -298,8 +303,10 @@ def _chisquare(obs, expected):
 
 
 def _replica_values(n: int, size: int, draw) -> np.ndarray:
-    """Per-replica values: `draw(j, m)` for each unit of `chunks(n, size)`, stacked."""
-    return np.concatenate([draw(j, m) for j, _, m in chunks(n, size)])
+    """Per-replica values: `draw(j, m)` for each unit of `chunks(n, size)`,
+    stacked in unit order; the units run at once (`cloud._run_chunks`), so
+    `draw` must read no state that another unit writes."""
+    return np.concatenate(_run_chunks([partial(draw, j, m) for j, _, m in chunks(n, size)]))
 
 
 def _mean_se(values):

@@ -22,6 +22,14 @@ bounds in node order and takes its atoms slice by slice; and its early stops
 take effect between waves.  A smaller wave, and every wave with one usable
 core, runs on the calling thread alone, and then no pool is made.
 
+The same pool runs the replica chunks of a Monte Carlo job at once
+(`_run_chunks`, which `checks` uses).  Chunk j draws only from its own
+stream, so two chunks never share a generator, and their results are kept
+in chunk order: no output bit depends on how many run at once.  Every core
+then already runs a chunk, so a traversal inside a chunk worker never cuts
+its waves; a job of one chunk runs on the calling thread, whose large waves
+are cut as above.
+
 A Forest stores the whole tree as flat node arrays in wave (generation)
 order, for the readers of the genealogy: a single cloud, which is the
 one-replica Forest that `simulate_cloud` returns (`mrca_time`,
@@ -34,7 +42,9 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
 from itertools import accumulate
@@ -49,9 +59,10 @@ from .measure import Centering, PointMeasure
 HORIZON_CAP = 16.0
 _NODE_CAP = 80_000_000
 _SPLIT_ROWS = 1 << 16  # a wave of fewer rows runs whole on the calling thread
-# the usable cores: the threads that share a larger wave
+# the usable cores: the threads that share a larger wave or a chunk job
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else \
     os.cpu_count() or 1
+_CHUNK_GATE_S = 0.01  # a pool thread that ran a shorter chunk takes no more
 
 
 @dataclass
@@ -162,9 +173,73 @@ def _ou_step(mu, dur, x, xi):
 
 @cache
 def _pool(threads, pid):
-    """The threads that share large waves with the calling thread, made on first
-    use in each process: a forked child has none of its parent's threads."""
+    """The threads that share large waves and replica chunks with the calling
+    thread, made on first use in each process: a forked child has none of
+    its parent's threads."""
     return ThreadPoolExecutor(threads, thread_name_prefix="bouex-wave")
+
+
+_local = threading.local()  # `chunk` is true on a thread while it runs a chunk job
+
+
+def _in_chunk():
+    """Whether the calling thread runs a chunk of a concurrent chunk job."""
+    return getattr(_local, "chunk", False)
+
+
+def _run_chunks(tasks):
+    """The results of the chunk tasks, in order, run at once on the pool and
+    the calling thread.
+
+    Each task must be a pure function of its own chunk and stream.  The
+    tasks are handed out in order, one at a time, to at most _WORKERS
+    threads.  If one raises, no further task is handed out; the running
+    ones finish, and the exception of the lowest failing task is raised, as
+    a loop over the tasks would raise it.  With one task or one usable core,
+    or inside a chunk worker, the tasks run in a loop on the calling thread.
+
+    A pool thread that ran a task in less than _CHUNK_GATE_S takes no more,
+    and the calling thread runs the rest: such tasks are mostly interpreter
+    work on small arrays, which threads only slow down as they hand the
+    interpreter lock back and forth.
+    """
+    workers = min(_WORKERS, len(tasks))
+    if workers < 2 or _in_chunk():
+        return [task() for task in tasks]
+    results = [None] * len(tasks)
+    errors = {}
+    lock = threading.Lock()
+    handed = iter(range(len(tasks)))
+
+    def work(pooled=True):
+        _local.chunk = True
+        try:
+            while True:
+                with lock:
+                    i = None if errors else next(handed, None)
+                if i is None:
+                    return
+                start = time.perf_counter()
+                try:
+                    results[i] = tasks[i]()
+                except BaseException as exc:  # raised on the calling thread below
+                    with lock:
+                        errors[i] = exc
+                if pooled and time.perf_counter() - start < _CHUNK_GATE_S:
+                    return
+        finally:
+            _local.chunk = False
+
+    futures = [_pool(_WORKERS - 1, os.getpid()).submit(work) for _ in range(workers - 1)]
+    try:
+        work(pooled=False)
+    finally:
+        for f in futures:
+            f.cancel()  # a worker not yet started would find no task left
+        wait(futures)
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def _run(tasks, draw=None):
@@ -339,7 +414,8 @@ def _waves(mu, tau, x, rng, node_cap, decide=None, settle=None, at_leaves=None):
     repeated into nodes, exactly the nodes a per-node decision would keep.
     `found` lists `at_leaves(root, x_new, leaf)` on each slice of nodes.
 
-    A wave of fewer than _SPLIT_ROWS rows, or any wave with one usable core,
+    A wave of fewer than _SPLIT_ROWS rows, any wave with one usable core and
+    every wave of a chunk worker (whose job already keeps every core busy)
     is one slice on the calling thread (`_whole_wave`); a larger one is cut
     into _WORKERS slices (`_split_wave`).  Every step is row-wise and the
     calling thread makes every draw, of the same sizes in the same order, so
@@ -349,8 +425,9 @@ def _waves(mu, tau, x, rng, node_cap, decide=None, settle=None, at_leaves=None):
     del tau, x  # `rows` alone holds them, so a wave can let them go once gathered
     pair = 1
     n = 0
+    gate = _SPLIT_ROWS if _WORKERS > 1 and not _in_chunk() else math.inf
     while rows[0].size:
-        step = _split_wave if rows[0].size >= _SPLIT_ROWS and _WORKERS > 1 else _whole_wave
+        step = _split_wave if rows[0].size >= gate else _whole_wave
         wave = step(mu, rows, pair, rng, decide, settle, at_leaves, n, node_cap)
         if wave is None:
             return

@@ -105,6 +105,20 @@ def truncation_horizon(rho: float, window_a: float, eps: float) -> float:
     return hi
 
 
+def _sort_blocks(counts, values):
+    """`values`, consecutive blocks of counts[r] finite values each, with
+    every block sorted: the values that np.lexsort((values, block)) orders.
+
+    Block r is row r of a grid padded with +inf after its values, which the
+    row sort leaves in place.
+    """
+    filled = np.arange(counts.max(initial=0)) < counts[:, None]
+    grid = np.full(filled.shape, np.inf)
+    grid[filled] = values
+    grid.sort(axis=1)
+    return grid[filled]
+
+
 def _draw_branches(n_reps: int, horizon_T: float, rng):
     """Branch times and spine values for a chunk of realizations.
 
@@ -113,9 +127,7 @@ def _draw_branches(n_reps: int, horizon_T: float, rng):
     """
     counts = rng.poisson(2.0 * horizon_T, size=n_reps)
     rep = np.repeat(np.arange(n_reps, dtype=np.int64), counts)
-    sigma = rng.uniform(0.0, horizon_T, size=rep.size)
-    order = np.lexsort((sigma, rep))
-    rep, sigma = rep[order], sigma[order]
+    sigma = _sort_blocks(counts, rng.uniform(0.0, horizon_T, size=rep.size))
     # replica r holds branches first[r]:end[r]; its spine starts at 0, so its
     # first increment spans [0, sigma], and the Brownian increments are
     # cumulated once, the running sum before each block subtracted

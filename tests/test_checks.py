@@ -6,12 +6,13 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
 import pytest
 
-from bouex import checks
+from bouex import checks, cloud
 from bouex.checks import (CheckReport, check_first_moment,
                           check_iid_limit, check_many_to_one, check_many_to_two,
                           check_max_limit_law, check_second_moment_gap,
@@ -24,6 +25,7 @@ from bouex.checks import (CheckReport, check_first_moment,
                           spine_identity_sides)
 from bouex.gaussian import SQRT2
 from bouex.measure import PointMeasure
+from bouex.rng import chunks
 from bouex import suite
 
 
@@ -398,6 +400,128 @@ class TestChecksReduced:
     def test_limit_process_law(self):
         r = check_limit_process_law(5000, seed=99)
         assert r.passed
+
+
+@pytest.fixture(params=[1, 2, 3], ids=["1-worker", "2-workers", "3-workers"])
+def chunk_workers(request, monkeypatch):
+    """Chunk jobs on `workers` threads, with threads switching often; 3
+    workers are more threads than a 2-core host has.  Pool threads never
+    stop early, however short a chunk."""
+    monkeypatch.setattr(cloud, "_WORKERS", request.param)
+    monkeypatch.setattr(cloud, "_CHUNK_GATE_S", 0.0)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield request.param
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _recorded_job(monkeypatch, run):
+    """run()'s output and the (n, size, draw) of its one `_replica_values` job."""
+    seen = []
+    replica_values = checks._replica_values
+
+    def recording(n, size, draw):
+        seen.append((n, size, draw))
+        return replica_values(n, size, draw)
+
+    monkeypatch.setattr(checks, "_replica_values", recording)
+    out = run()
+    (job,) = seen
+    return out, job
+
+
+_CHUNK_JOBS = {
+    # six chunks of 512 replicas but the last, of small full trees
+    "leaf-sums": lambda: checks._leaf_sums(1.0, 4.0, smooth_step(0.0, 1.0), 2600, 31),
+    # three chunks of 2048 replicas but the last, pruned, with waves above 256 rows
+    "counts-above": lambda: checks._counts_above(1.0, 5.0, (0.0, 0.5, 1.0), 5000, 32),
+}
+
+
+class TestChunkExecutor:
+    """The checks' chunks run at once, and the worker count never changes a bit."""
+
+    @pytest.mark.parametrize("name", list(_CHUNK_JOBS))
+    def test_equals_serial_loop(self, name, chunk_workers, monkeypatch):
+        monkeypatch.setattr(cloud, "_SPLIT_ROWS", 256)
+        got, (n, size, draw) = _recorded_job(monkeypatch, _CHUNK_JOBS[name])
+        monkeypatch.setattr(cloud, "_WORKERS", 1)
+        serial = np.concatenate([draw(j, m) for j, _, m in chunks(n, size)])
+        assert got.dtype == serial.dtype and np.array_equal(got, serial)
+
+    def test_chunks_run_at_once(self, monkeypatch):
+        # each pair of chunks meets at a barrier, which a loop would never pass
+        monkeypatch.setattr(cloud, "_WORKERS", 2)
+        monkeypatch.setattr(cloud, "_CHUNK_GATE_S", 0.0)
+        barrier = threading.Barrier(2, timeout=30)
+
+        def draw(j, m):
+            barrier.wait()
+            return np.full(m, j, dtype=float)
+
+        got = checks._replica_values(35, 10, draw)
+        assert np.array_equal(got, np.repeat(np.arange(4.0), [10, 10, 10, 5]))
+
+    def test_pool_thread_stops_after_a_short_chunk(self, monkeypatch):
+        # every chunk counts as short: each pool thread runs one at most
+        monkeypatch.setattr(cloud, "_WORKERS", 3)
+        monkeypatch.setattr(cloud, "_CHUNK_GATE_S", math.inf)
+        threads = []
+
+        def draw(j, m):
+            threads.append(threading.current_thread())
+            time.sleep(0.001)
+            return np.full(m, j)
+
+        got = checks._replica_values(200, 10, draw)
+        assert np.array_equal(got, np.repeat(np.arange(20), 10))
+        assert sum(t is not threading.current_thread() for t in threads) <= 2
+
+    def test_lowest_failing_chunk_raises(self, chunk_workers):
+        # chunk 2 of 6 raises last, after chunk 3 has raised; each thread
+        # then takes no further chunk, and chunks past 3 take 20 ms
+        ran = []
+
+        def draw(j, m):
+            ran.append(j)
+            if j == 2:
+                time.sleep(0.1)
+            if j in (2, 3):
+                raise ValueError(f"chunk {j}")
+            time.sleep(0.02 if j > 3 else 0.0)
+            return np.zeros(m)
+
+        with pytest.raises(ValueError, match="chunk 2"):
+            checks._replica_values(60, 10, draw)
+        assert {0, 1, 2} <= set(ran) <= set(range(2 + chunk_workers))
+
+    def test_one_core_makes_no_pool(self, monkeypatch):
+        monkeypatch.setattr(cloud, "_WORKERS", 1)
+        monkeypatch.setattr(cloud, "_SPLIT_ROWS", 256)
+        pools, threads = cloud._pool.cache_info(), threading.active_count()
+        for run in _CHUNK_JOBS.values():
+            run()
+        assert (cloud._pool.cache_info(), threading.active_count()) == (pools, threads)
+
+    def test_chunk_workers_never_split_waves(self, monkeypatch):
+        # every wave is large enough to cut; only a job of one chunk cuts them
+        monkeypatch.setattr(cloud, "_WORKERS", 2)
+        monkeypatch.setattr(cloud, "_CHUNK_GATE_S", 0.0)
+        monkeypatch.setattr(cloud, "_SPLIT_ROWS", 1)
+        calls = []  # whether the thread runs a chunk job, per `_split_wave` call
+        split_wave = cloud._split_wave
+
+        def recording(*args):
+            calls.append(cloud._in_chunk())
+            return split_wave(*args)
+
+        monkeypatch.setattr(cloud, "_split_wave", recording)
+        checks._counts_above(1.0, 4.0, (0.0, 1.0), 3000, 33)
+        assert calls == []
+        checks._counts_above(1.0, 4.0, (0.0, 1.0), 2000, 33)
+        assert calls and not any(calls)
 
 
 class TestSuite:

@@ -13,7 +13,7 @@ from bouex.gaussian import INV_SQRT_4PI, SQRT2
 from bouex.rng import substream
 from bouex.spine import (CHUNK, estimate_C, estimate_C_curve, sample_decoration,
                          sample_limit_process, sample_spine, truncation_horizon,
-                         truncation_miss_bound, _draw_branches)
+                         truncation_miss_bound, _draw_branches, _sort_blocks)
 
 
 class TestTruncationHorizon:
@@ -112,6 +112,24 @@ class TestSampleSpine:
         resid = b * b - sigma
         se = resid.std(ddof=1) / math.sqrt(resid.size)
         assert abs(resid.mean()) < 4.0 * se
+
+
+class TestSortBlocks:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_lexsort(self, seed):
+        # replicas with no value, and exact ties within and across blocks
+        gen = np.random.default_rng(seed)
+        counts = gen.poisson(3.0, size=200) * (gen.random(200) < 0.8)
+        rep = np.repeat(np.arange(counts.size), counts)
+        values = gen.integers(0, 5, size=rep.size) * 0.25 + gen.choice([0.0, 1e-300], rep.size)
+        assert np.count_nonzero(counts == 0) > 10 and np.unique(values).size < values.size
+        order = np.lexsort((values, rep))
+        got = _sort_blocks(counts, values)
+        assert np.array_equal(got, values[order]) and np.array_equal(rep, rep[order])
+
+    def test_no_values(self):
+        for counts in (np.zeros(3, dtype=np.int64), np.zeros(0, dtype=np.int64)):
+            assert _sort_blocks(counts, np.zeros(0)).size == 0
 
 
 class TestEstimateC:
