@@ -465,8 +465,10 @@ def simulate_forest(mu: float, horizon_t: float, n_reps: int, rng) -> Forest:
         parent = np.repeat(np.flatnonzero(~w.leaf) + n, 2)
         n += w.root.size
     ends = np.cumsum([w[0].size for w in waves]).tolist()
-    return Forest(mu, horizon_t, n_reps, *(np.concatenate(col) for col in zip(*waves)),
-                  wave_edges=list(zip([0] + ends[:-1], ends)))
+    columns = list(zip(*waves))
+    del waves  # a column's pieces die once it is merged, so the tree is held once
+    merged = [np.concatenate(columns.pop(0)) for _ in range(len(columns))]
+    return Forest(mu, horizon_t, n_reps, *merged, wave_edges=list(zip([0] + ends[:-1], ends)))
 
 
 def simulate_cloud(spring: SpringParams, rng) -> Forest:

@@ -1,11 +1,12 @@
 """Named check suites for the verification runner.
 
-smoke: about 15 s single-worker, used by the CLI tests.  fast: about 33 s.
-full: every check at acceptance scale; it currently stops with
-ResourceLimitError (exit 3) inside `max_limit_law`, whose replicas overrun
-the collector's node cap in one chunk.  Every suite registers the same
-check names so reports are comparable across scales; `run_suite` names each
-report after its registry key.
+smoke: about 6 s on a 2-core host (`verify --suite smoke --seed 1000`), used
+by the CLI tests.  fast: about 17 s there.  full: every check at acceptance
+scale; it currently stops with ResourceLimitError (exit 3) inside
+`max_limit_law`, whose replicas overrun the collector's node cap in one
+chunk.  Every suite registers the same check names so reports are
+comparable across scales; `run_suite` names each report after its registry
+key.
 """
 
 from __future__ import annotations

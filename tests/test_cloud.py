@@ -1,6 +1,7 @@
 """Branching-diffusion simulation: exact laws, martingales, genealogy."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,6 +60,17 @@ class TestSimulateCloud:
     def test_horizon_cap(self):
         with pytest.raises(ResourceLimitError, match="e\\^t"):
             simulate_cloud(SpringParams(0.0, 17.0), substream(5, 0))
+
+    def test_forest_is_held_about_once_while_merged(self):
+        # the waves' pieces of a column die as it is merged, not at the end
+        cloud_mod.simulate_forest(0.1, 6.0, 256, substream(2, 0))
+        tracemalloc.start()
+        try:
+            forest = cloud_mod.simulate_forest(0.1, 6.0, 256, substream(2, 0))
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert forest.n_nodes > 150_000 and peak < 1.3 * held
 
     def test_determinism(self):
         a = simulate_cloud(SpringParams(1.0, 3.0), substream(6, 3))
