@@ -62,7 +62,7 @@ _SPLIT_ROWS = 1 << 16  # a wave of fewer rows runs whole on the calling thread
 # the usable cores: the threads that share a larger wave or a chunk job
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else \
     os.cpu_count() or 1
-_CHUNK_GATE_S = 0.01  # a pool thread that ran a shorter chunk takes no more
+_CHUNK_CPU_SHARE = 0.8  # a pool thread that ran for less of its chunk's time takes no more
 
 
 @dataclass
@@ -198,10 +198,11 @@ def _run_chunks(tasks):
     a loop over the tasks would raise it.  With one task or one usable core,
     or inside a chunk worker, the tasks run in a loop on the calling thread.
 
-    A pool thread that ran a task in less than _CHUNK_GATE_S takes no more,
-    and the calling thread runs the rest: such tasks are mostly interpreter
-    work on small arrays, which threads only slow down as they hand the
-    interpreter lock back and forth.
+    A pool thread that ran for less than _CHUNK_CPU_SHARE of the time its
+    task took was mostly waiting for the interpreter lock: the tasks are
+    interpreter work (small arrays, a Python loop), which threads only slow
+    down as they hand the lock back and forth.  It takes no more tasks, and
+    the calling thread runs the rest.
     """
     workers = min(_WORKERS, len(tasks))
     if workers < 2 or _in_chunk():
@@ -219,13 +220,14 @@ def _run_chunks(tasks):
                     i = None if errors else next(handed, None)
                 if i is None:
                     return
-                start = time.perf_counter()
+                start, cpu = time.perf_counter(), time.thread_time()
                 try:
                     results[i] = tasks[i]()
                 except BaseException as exc:  # raised on the calling thread below
                     with lock:
                         errors[i] = exc
-                if pooled and time.perf_counter() - start < _CHUNK_GATE_S:
+                if pooled and time.thread_time() - cpu < \
+                        _CHUNK_CPU_SHARE * (time.perf_counter() - start):
                     return
         finally:
             _local.chunk = False

@@ -406,9 +406,9 @@ class TestChecksReduced:
 def chunk_workers(request, monkeypatch):
     """Chunk jobs on `workers` threads, with threads switching often; 3
     workers are more threads than a 2-core host has.  Pool threads never
-    stop early, however short a chunk."""
+    stop early, however little of a chunk's time they run."""
     monkeypatch.setattr(cloud, "_WORKERS", request.param)
-    monkeypatch.setattr(cloud, "_CHUNK_GATE_S", 0.0)
+    monkeypatch.setattr(cloud, "_CHUNK_CPU_SHARE", 0.0)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -454,7 +454,7 @@ class TestChunkExecutor:
     def test_chunks_run_at_once(self, monkeypatch):
         # each pair of chunks meets at a barrier, which a loop would never pass
         monkeypatch.setattr(cloud, "_WORKERS", 2)
-        monkeypatch.setattr(cloud, "_CHUNK_GATE_S", 0.0)
+        monkeypatch.setattr(cloud, "_CHUNK_CPU_SHARE", 0.0)
         barrier = threading.Barrier(2, timeout=30)
 
         def draw(j, m):
@@ -464,10 +464,10 @@ class TestChunkExecutor:
         got = checks._replica_values(35, 10, draw)
         assert np.array_equal(got, np.repeat(np.arange(4.0), [10, 10, 10, 5]))
 
-    def test_pool_thread_stops_after_a_short_chunk(self, monkeypatch):
-        # every chunk counts as short: each pool thread runs one at most
+    def test_pool_thread_stops_after_a_chunk_spent_waiting(self, monkeypatch):
+        # a chunk that sleeps runs for none of its time: each pool thread
+        # runs one at most, and the calling thread the rest
         monkeypatch.setattr(cloud, "_WORKERS", 3)
-        monkeypatch.setattr(cloud, "_CHUNK_GATE_S", math.inf)
         threads = []
 
         def draw(j, m):
@@ -508,7 +508,7 @@ class TestChunkExecutor:
     def test_chunk_workers_never_split_waves(self, monkeypatch):
         # every wave is large enough to cut; only a job of one chunk cuts them
         monkeypatch.setattr(cloud, "_WORKERS", 2)
-        monkeypatch.setattr(cloud, "_CHUNK_GATE_S", 0.0)
+        monkeypatch.setattr(cloud, "_CHUNK_CPU_SHARE", 0.0)
         monkeypatch.setattr(cloud, "_SPLIT_ROWS", 1)
         calls = []  # whether the thread runs a chunk job, per `_split_wave` call
         split_wave = cloud._split_wave
