@@ -199,10 +199,10 @@ def _run_chunks(tasks):
     or inside a chunk worker, the tasks run in a loop on the calling thread.
 
     A pool thread that ran for less than _CHUNK_CPU_SHARE of the time its
-    task took was mostly waiting for the interpreter lock: the tasks are
-    interpreter work (small arrays, a Python loop), which threads only slow
-    down as they hand the lock back and forth.  It takes no more tasks, and
-    the calling thread runs the rest.
+    task took was mostly waiting for the interpreter lock: such tasks are
+    mostly interpreter work (small arrays, a Python loop), which threads only
+    slow down as they hand the lock back and forth.  It takes no more tasks,
+    and the calling thread runs the rest.
     """
     workers = min(_WORKERS, len(tasks))
     if workers < 2 or _in_chunk():
@@ -232,7 +232,8 @@ def _run_chunks(tasks):
         finally:
             _local.chunk = False
 
-    futures = [_pool(_WORKERS - 1, os.getpid()).submit(work) for _ in range(workers - 1)]
+    pool = _pool(_WORKERS - 1, os.getpid())
+    futures = [pool.submit(work) for _ in range(workers - 1)]
     try:
         work(pooled=False)
     finally:
