@@ -10,11 +10,9 @@ identities and limit laws statistically.
 __version__ = "0.1.0"
 
 from .gaussian import (SQRT2, GammaConstants, SpringParams, gamma_constants,
-                       normalization_factor, ou_transition, pair_covariance,
-                       sample_ou_step)
-from .measure import Centering, PointMeasure, max_and_counts
-from .cloud import (additive_martingale, derivative_martingale, extremal_measure,
-                    simulate_cloud, simulate_forest, variable_speed_view)
+                       normalization_factor, pair_covariance)
+from .measure import Centering, PointMeasure
+from .cloud import extremal_measure, simulate_forest, variable_speed_view
 from .spine import (EstimatorResult, LimitProcessSample, SpineRealization,
                     estimate_C, estimate_C_curve, limit_intensity,
                     sample_decoration, sample_limit_process, sample_spine,
@@ -23,7 +21,6 @@ from .kpp import KppField, KppParams, estimate_C_pde, front_tail, solve_kpp
 from .checks import (CheckReport, TestFunction, check_first_moment,
                      check_iid_limit, check_many_to_one, check_many_to_two,
                      check_max_limit_law, check_second_moment_gap,
-                     check_slepian_monotonicity, check_spine_identity,
-                     laplace_functional)
+                     check_slepian_monotonicity, check_spine_identity)
 from .errors import (NumericalFailureError, RejectionBudgetError,
                      ResourceLimitError)

@@ -8,8 +8,9 @@ Replicas are reduced one way: a Monte Carlo check builds an array with one
 row per replica (`_replica_values`), the one chunk loop of the checks, and
 every replica mean it reports comes with the Bessel-corrected standard error
 of `_mean_se`.  The chunks run at once on the wave core's threads
-(`cloud._run_chunks`); each draws only from its own stream and the rows are
-stacked in chunk order, so no output bit depends on the number of cores.
+(`cloud._run`, the one executor, which also runs a large wave's slices);
+each draws only from its own stream and the rows are stacked in chunk
+order, so no output bit depends on the number of cores.
 The void-law check of the limit process is the one exception to `_mean_se`:
 its z-scores use the binomial standard error, floored so that a frequency of
 0 or 1 stays finite.
@@ -45,9 +46,9 @@ from typing import Callable
 import numpy as np
 from scipy.special import chdtrc, expit, ndtr, ndtri, owens_t
 
-from .cloud import _run_chunks, simulate_forest
+from .cloud import _run, simulate_forest
 from .gaussian import SQRT2, normalization_factor, ou_variance
-from .measure import Centering, PointMeasure, group_max
+from .measure import Centering, group_max
 from .rng import chunks, substream
 from .spine import _spine_atoms, sample_limit_process
 from .window import leaves, windowed_extremal_atoms
@@ -117,13 +118,6 @@ def exponential_window(beta, a):
 
 def indicator(a):
     return TestFunction(kind="indicator", a=a)
-
-
-def laplace_functional(measure: PointMeasure, phi) -> float:
-    """exp(-sum phi(atom)); finite because atoms above any level are finite."""
-    if not len(measure):
-        return 1.0
-    return float(np.exp(-np.sum(phi(measure.atoms))))
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +298,9 @@ def _chisquare(obs, expected):
 
 def _replica_values(n: int, size: int, draw) -> np.ndarray:
     """Per-replica values: `draw(j, m)` for each unit of `chunks(n, size)`,
-    stacked in unit order; the units run at once (`cloud._run_chunks`), so
-    `draw` must read no state that another unit writes."""
-    return np.concatenate(_run_chunks([partial(draw, j, m) for j, _, m in chunks(n, size)]))
+    stacked in unit order; the units run at once (`cloud._run`), so `draw`
+    must read no state that another unit writes."""
+    return np.concatenate(_run([partial(draw, j, m) for j, _, m in chunks(n, size)])[0])
 
 
 def _mean_se(values):
@@ -573,14 +567,21 @@ def check_iid_limit(t: float, n: int, seed: int, tol: float = 0.05) -> CheckRepo
 
 
 def check_yule_counts(t: float, n: int, seed: int) -> CheckReport:
-    """Chi-square fit of leaf counts to the geometric law; fails at p < 0.01."""
-    counts = _replica_values(n, 512, lambda j, m: np.bincount(
-        leaves(0.0, t, m, substream(seed, j))[0], minlength=m))
+    """Chi-square fit of leaf counts to the geometric law; fails at p < 0.01.
+
+    Inconclusive, with no tree drawn, when n e^{-t} < 5: the one bin left
+    gives the chi-square no degree of freedom.
+    """
     p = math.exp(-t)
     # geometric bins with expected count >= 5, tail merged
     kmax = 1
     while n * p * (1 - p) ** (kmax - 1) >= 5 and kmax < 10_000_000:
         kmax += 1
+    if kmax < 2:
+        return CheckReport.make("yule_geometric_counts", math.inf, 2.0, n, inconclusive=True,
+                                t=t, bins=1, note="one bin: n e^{-t} < 5")
+    counts = _replica_values(n, 512, lambda j, m: np.bincount(
+        leaves(0.0, t, m, substream(seed, j))[0], minlength=m))
     edges = np.arange(1, kmax + 1)
     probs = p * (1 - p) ** (edges - 1)
     obs = np.bincount(np.minimum(counts, kmax), minlength=kmax + 1)[1:]

@@ -13,26 +13,21 @@ another spring constant, and the wave core takes the same terms, the scale
 and the mean before the innovation is drawn.
 
 A wave of at least _SPLIT_ROWS rows is cut into one contiguous slice of rows
-per usable core, and the row-wise work of the slices (the collector's prune
-decision, the node gathers, the OU step, the leaf test) runs at once on the
-calling thread and a thread pool made on first use.  No output bit depends
-on the cut: the calling thread makes every random draw, of the same sizes in
-the same order; every step is row-wise; the collector adds its dropped
-bounds in node order and takes its atoms slice by slice; and its early stops
-take effect between waves.  A smaller wave, and every wave with one usable
-core, runs on the calling thread alone, and then no pool is made.
-
-The same pool runs the replica chunks of a Monte Carlo job at once
-(`_run_chunks`, which `checks` uses).  Chunk j draws only from its own
-stream, so two chunks never share a generator, and their results are kept
-in chunk order: no output bit depends on how many run at once.  Every core
-then already runs a chunk, so a traversal inside a chunk worker never cuts
-its waves; a job of one chunk runs on the calling thread, whose large waves
-are cut as above.
+per usable core.  `_run` runs a wave's slices, or the replica chunks of a
+Monte Carlo job (`checks`), at once on the calling thread and a thread pool
+made on first use.  No output bit depends on the cut or on how many tasks
+run at once.  The calling thread makes every random draw of a wave, of
+the same sizes in the same order; every step is row-wise; the collector
+adds its dropped bounds in node order and takes its atoms slice by slice,
+and its early stops take effect between waves.  Chunk j draws only from its
+own stream, and the results are kept in chunk order.  A smaller wave, every
+wave with one usable core and every wave of a chunk that runs beside others
+(which keep every core busy already) runs on the calling thread alone; a job
+of one chunk runs on the calling thread, whose large waves are cut.
 
 A Forest stores the whole tree as flat node arrays in wave (generation)
 order, for the readers of the genealogy: a single cloud, which is the
-one-replica Forest that `simulate_cloud` returns (`mrca_time`,
+one-replica Forest `simulate_forest(mu, t, 1, rng)` (`mrca_time`,
 `variable_speed_view`), and the coupling of spring constants through
 `Forest.positions_for`.  Monte Carlo that reads only the leaves takes them
 from `window.leaves`, which stores no node.
@@ -62,7 +57,7 @@ _SPLIT_ROWS = 1 << 16  # a wave of fewer rows runs whole on the calling thread
 # the usable cores: the threads that share a larger wave or a chunk job
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else \
     os.cpu_count() or 1
-_CHUNK_CPU_SHARE = 0.8  # a pool thread that ran for less of its chunk's time takes no more
+_CHUNK_CPU_SHARE = 0.8  # a pool thread that ran for less of its task's time takes no more
 
 
 @dataclass
@@ -179,24 +174,28 @@ def _pool(threads, pid):
     return ThreadPoolExecutor(threads, thread_name_prefix="bouex-wave")
 
 
-_local = threading.local()  # `chunk` is true on a thread while it runs a chunk job
+_local = threading.local()  # `chunk` is true on a thread while it runs a task of `_run`
 
 
 def _in_chunk():
-    """Whether the calling thread runs a chunk of a concurrent chunk job."""
+    """Whether the calling thread runs a task of a concurrent `_run`."""
     return getattr(_local, "chunk", False)
 
 
-def _run_chunks(tasks):
-    """The results of the chunk tasks, in order, run at once on the pool and
-    the calling thread.
+def _run(tasks, draw=None):
+    """The results of the tasks, in order, run at once on the pool and the
+    calling thread, and what `draw` returned.
 
-    Each task must be a pure function of its own chunk and stream.  The
-    tasks are handed out in order, one at a time, to at most _WORKERS
-    threads.  If one raises, no further task is handed out; the running
-    ones finish, and the exception of the lowest failing task is raised, as
-    a loop over the tasks would raise it.  With one task or one usable core,
-    or inside a chunk worker, the tasks run in a loop on the calling thread.
+    The tasks are a large wave's slices or a Monte Carlo job's replica
+    chunks; each must read no state that another task writes.  The pool
+    starts the tasks while the calling thread makes `draw()`, a wave's random
+    draw, which releases the interpreter lock; then the calling thread joins
+    them.  The tasks are handed out in order, one at a time, to at most
+    _WORKERS threads.  If one raises, no further task is handed out; the
+    running ones finish, and the exception of the lowest failing task is
+    raised, as a loop over the tasks would raise it.  With one task or one
+    usable core, or inside a task of another `_run`, the draw and then the
+    tasks run in a loop on the calling thread.
 
     A pool thread that ran for less than _CHUNK_CPU_SHARE of the time its
     task took was mostly waiting for the interpreter lock: such tasks are
@@ -206,7 +205,8 @@ def _run_chunks(tasks):
     """
     workers = min(_WORKERS, len(tasks))
     if workers < 2 or _in_chunk():
-        return [task() for task in tasks]
+        drawn = draw() if draw else None
+        return [task() for task in tasks], drawn
     results = [None] * len(tasks)
     errors = {}
     lock = threading.Lock()
@@ -235,6 +235,7 @@ def _run_chunks(tasks):
     pool = _pool(_WORKERS - 1, os.getpid())
     futures = [pool.submit(work) for _ in range(workers - 1)]
     try:
+        drawn = draw() if draw else None
         work(pooled=False)
     finally:
         for f in futures:
@@ -242,27 +243,7 @@ def _run_chunks(tasks):
         wait(futures)
     if errors:
         raise errors[min(errors)]
-    return results
-
-
-def _run(tasks, draw=None):
-    """Run the tasks on the pool and the calling thread at once.
-
-    The pool starts the tasks while the calling thread makes `draw()`, a
-    random draw, which releases the interpreter lock; with no draw the
-    calling thread keeps the last task for itself.  Then it runs each task
-    no pool thread has started and waits for the rest.  Returns the tasks'
-    results in order and what `draw` returned.
-    """
-    pool = _pool(_WORKERS - 1, os.getpid())
-    shared = tasks if draw else tasks[:-1]
-    futures = [pool.submit(task) for task in shared]
-    drawn = draw() if draw else None
-    last = [] if draw else [tasks[-1]()]
-    taken = [f.cancel() for f in futures[::-1]][::-1]  # cancel succeeds if not started
-    ran = [task() if mine else None for task, mine in zip(shared, taken)]
-    return [r if mine else f.result() for r, f, mine in zip(ran, futures, taken)] + last, \
-        drawn
+    return results, drawn
 
 
 def _take(columns, idx, out=None):
@@ -350,8 +331,8 @@ def _split_wave(mu, rows, pair, rng, decide, settle, at_leaves, n, node_cap):
     """A wave cut into _WORKERS contiguous slices of rows, or None when
     every row is dropped; see `_waves`.
 
-    The steps of `_whole_wave` run on all slices at once, on the pool and
-    the calling thread, while the calling thread draws.  It allocates every
+    Each step of `_whole_wave` runs on all slices at once (`_run`): the pool
+    starts them while the calling thread draws.  It allocates every
     column the slices fill, so what a pool thread allocates dies within
     its step, and it empties `rows` as `_whole_wave` does.
     """
@@ -474,37 +455,12 @@ def simulate_forest(mu: float, horizon_t: float, n_reps: int, rng) -> Forest:
     return Forest(mu, horizon_t, n_reps, *merged, wave_edges=list(zip([0] + ends[:-1], ends)))
 
 
-def simulate_cloud(spring: SpringParams, rng) -> Forest:
-    """Exact-law sample of one cloud run to spring.horizon_t: a one-replica Forest."""
-    return simulate_forest(spring.mu, spring.horizon_t, 1, rng)
-
-
 def extremal_measure(cloud: Forest, centering: Centering) -> PointMeasure:
     """Centred, variance-normalized leaf positions as a point measure."""
     if not math.isclose(centering.t, cloud.horizon_t, rel_tol=1e-12):
         raise ValueError("centering horizon must match the cloud horizon")
     lam = normalization_factor(cloud.mu, cloud.horizon_t)
     return PointMeasure(lam * cloud.leaf_positions - centering.value)
-
-
-def _brownian_leaves(cloud: Forest):
-    """(replica, position) of a Brownian cloud's leaves; the martingales need mu = 0."""
-    if cloud.mu != 0.0:
-        raise ValueError("the additive and derivative martingales are defined for mu = 0")
-    x = cloud.leaf_positions
-    return np.zeros(x.size, dtype=np.int64), x
-
-
-def additive_martingale(cloud: Forest, beta: float) -> float:
-    """Sum of exp(beta X - (beta^2/2 + 1) t) over leaves (Brownian clouds only)."""
-    return float(additive_martingale_per_rep(
-        *_brownian_leaves(cloud), cloud.horizon_t, 1, beta)[0])
-
-
-def derivative_martingale(cloud: Forest) -> float:
-    """Sum of (sqrt(2) t - X) exp(sqrt(2) X - 2t) over leaves (mu = 0 only)."""
-    return float(derivative_martingale_per_rep(
-        *_brownian_leaves(cloud), cloud.horizon_t, 1)[0])
 
 
 def additive_martingale_per_rep(rep, x, t: float, n_reps: int, beta: float) -> np.ndarray:

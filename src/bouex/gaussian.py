@@ -76,25 +76,6 @@ def ou_variance(mu, s):
     return float(out) if out.ndim == 0 else out
 
 
-def ou_transition(x, mu, s):
-    """Mean and variance of the transition started at x over duration s.
-
-    Returns (x e^{-mu s}, (1-e^{-2 mu s})/(2 mu)) for a scalar mu; the mu = 0
-    limit is (x, s) taken analytically, never by division.
-    """
-    var = ou_variance(mu, s)
-    mean = np.asarray(x, dtype=float) * np.exp(-mu * np.asarray(s, dtype=float))
-    if np.ndim(x) == 0 and np.ndim(s) == 0:
-        return float(mean), float(var)
-    return mean, var
-
-
-def sample_ou_step(x, mu, s, rng):
-    """One exact draw of the transition; deterministic given the rng state."""
-    mean, var = ou_transition(x, mu, s)
-    return mean + np.sqrt(var) * rng.standard_normal(np.shape(mean) or None)
-
-
 def normalization_factor(mu: float, t: float) -> float:
     """Dilation lambda_{mu t} making the time-t position have variance t."""
     if not 0.0 < t < math.inf:
@@ -110,8 +91,9 @@ def pair_covariance(mu: float, t: float, tau) -> float:
     """Covariance of two normalized positions that split at time tau.
 
     Equals t (e^{2 mu tau}-1)/(e^{2 mu t}-1), evaluated in the overflow-free
-    form t e^{-2 mu (t-tau)} (1-e^{-2 mu tau})/(1-e^{-2 mu t}); the mu = 0
-    limit is tau.
+    form t e^{-2 mu (t-tau)} var_mu(tau)/var_mu(t) with `ou_variance`, which
+    stays exact where 2 mu t is subnormal; tau = t gives t exactly, and the
+    mu = 0 limit is tau.
     """
     tau_arr = np.asarray(tau, dtype=float)
     if np.any(tau_arr < 0) or np.any(tau_arr > t * (1 + 1e-12)):
@@ -121,8 +103,8 @@ def pair_covariance(mu: float, t: float, tau) -> float:
     if mu == 0.0:
         out = tau_arr
     else:
-        out = (t * np.exp(-2.0 * mu * (t - tau_arr))
-               * np.expm1(-2.0 * mu * tau_arr) / np.expm1(-2.0 * mu * t))
+        out = t * (ou_variance(mu, tau_arr) / ou_variance(mu, t)) \
+            * np.exp(-2.0 * mu * (t - tau_arr))
     return float(out) if np.ndim(tau) == 0 else out
 
 

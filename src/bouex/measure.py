@@ -52,20 +52,12 @@ class PointMeasure:
     def count_strictly_above(self, a: float) -> int:
         return int(self.atoms.size - np.searchsorted(self.atoms, a, side="right"))
 
-    def shifted(self, c: float) -> "PointMeasure":
-        return PointMeasure(self.atoms + c)
-
 
 def group_max(group, atoms, n_groups: int) -> np.ndarray:
     """Largest atom of each group 0..n_groups-1; -inf for a group with none."""
     mx = np.full(n_groups, -np.inf)
     np.maximum.at(mx, group, atoms)
     return mx
-
-
-def max_and_counts(measure: PointMeasure, z: float):
-    """(max atom, number of atoms >= z); max is -inf when empty."""
-    return measure.max, measure.count_above(z)
 
 
 @dataclass(frozen=True)

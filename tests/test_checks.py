@@ -20,11 +20,10 @@ from bouex.checks import (CheckReport, check_first_moment,
                           check_yule_counts, check_limit_process_law,
                           exponential_window, gaussian_expectation,
                           iid_finite_t_functional, iid_limit_functional,
-                          indicator, laplace_functional, pair_expectation,
+                          indicator, pair_expectation,
                           reports_to_json, simulate_iid_laplace, smooth_step,
                           spine_identity_sides)
 from bouex.gaussian import SQRT2
-from bouex.measure import PointMeasure
 from bouex.rng import chunks
 from bouex import suite
 
@@ -42,13 +41,6 @@ class TestTestFunctions:
         assert indicator(0.5)(np.array([0.4, 0.5, 0.6])).tolist() == [0.0, 1.0, 1.0]
         w = exponential_window(1.0, 0.0)
         assert w(np.array([-0.1, 0.0, 1.0])).tolist() == [0.0, 1.0, math.e]
-
-    def test_laplace_functional_values(self):
-        assert laplace_functional(PointMeasure(), smooth_step(0.0, 1.0)) == 1.0
-        assert laplace_functional(PointMeasure([-5.0]), smooth_step(0.0, 1.0)) == 1.0
-        phi = smooth_step(-1.0, 0.5)
-        assert laplace_functional(PointMeasure([0.0]), phi) == pytest.approx(
-            math.exp(-1.0))
 
 
 class TestOracles:
@@ -397,6 +389,14 @@ class TestChecksReduced:
         r = check_yule_counts(4.0, 3000, seed=98)
         assert r.passed
 
+    def test_yule_counts_with_one_bin_is_inconclusive(self, monkeypatch):
+        # n e^{-t} = 0.034 < 5 leaves one bin, and a chi-square with no
+        # degree of freedom; no tree is drawn for it
+        monkeypatch.setattr(checks, "leaves", None)
+        r = check_yule_counts(8.0, 100, 1)
+        assert (r.inconclusive, r.failed, r.details["bins"]) == (True, False, 1)
+        assert r.statistic == math.inf and "n e^{-t} < 5" in r.details["note"]
+
     def test_limit_process_law(self):
         r = check_limit_process_law(5000, seed=99)
         assert r.passed
@@ -441,7 +441,50 @@ _CHUNK_JOBS = {
 
 
 class TestChunkExecutor:
-    """The checks' chunks run at once, and the worker count never changes a bit."""
+    """The checks' chunks run at once on `cloud._run`, the one executor of
+    chunks and wave slices, and the worker count never changes a bit."""
+
+    def test_draws_once_and_keeps_task_order(self, chunk_workers):
+        # tasks of uneven length finish out of order on more threads
+        draws = []
+
+        def draw():
+            draws.append(threading.current_thread())
+            time.sleep(0.005)
+            return "drawn"
+
+        def task(i):
+            time.sleep(0.002 * (i % 3))
+            return i
+
+        results, drawn = cloud._run([lambda i=i: task(i) for i in range(7)], draw)
+        assert (results, drawn) == (list(range(7)), "drawn")
+        assert draws == [threading.current_thread()]
+
+    def test_raises_once_every_started_task_returned(self, chunk_workers):
+        # task 1 raises after 30 ms and task 2 at once, while task 0 runs on
+        # for 60 ms; the lowest failure is raised only once task 0 is done
+        started, returned = [], []
+
+        def task(i):
+            started.append(i)
+            try:
+                time.sleep({0: 0.06, 1: 0.03}.get(i, 0.0))
+                if i in (1, 2):
+                    raise ValueError(f"task {i}")
+                return i
+            finally:
+                returned.append(i)
+
+        with pytest.raises(ValueError, match="task 1"):
+            cloud._run([lambda i=i: task(i) for i in range(6)], lambda: time.sleep(0.01))
+        assert {0, 1} <= set(started) and sorted(returned) == sorted(started)
+
+    def test_one_task_makes_no_pool(self, monkeypatch):
+        monkeypatch.setattr(cloud, "_WORKERS", 5)
+        pools, threads = cloud._pool.cache_info(), threading.active_count()
+        assert cloud._run([lambda: 5], lambda: 7) == ([5], 7)
+        assert (cloud._pool.cache_info(), threading.active_count()) == (pools, threads)
 
     @pytest.mark.parametrize("name", list(_CHUNK_JOBS))
     def test_equals_serial_loop(self, name, chunk_workers, monkeypatch):

@@ -7,15 +7,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from bouex.cloud import (additive_martingale, additive_martingale_per_rep,
-                         derivative_martingale, derivative_martingale_per_rep,
-                         extremal_measure, simulate_cloud, variable_speed_view)
+from bouex.cloud import (additive_martingale_per_rep, derivative_martingale_per_rep,
+                         extremal_measure, simulate_forest, variable_speed_view)
 from bouex import cli, cloud as cloud_mod, window
 from bouex.checks import (check_many_to_one, check_many_to_two, check_spine_identity,
                           check_yule_counts, exponential_window, smooth_step)
 from bouex.errors import ResourceLimitError
-from bouex.gaussian import SQRT2, SpringParams, normalization_factor, ou_variance, \
-    pair_covariance
+from bouex.gaussian import SQRT2, normalization_factor, ou_variance, pair_covariance
 from bouex.measure import Centering
 from bouex.rng import substream
 from bouex.spine import sample_limit_process
@@ -27,7 +25,7 @@ class TestSimulateCloud:
         rng = substream(1, 0)
         branched = 0
         for _ in range(200):
-            cloud = simulate_cloud(SpringParams(0.0, 1e-6), rng)
+            cloud = simulate_forest(0.0, 1e-6, 1, rng)
             branched += cloud.leaf_count > 1
         assert branched == 0
 
@@ -53,28 +51,28 @@ class TestSimulateCloud:
         assert stats.kstest(picks / sd, "norm").pvalue > 0.01
 
     def test_branch_times_increase_along_paths(self):
-        f = simulate_cloud(SpringParams(0.5, 4.0), substream(4, 0))
+        f = simulate_forest(0.5, 4.0, 1, substream(4, 0))
         has_parent = f.parent >= 0
         assert np.all(f.t_end[has_parent] > f.t_end[f.parent[has_parent]] - 1e-15)
 
     def test_horizon_cap(self):
         with pytest.raises(ResourceLimitError, match="e\\^t"):
-            simulate_cloud(SpringParams(0.0, 17.0), substream(5, 0))
+            simulate_forest(0.0, 17.0, 1, substream(5, 0))
 
     def test_forest_is_held_about_once_while_merged(self):
         # the waves' pieces of a column die as it is merged, not at the end
-        cloud_mod.simulate_forest(0.1, 6.0, 256, substream(2, 0))
+        simulate_forest(0.1, 6.0, 256, substream(2, 0))
         tracemalloc.start()
         try:
-            forest = cloud_mod.simulate_forest(0.1, 6.0, 256, substream(2, 0))
+            forest = simulate_forest(0.1, 6.0, 256, substream(2, 0))
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert forest.n_nodes > 150_000 and peak < 1.3 * held
 
     def test_determinism(self):
-        a = simulate_cloud(SpringParams(1.0, 3.0), substream(6, 3))
-        b = simulate_cloud(SpringParams(1.0, 3.0), substream(6, 3))
+        a = simulate_forest(1.0, 3.0, 1, substream(6, 3))
+        b = simulate_forest(1.0, 3.0, 1, substream(6, 3))
         assert np.array_equal(a.leaf_positions, b.leaf_positions)
 
 
@@ -103,26 +101,26 @@ class TestExtremalMeasure:
     def test_single_leaf_shift(self):
         rng = substream(8, 0)
         while True:
-            cloud = simulate_cloud(SpringParams(0.0, 1.0), rng)
+            cloud = simulate_forest(0.0, 1.0, 1, rng)
             if cloud.leaf_count == 1:
                 break
         m = extremal_measure(cloud, Centering("bou_onehalf", 1.0))
         assert m.atoms[0] == pytest.approx(cloud.leaf_positions[0] - SQRT2)
 
     def test_atom_count_equals_leaf_count(self):
-        cloud = simulate_cloud(SpringParams(1.0, 4.0), substream(9, 0))
+        cloud = simulate_forest(1.0, 4.0, 1, substream(9, 0))
         m = extremal_measure(cloud, Centering("bou_tilde", 4.0))
         assert len(m) == cloud.leaf_count
 
     def test_centering_equivariance(self):
-        cloud = simulate_cloud(SpringParams(1.0, 4.0), substream(10, 0))
+        cloud = simulate_forest(1.0, 4.0, 1, substream(10, 0))
         m1 = extremal_measure(cloud, Centering("bou_onehalf", 4.0))
         m2 = extremal_measure(cloud, Centering("bou_tilde", 4.0))
         shift = Centering("bou_onehalf", 4.0).value - Centering("bou_tilde", 4.0).value
         assert np.allclose(m2.atoms, m1.atoms + shift)
 
     def test_mismatched_horizon(self):
-        cloud = simulate_cloud(SpringParams(1.0, 4.0), substream(11, 0))
+        cloud = simulate_forest(1.0, 4.0, 1, substream(11, 0))
         with pytest.raises(ValueError):
             extremal_measure(cloud, Centering("bou_tilde", 3.0))
 
@@ -149,20 +147,14 @@ class TestMartingales:
             *leaves(0.0, 10.0, 25, substream(15, j)), 10.0, 25, SQRT2) for j in range(8)])
         assert np.median(w10) < 0.5 * np.median(w5)
 
-    def test_requires_brownian_cloud(self):
-        cloud = simulate_cloud(SpringParams(1.0, 2.0), substream(15, 0))
-        with pytest.raises(ValueError):
-            additive_martingale(cloud, 0.5)
-        with pytest.raises(ValueError):
-            derivative_martingale(cloud)
-
     def test_derivative_short_horizon(self):
         rng = substream(16, 0)
         while True:
-            cloud = simulate_cloud(SpringParams(0.0, 1e-4), rng)
+            cloud = simulate_forest(0.0, 1e-4, 1, rng)
             if cloud.leaf_count == 1:
                 break
-        val = derivative_martingale(cloud)
+        (val,) = derivative_martingale_per_rep(cloud.rep[cloud.leaf_index],
+                                               cloud.leaf_positions, 1e-4, 1)
         assert abs(val - SQRT2 * 1e-4 * math.exp(-2e-4)) < 0.01
 
     def test_derivative_mean_zero(self):
@@ -184,7 +176,7 @@ class TestSiblingCovariance:
         rng = substream(19, 0)
         resid = []
         for _ in range(4000):
-            cloud = simulate_cloud(SpringParams(mu, t), rng)
+            cloud = simulate_forest(mu, t, 1, rng)
             if cloud.leaf_count < 2:
                 continue
             u, v = rng.choice(cloud.leaf_count, size=2, replace=False)
@@ -197,7 +189,7 @@ class TestSiblingCovariance:
 
 
     def test_mrca_across_replicas_is_an_error(self):
-        f = cloud_mod.simulate_forest(0.0, 1.0, 2, substream(23, 0))
+        f = simulate_forest(0.0, 1.0, 2, substream(23, 0))
         reps = f.rep[f.leaf_index]
         u, v = int(np.flatnonzero(reps == 0)[0]), int(np.flatnonzero(reps == 1)[0])
         assert f.mrca_time(u, u) == 1.0
@@ -208,7 +200,7 @@ class TestSiblingCovariance:
 class TestVariableSpeedView:
     def test_boundary_times(self):
         gamma, t = 1.0, 4.0
-        cloud = simulate_cloud(SpringParams(gamma / t, t), substream(20, 0))
+        cloud = simulate_forest(gamma / t, t, 1, substream(20, 0))
         y0 = variable_speed_view(cloud, gamma, 0.0, substream(20, 1))
         assert np.allclose(y0, 0.0)
         yt = variable_speed_view(cloud, gamma, t, substream(20, 2))
@@ -216,7 +208,7 @@ class TestVariableSpeedView:
         assert np.allclose(np.sort(yt), np.sort(lam * cloud.leaf_positions))
 
     def test_requires_matching_gamma(self):
-        cloud = simulate_cloud(SpringParams(0.5, 4.0), substream(21, 0))
+        cloud = simulate_forest(0.5, 4.0, 1, substream(21, 0))
         with pytest.raises(ValueError):
             variable_speed_view(cloud, 1.0, 2.0, substream(21, 1))
 
@@ -226,7 +218,7 @@ class TestVariableSpeedView:
         brng = substream(22, 1)
         vals = []
         for _ in range(2500):
-            cloud = simulate_cloud(SpringParams(gamma / t, t), rng)
+            cloud = simulate_forest(gamma / t, t, 1, rng)
             y = variable_speed_view(cloud, gamma, s, brng)
             vals.append(y[0])
         vals = np.array(vals)

@@ -7,37 +7,40 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from bouex.cloud import _decayed, _ou_step
 from bouex.gaussian import (GammaConstants, SpringParams, gamma_constants,
-                            normalization_factor, ou_transition, ou_variance,
-                            pair_covariance, sample_ou_step, sample_ou_bridge)
+                            normalization_factor, ou_bridge_moments, ou_variance,
+                            pair_covariance, sample_ou_bridge)
 from bouex.rng import substream
 
 
 class TestOuTransition:
+    """The transition's mean `cloud._decayed` and variance `ou_variance`."""
+
     def test_brownian_limit(self):
-        assert ou_transition(0.0, 0.0, 2.0) == (0.0, 2.0)
+        assert (_decayed(0.0, 2.0, 1.5), ou_variance(0.0, 2.0)) == (1.5, 2.0)
 
     def test_closed_form(self):
-        mean, var = ou_transition(1.0, 1.0, math.log(2.0))
-        assert mean == pytest.approx(0.5, rel=1e-14)
-        assert var == pytest.approx(0.375, rel=1e-14)
+        mean = _decayed(1.0, np.array([math.log(2.0)]), np.array([1.0]))
+        assert mean[0] == pytest.approx(0.5, rel=1e-14)
+        assert ou_variance(1.0, math.log(2.0)) == pytest.approx(0.375, rel=1e-14)
 
     def test_stationary_contraction(self):
-        mean, var = ou_transition(5.0, 1e6, 1.0)
-        assert abs(mean) < 1e-4
-        assert var == pytest.approx(0.5e-6, rel=1e-9)
+        mean = _decayed(1e6, np.array([1.0]), np.array([5.0]))
+        assert abs(mean[0]) < 1e-4
+        assert ou_variance(1e6, 1.0) == pytest.approx(0.5e-6, rel=1e-9)
 
     def test_rejects_negative_arguments(self):
         with pytest.raises(ValueError):
-            ou_transition(0.0, 1.0, -0.1)
+            ou_variance(1.0, -0.1)
         with pytest.raises(ValueError):
-            ou_transition(0.0, -1.0, 0.1)
+            ou_variance(-1.0, 0.1)
 
     @pytest.mark.parametrize("mu", [0.1, 1.0, 10.0])
     def test_stationary_variance(self, mu):
         # variance is increasing to 1/(2 mu) as the duration grows
         durations = np.array([0.1, 1.0, 10.0, 100.0, 1000.0])
-        vars_ = np.array([ou_transition(0.0, mu, s)[1] for s in durations])
+        vars_ = np.array([ou_variance(mu, s) for s in durations])
         assert np.all(np.diff(vars_) > -1e-15)
         assert vars_[-1] == pytest.approx(1.0 / (2.0 * mu), rel=1e-8)
 
@@ -45,23 +48,25 @@ class TestOuTransition:
         # expm1 evaluation is exact where naive (1-e^{-2 mu s})/(2 mu) cancels
         for mu, expected in [(1e-9, 1.999999996), (1e-6, 1.9999960000053333),
                              (1e-3, 1.9960053280042638)]:
-            assert ou_transition(0.0, mu, 2.0)[1] == pytest.approx(expected, rel=1e-13)
+            assert ou_variance(mu, 2.0) == pytest.approx(expected, rel=1e-13)
+
+
+def _sample_ou_step(x, mu, s, rng):
+    """Exact draws of the transition from each of x over duration s: the one
+    OU step, `cloud._ou_step`, fed standard normals."""
+    x = np.asarray(x, dtype=float)
+    return _ou_step(mu, np.full(x.shape, s), x, rng.standard_normal(x.shape))
 
 
 class TestSampleOuStep:
     def test_degenerate_duration(self):
-        assert sample_ou_step(1.7, 2.0, 0.0, substream(0, 0)) == 1.7
+        assert _sample_ou_step([1.7], 2.0, 0.0, substream(0, 0)).tolist() == [1.7]
 
     def test_lln_against_transition(self):
         rng = substream(101, 0)
-        draws = np.array([sample_ou_step(1.0, 1.0, 1.0, rng) for _ in range(10_000)])
-        mean, var = ou_transition(1.0, 1.0, 1.0)
+        draws = _sample_ou_step(np.ones(10_000), 1.0, 1.0, rng)
+        mean, var = math.exp(-1.0), ou_variance(1.0, 1.0)
         assert abs(draws.mean() - mean) < 4.0 * math.sqrt(var / draws.size)
-
-    def test_determinism(self):
-        a = sample_ou_step(0.3, 0.7, 1.2, substream(5, 9))
-        b = sample_ou_step(0.3, 0.7, 1.2, substream(5, 9))
-        assert a == b
 
 
 class TestNormalization:
@@ -84,7 +89,7 @@ class TestNormalization:
         t, mu, n = 3.0, 1.0, 100_000
         rng = substream(11, 0)
         lam = normalization_factor(mu, t)
-        draws = lam * sample_ou_step(np.zeros(n), mu, t, rng)
+        draws = lam * _sample_ou_step(np.zeros(n), mu, t, rng)
         se = draws.var() * math.sqrt(2.0 / n)  # stderr of a normal variance estimate
         assert abs(draws.var(ddof=1) - t) < 4.0 * se
 
@@ -121,9 +126,9 @@ class TestPairCovariance:
         # two lineages split at tau = 1: one shared OU step then independent ones
         mu, t, tau, n = 1.0, 2.0, 1.0, 100_000
         rng = substream(12, 0)
-        shared = sample_ou_step(np.zeros(n), mu, tau, rng)
-        x1 = sample_ou_step(shared, mu, t - tau, rng)
-        x2 = sample_ou_step(shared, mu, t - tau, rng)
+        shared = _sample_ou_step(np.zeros(n), mu, tau, rng)
+        x1 = _sample_ou_step(shared, mu, t - tau, rng)
+        x2 = _sample_ou_step(shared, mu, t - tau, rng)
         lam2 = 2.0 * mu * t / -math.expm1(-2.0 * mu * t)
         prod = lam2 * x1 * x2
         se = prod.std(ddof=1) / math.sqrt(n)
@@ -219,3 +224,52 @@ def test_ou_variance_grows_in_s_and_stays_at_most_s(mu, s1, s2):
     v_lo, v_hi = ou_variance(mu, lo), ou_variance(mu, hi)
     assert v_lo <= v_hi
     assert v_hi <= np.nextafter(hi, math.inf)
+
+
+_EPS = float(np.finfo(float).eps)
+_mu = st.floats(0.0, 1e3)
+
+
+@given(mu=_mu, t=st.floats(1e-6, 50.0), frac=st.floats(0.0, 1.0))
+@example(mu=5e-324, t=0.25, frac=0.0)  # 2 mu t is subnormal
+def test_pair_covariance_lies_in_zero_tau(mu, t, frac):
+    # at most tau up to the rounding of a few IEEE operations
+    tau = t * frac
+    assert 0.0 <= pair_covariance(mu, t, tau) <= tau * (1.0 + 4.0 * _EPS)
+
+
+@given(mu=_mu, t=st.floats(1e-6, 50.0))
+@example(mu=5e-324, t=0.25)
+@example(mu=6.103515625e-05, t=46.5)  # t (v / v) is t, but (t v) / v need not be
+def test_pair_covariance_ends(mu, t):
+    assert pair_covariance(mu, t, 0.0) == 0.0
+    assert pair_covariance(mu, t, t) == t
+
+
+@given(t=st.floats(1e-6, 50.0), frac=st.floats(0.0, 1.0))
+def test_pair_covariance_is_tau_at_mu_zero(t, frac):
+    assert pair_covariance(0.0, t, t * frac) == t * frac
+
+
+_durations = st.floats(0.0, 100.0)
+_positions = st.floats(-1e3, 1e3)
+
+
+@given(mu=_mu, d_as=_durations, d_sb=_durations, x_a=_positions, x_b=_positions)
+def test_bridge_variance_is_symmetric_and_at_most_the_forward_variance(mu, d_as, d_sb,
+                                                                      x_a, x_b):
+    # var_mu(d_as) var_mu(d_sb) / var_mu(d_as + d_sb), computed as
+    # var_mu(d_as) - gain cov: the subtraction loses digits of the larger variance
+    _, var = ou_bridge_moments(x_a, x_b, mu, d_as, d_sb)
+    _, mirrored = ou_bridge_moments(x_a, x_b, mu, d_sb, d_as)
+    assert 0.0 <= var <= ou_variance(mu, d_as)
+    assert abs(var - mirrored) <= 1e-12 * ou_variance(mu, d_as + d_sb)
+
+
+@given(mu=_mu, d=st.floats(0.0, 100.0, exclude_min=True), x_a=_positions, x_b=_positions)
+def test_bridge_means_at_the_ends_are_the_pins(mu, d, x_a, x_b):
+    mean, var = ou_bridge_moments(x_a, x_b, mu, 0.0, d)
+    assert (mean, var) == (x_a, 0.0)
+    mean, var = ou_bridge_moments(x_a, x_b, mu, d, 0.0)
+    assert var == 0.0
+    assert mean == pytest.approx(x_b, abs=1e-12 * (abs(x_a) + abs(x_b)))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bouex.measure import Centering, PointMeasure, max_and_counts
+from bouex.measure import Centering, PointMeasure
 
 
 def test_atoms_sorted_and_counted():
@@ -19,22 +19,17 @@ def test_atoms_sorted_and_counted():
 
 def test_empty_measure():
     pm = PointMeasure()
-    assert max_and_counts(pm, 0.0) == (-math.inf, 0)
+    assert (pm.max, pm.count_above(0.0)) == (-math.inf, 0)
 
 
 def test_max_and_counts_example():
     pm = PointMeasure([-1.0, 0.0, 2.0])
-    assert max_and_counts(pm, 0.0) == (2.0, 2)
+    assert (pm.max, pm.count_above(0.0)) == (2.0, 2)
 
 
 def test_rejects_non_finite():
     with pytest.raises(ValueError):
         PointMeasure([np.nan])
-
-
-def test_shift():
-    pm = PointMeasure([0.0, 1.0]).shifted(-2.0)
-    assert pm.atoms.tolist() == [-2.0, -1.0]
 
 
 def test_centering_values():
@@ -68,11 +63,10 @@ def test_centering_rejects_infinite_horizon():
 _finite = st.floats(-1e300, 1e300)
 
 
-@given(st.lists(_finite, max_size=40), _finite, _finite)
-def test_sorted_and_counts_partition(atoms, a, c):
+@given(st.lists(_finite, max_size=40), _finite)
+def test_sorted_and_counts_partition(atoms, a):
     pm = PointMeasure(atoms)
     assert np.all(np.diff(pm.atoms) >= 0)
-    assert np.all(np.diff(pm.shifted(c).atoms) >= 0)
     below = sum(v < a for v in atoms)
     assert pm.count_above(a) + below == len(pm)
     assert pm.count_strictly_above(a) <= pm.count_above(a)

@@ -15,10 +15,10 @@ from scipy.special import log_ndtr
 
 from bouex import checks, cli, cloud
 from bouex.checks import _leaf_sums, smooth_step, spine_identity_sides
-from bouex.cloud import (additive_martingale, derivative_martingale, extremal_measure,
-                         simulate_cloud, simulate_forest, variable_speed_view)
+from bouex.cloud import (additive_martingale_per_rep, derivative_martingale_per_rep,
+                         extremal_measure, simulate_forest, variable_speed_view)
 from bouex.errors import ResourceLimitError
-from bouex.gaussian import SpringParams, normalization_factor, ou_variance
+from bouex.gaussian import normalization_factor, ou_variance
 from bouex.measure import Centering
 from bouex.rng import substream
 from bouex.spine import _draw_branches, sample_decoration, sample_limit_process, sample_spine
@@ -354,14 +354,17 @@ def _single_cloud_outputs():
     out = []
     for gamma, t, seed in ((0.0, 3.5, 101), (0.5, 3.0, 102), (1.0, 3.5, 103),
                            (2.0, 4.0, 104)):
-        cloud = simulate_cloud(SpringParams(gamma / t, t), substream(seed, 0))
+        cloud = simulate_forest(gamma / t, t, 1, substream(seed, 0))
         k = cloud.leaf_count
-        out += [cloud.leaf_positions, cloud.t_birth,
+        x = cloud.leaf_positions
+        out += [x, cloud.t_birth,
                 np.array([cloud.mrca_time(u, v) for u in range(k) for v in range(k)]),
                 extremal_measure(cloud, Centering("bou_tilde", t)).atoms]
         if gamma == 0.0:
-            out.append(np.array([additive_martingale(cloud, beta) for beta in (0.0, 0.5, 1.2)]
-                                + [derivative_martingale(cloud)]))
+            rep = cloud.rep[cloud.leaf_index]
+            out.append(np.concatenate(
+                [additive_martingale_per_rep(rep, x, t, 1, beta) for beta in (0.0, 0.5, 1.2)]
+                + [derivative_martingale_per_rep(rep, x, t, 1)]))
         else:
             out += [variable_speed_view(cloud, gamma, s, substream(seed, 1 + i))
                     for i, s in enumerate((0.0, t / 2, t))]
