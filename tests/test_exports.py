@@ -9,7 +9,7 @@ PACKAGE = ROOT / "src" / "bouex"
 # exported names that no module or benchmark workload calls yet, kept open:
 # the covariance for the exact finite-t targets, the genealogy readers and
 # the single-spine sampler until a check reads them or they go
-OPEN ={"pair_covariance", "extremal_measure", "variable_speed_view", "sample_spine"}
+OPEN = {"pair_covariance", "extremal_measure", "variable_speed_view", "sample_spine"}
 
 
 def _exports():
