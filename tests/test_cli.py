@@ -357,8 +357,8 @@ class TestVerify:
         # the session's one run of `verify --suite smoke --seed 123 -o FILE`
         assert smoke_run.code == 0
         reports = smoke_run.json
-        from bouex.suite import suite_names
-        assert {r["name"] for r in reports} == set(suite_names("smoke"))
+        from bouex.suite import _specs
+        assert {r["name"] for r in reports} == {n for n, _ in _specs("smoke")}
 
     def test_corrupted_check_fails_exit_1(self, tmp_path, monkeypatch):
         # corrupt the spine drift sign through the registry

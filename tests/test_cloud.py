@@ -26,7 +26,7 @@ class TestSimulateCloud:
         branched = 0
         for _ in range(200):
             cloud = simulate_forest(0.0, 1e-6, 1, rng)
-            branched += cloud.leaf_count > 1
+            branched += cloud.leaf_index.size > 1
         assert branched == 0
 
     def test_yule_mean(self):
@@ -151,7 +151,7 @@ class TestMartingales:
         rng = substream(16, 0)
         while True:
             cloud = simulate_forest(0.0, 1e-4, 1, rng)
-            if cloud.leaf_count == 1:
+            if cloud.leaf_index.size == 1:
                 break
         (val,) = derivative_martingale_per_rep(cloud.rep[cloud.leaf_index],
                                                cloud.leaf_positions, 1e-4, 1)
@@ -169,6 +169,20 @@ class TestMartingales:
         assert np.mean(z < 0) < 0.05
 
 
+def _mrca_time(forest, u, v):
+    """Branch time of the most recent common ancestor of leaves u, v of one
+    replica, leaves indexed in storage order."""
+    ancestors = set()
+    node = int(forest.leaf_index[u])
+    while node >= 0:
+        ancestors.add(node)
+        node = int(forest.parent[node])
+    node = int(forest.leaf_index[v])
+    while node not in ancestors:
+        node = int(forest.parent[node])
+    return float(forest.t_end[node])
+
+
 class TestSiblingCovariance:
     def test_matches_pair_covariance_at_mrca(self):
         mu, t = 1.0, 2.0
@@ -177,10 +191,10 @@ class TestSiblingCovariance:
         resid = []
         for _ in range(4000):
             cloud = simulate_forest(mu, t, 1, rng)
-            if cloud.leaf_count < 2:
+            if cloud.leaf_index.size < 2:
                 continue
-            u, v = rng.choice(cloud.leaf_count, size=2, replace=False)
-            tau = cloud.mrca_time(int(u), int(v))
+            u, v = rng.choice(cloud.leaf_index.size, size=2, replace=False)
+            tau = _mrca_time(cloud, int(u), int(v))
             x = cloud.leaf_positions
             resid.append(lam * x[u] * lam * x[v] - pair_covariance(mu, t, tau))
         resid = np.array(resid)

@@ -213,9 +213,10 @@ class TestEstimate:
         mid = estimate_C_pde(field, 1.5)
         assert 0.0 < lo.estimate < mid.estimate
 
-    def test_requires_two_checkpoints(self, coarse_field):
-        with pytest.raises(ValueError):
-            estimate_C_pde(coarse_field, 1.5, t_list=[6.0])
+    def test_requires_two_checkpoints(self):
+        field = solve_kpp(KppParams(dx=0.1, t_max=6.0, rho_max=2.0, checkpoints=(6.0,)))
+        with pytest.raises(ValueError, match="two checkpoints"):
+            estimate_C_pde(field, 1.5)
 
     def test_prefactor_of_t_positive(self, coarse_field):
         assert prefactor_of_t(coarse_field, 1.5, 6.0) > 0.0

@@ -12,8 +12,8 @@ from bouex.errors import RejectionBudgetError
 from bouex.gaussian import INV_SQRT_4PI, SQRT2
 from bouex.rng import substream
 from bouex.spine import (CHUNK, estimate_C, estimate_C_curve, sample_decoration,
-                         sample_limit_process, sample_spine, truncation_horizon,
-                         truncation_miss_bound, _draw_branches, _sort_blocks)
+                         sample_limit_process, truncation_horizon,
+                         truncation_miss_bound, _draw_branches, _sort_blocks, _spine_atoms)
 
 
 class TestTruncationHorizon:
@@ -72,8 +72,8 @@ def _new_atoms_after(rho, T, a, rng):
 class TestSampleSpine:
     def test_atom_at_zero_always(self):
         for k in range(20):
-            s = sample_spine(1.5, 3.0, -5.0, substream(51, k))
-            assert 0.0 in s.atoms.atoms
+            res, _ = _spine_atoms(1, 3.0, SQRT2 * 1.5, -5.0, substream(51, k), 1e-9)
+            assert 0.0 in res.atoms
 
     def test_void_probability_of_no_children(self):
         # realizations with no branch at all occur with probability e^{-2T}
@@ -98,9 +98,8 @@ class TestSampleSpine:
         assert abs(total / n - 2 * T) < 4.0 * se
 
     def test_window_respected(self):
-        s = sample_spine(1.2, 4.0, -3.0, substream(54, 0))
-        assert s.atoms.atoms.min() >= -3.0
-        assert s.count_above_zero == s.atoms.count_strictly_above(0.0)
+        res, _ = _spine_atoms(1, 4.0, SQRT2 * 1.2, -3.0, substream(54, 0), 1e-9)
+        assert res.atoms.min() >= -3.0
 
     def test_spine_brownian_increments(self):
         # B at branch times has the right marginal variance

@@ -20,6 +20,7 @@ import pytest
 
 from bouex import spine, window
 from bouex.cloud import simulate_forest
+from bouex.gaussian import SQRT2
 from bouex.measure import Centering
 from bouex.rng import substream
 
@@ -84,7 +85,7 @@ def test_roots_are_counted_by_horizons(tracer, monkeypatch):
     window.windowed_extremal_atoms(1.0, 2.0, Centering("bou_tilde", 2.0), 0.0, 5,
                                    substream(1, 0))
     window.leaves(0.0, 1.0, 6, substream(2, 0))
-    spine.sample_spine(1.5, 3.0, -2.0, substream(3, 0))
+    spine._spine_atoms(1, 3.0, SQRT2 * 1.5, -2.0, substream(3, 0), 1e-9)
     branches = spine._draw_branches(1, 3.0, substream(3, 0))[0].size
     assert branches > 1
     assert seen == [(5, 5), (6, 6), (branches, branches)]

@@ -16,12 +16,12 @@ from scipy.special import log_ndtr
 from bouex import checks, cli, cloud
 from bouex.checks import _leaf_sums, smooth_step, spine_identity_sides
 from bouex.cloud import (additive_martingale_per_rep, derivative_martingale_per_rep,
-                         extremal_measure, simulate_forest, variable_speed_view)
+                         simulate_forest)
 from bouex.errors import ResourceLimitError
-from bouex.gaussian import normalization_factor, ou_variance
+from bouex.gaussian import SQRT2, normalization_factor, ou_variance
 from bouex.measure import Centering
 from bouex.rng import substream
-from bouex.spine import _draw_branches, sample_decoration, sample_limit_process, sample_spine
+from bouex.spine import _draw_branches, _spine_atoms, sample_decoration, sample_limit_process
 from bouex.window import (CollectedAtoms, _exceedance_log_bound, _log_tail_floor,
                           _prunable, _standard_score, collect_atoms_above, leaves,
                           windowed_extremal_atoms)
@@ -350,28 +350,22 @@ def _limit_process_atoms():
 
 
 def _single_cloud_outputs():
-    # every single-cloud reader of a genealogy; the views need mu = gamma / t, gamma > 0
+    # the leaves of one-replica forests, and the martingales of the Brownian one
     out = []
     for gamma, t, seed in ((0.0, 3.5, 101), (0.5, 3.0, 102), (1.0, 3.5, 103),
                            (2.0, 4.0, 104)):
         cloud = simulate_forest(gamma / t, t, 1, substream(seed, 0))
-        k = cloud.leaf_count
         x = cloud.leaf_positions
-        out += [x, cloud.t_birth,
-                np.array([cloud.mrca_time(u, v) for u in range(k) for v in range(k)]),
-                extremal_measure(cloud, Centering("bou_tilde", t)).atoms]
+        out.append(x)
         if gamma == 0.0:
             rep = cloud.rep[cloud.leaf_index]
             out.append(np.concatenate(
                 [additive_martingale_per_rep(rep, x, t, 1, beta) for beta in (0.0, 0.5, 1.2)]
                 + [derivative_martingale_per_rep(rep, x, t, 1)]))
-        else:
-            out += [variable_speed_view(cloud, gamma, s, substream(seed, 1 + i))
-                    for i, s in enumerate((0.0, t / 2, t))]
     return out
 
 
-_SINGLE_CLOUD = "ff06da7e67da8e0ba7d4746774e1602ac2f9c02e5942be7415daf0d7084e1b6b"
+_SINGLE_CLOUD = "f8905a5fe9ae9f7650f57fe46f7ccc8a12bb1a9f2c312c533cb484c9ba8c817e"
 
 _LEAF_CONSUMERS = {
     "simulate-martingales": lambda tmp_path, monkeypatch: (_martingale_table(tmp_path),),
@@ -420,7 +414,7 @@ _BRANCHES = {
     (4096, 7.3): "e83d32b3d78dbbf411fe16c61a70ff91c99b8d415cbbb4e605ea227d552424d6",
 }
 
-# eight sample_spine realizations at rho 1.5, T 4; no atom at 0 above window 0.5
+# eight one-replica spine realizations at rho 1.5, T 4; no atom at 0 above window 0.5
 _SPINES = {
     -2.0: "a610ec8103a1360cb5b0f41eb6ba7bab43023333564f0f6afab7c8ad1ece4def",
     0.5: "d1780e60fb0aa048c02d579ff0bc22558f3c16c6a42b363cfdaf2b2f7e88aeaa",
@@ -506,10 +500,10 @@ class TestPinnedBits:
     @pytest.mark.parametrize("window_a", list(_SPINES))
     def test_sample_spine(self, window_a):
         rng = substream(99, 0)
-        spines = [sample_spine(1.5, 4.0, window_a, rng) for _ in range(8)]
-        assert _digest(*(s.atoms.atoms for s in spines),
-                       np.asarray([s.count_above_zero for s in spines]),
-                       np.asarray([s.pruned_mass for s in spines])) == _SPINES[window_a]
+        spines = [_spine_atoms(1, 4.0, SQRT2 * 1.5, window_a, rng, 1e-9)[0] for _ in range(8)]
+        atoms = [np.sort(res.atoms) for res in spines]
+        assert _digest(*atoms, np.asarray([np.count_nonzero(a > 0.0) for a in atoms]),
+                       np.asarray([res.pruned_mass[0] for res in spines])) == _SPINES[window_a]
 
     def test_sample_decoration(self):
         rng = substream(100, 0)
