@@ -77,14 +77,20 @@ def ou_variance(mu, s):
 
 
 def normalization_factor(mu: float, t: float) -> float:
-    """Dilation lambda_{mu t} making the time-t position have variance t."""
+    """Dilation lambda_{mu t} making the time-t position have variance t.
+
+    lambda^2 = 2 mu t / (1 - e^{-2 mu t}); where 2 mu t is below the smallest
+    normal float it is 1 to full precision, so 1 is returned there, as
+    `ou_variance` returns s (and mu = 0 is the Brownian 1).
+    """
     if not 0.0 < t < math.inf:
         raise ValueError(f"t must be finite and positive, got {t}")
     if not 0.0 <= mu < math.inf:
         raise ValueError(f"spring constant must be finite and >= 0, got {mu}")
-    if mu == 0.0:
+    two_mu_t = 2.0 * mu * t
+    if two_mu_t < _TINY:
         return 1.0
-    return math.sqrt(2.0 * mu * t / -math.expm1(-2.0 * mu * t))
+    return math.sqrt(two_mu_t / -math.expm1(-two_mu_t))
 
 
 def pair_covariance(mu: float, t: float, tau) -> float:

@@ -251,6 +251,21 @@ def test_pair_covariance_is_tau_at_mu_zero(t, frac):
     assert pair_covariance(0.0, t, t * frac) == t * frac
 
 
+@given(mu=_mu, t=st.floats(1e-6, 50.0))
+@example(mu=5e-324, t=0.25)  # 2 mu t underflows to 0
+def test_normalization_factor_scales_the_variance_to_t(mu, t):
+    # the worst seen relative error of lambda^2 var_mu(t) is 4.4e-16
+    lam = normalization_factor(mu, t)
+    assert 1.0 <= lam < math.inf
+    assert lam * lam * ou_variance(mu, t) == pytest.approx(t, rel=8.0 * _EPS, abs=0.0)
+
+
+@given(gamma=st.floats(5e-324, 350.0))
+def test_gamma_constants_bracket_one(gamma):
+    gc = gamma_constants(gamma)
+    assert 0.0 <= gc.c_gamma <= 1.0 <= gc.d_gamma < math.inf
+
+
 _durations = st.floats(0.0, 100.0)
 _positions = st.floats(-1e3, 1e3)
 
