@@ -273,7 +273,7 @@ def prefactor_of_t(field: KppField, rho: float, t: float) -> float:
     return rho * math.sqrt(t) * math.exp((rho * rho - 1.0) * t + front_tail(field, rho, t))
 
 
-def estimate_C_pde(field: KppField, rho: float, t_list=None):
+def estimate_C_pde(field: KppField, rho: float):
     """Extrapolated prefactor with a Richardson-spread uncertainty.
 
     Fits c(t) = C + a/t on the last three checkpoints; the uncertainty is
@@ -281,7 +281,7 @@ def estimate_C_pde(field: KppField, rho: float, t_list=None):
     """
     if rho <= 1.0:
         raise ValueError("rho must be > 1")
-    ts = list(t_list) if t_list is not None else list(field.times)
+    ts = list(field.times)
     if len(ts) < 2:
         raise ValueError("need at least two checkpoints")
     cs = np.array([prefactor_of_t(field, rho, t) for t in ts])
