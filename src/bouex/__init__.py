@@ -12,10 +12,9 @@ __version__ = "0.1.0"
 from .gaussian import (SQRT2, GammaConstants, SpringParams, gamma_constants,
                        normalization_factor, pair_covariance)
 from .measure import Centering, PointMeasure
-from .cloud import extremal_measure, simulate_forest, variable_speed_view
-from .spine import (EstimatorResult, LimitProcessSample, SpineRealization,
-                    estimate_C, estimate_C_curve, limit_intensity,
-                    sample_decoration, sample_limit_process, sample_spine,
+from .cloud import simulate_forest
+from .spine import (EstimatorResult, LimitProcessSample, estimate_C, estimate_C_curve,
+                    limit_intensity, sample_decoration, sample_limit_process,
                     truncation_horizon)
 from .kpp import KppField, KppParams, estimate_C_pde, front_tail, solve_kpp
 from .checks import (CheckReport, TestFunction, check_first_moment,

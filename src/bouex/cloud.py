@@ -26,11 +26,10 @@ wave with one usable core and every wave of a chunk that runs beside others
 of one chunk runs on the calling thread, whose large waves are cut.
 
 A Forest stores the whole tree as flat node arrays in wave (generation)
-order, for the readers of the genealogy: a single cloud, which is the
-one-replica Forest `simulate_forest(mu, t, 1, rng)` (`mrca_time`,
-`variable_speed_view`), and the coupling of spring constants through
-`Forest.positions_for`.  Monte Carlo that reads only the leaves takes them
-from `window.leaves`, which stores no node.
+order, so that `Forest.positions_for` can couple spring constants on one
+tree (the Slepian check); a single cloud is the one-replica Forest
+`simulate_forest(mu, t, 1, rng)`.  Monte Carlo that reads only the leaves
+takes them from `window.leaves`, which stores no node.
 """
 
 from __future__ import annotations
@@ -47,9 +46,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import ResourceLimitError
-from .gaussian import SQRT2, SpringParams, gamma_constants, normalization_factor, \
-    ou_variance, sample_ou_bridge
-from .measure import Centering, PointMeasure
+from .gaussian import SQRT2, SpringParams, ou_variance
 
 HORIZON_CAP = 16.0
 _NODE_CAP = 80_000_000
@@ -92,39 +89,13 @@ class Forest:
         return np.flatnonzero(self.is_leaf)
 
     @property
-    def leaf_count(self) -> int:
-        return int(self.leaf_index.size)
-
-    @property
     def leaf_positions(self) -> np.ndarray:
         return self.x_end[self.leaf_index]
-
-    @property
-    def t_birth(self) -> np.ndarray:
-        return self._at_parent(self.t_end)
 
     def _at_parent(self, values, nodes=slice(None)) -> np.ndarray:
         """`values` at the parent of each of `nodes`; 0 (birth time and place) at a root."""
         par = self.parent[nodes]
         return np.where(par >= 0, values[np.maximum(par, 0)], 0.0)
-
-    def mrca_time(self, u: int, v: int) -> float:
-        """Branch time of the most recent common ancestor of leaves u, v.
-
-        Leaves are indexed in storage order; the MRCA of a leaf with itself
-        is the leaf, which ends at the horizon.
-        """
-        ancestors = set()
-        node = int(self.leaf_index[u])
-        while node >= 0:
-            ancestors.add(node)
-            node = int(self.parent[node])
-        node = int(self.leaf_index[v])
-        while node not in ancestors:
-            node = int(self.parent[node])
-            if node < 0:
-                raise ValueError(f"leaves {u} and {v} lie in different replicas")
-        return float(self.t_end[node])
 
     def positions_for(self, mu) -> np.ndarray:
         """Leaf positions on the same tree under another spring constant.
@@ -455,14 +426,6 @@ def simulate_forest(mu: float, horizon_t: float, n_reps: int, rng) -> Forest:
     return Forest(mu, horizon_t, n_reps, *merged, wave_edges=list(zip([0] + ends[:-1], ends)))
 
 
-def extremal_measure(cloud: Forest, centering: Centering) -> PointMeasure:
-    """Centred, variance-normalized leaf positions as a point measure."""
-    if not math.isclose(centering.t, cloud.horizon_t, rel_tol=1e-12):
-        raise ValueError("centering horizon must match the cloud horizon")
-    lam = normalization_factor(cloud.mu, cloud.horizon_t)
-    return PointMeasure(lam * cloud.leaf_positions - centering.value)
-
-
 def additive_martingale_per_rep(rep, x, t: float, n_reps: int, beta: float) -> np.ndarray:
     """Per-replica additive martingale of Brownian leaves (rep, x) at time t."""
     w = np.exp(beta * x - (0.5 * beta * beta + 1.0) * t)
@@ -473,33 +436,3 @@ def derivative_martingale_per_rep(rep, x, t: float, n_reps: int) -> np.ndarray:
     """Per-replica derivative martingale of Brownian leaves (rep, x) at time t."""
     w = (SQRT2 * t - x) * np.exp(SQRT2 * x - 2.0 * t)
     return np.bincount(rep, weights=w, minlength=n_reps)
-
-
-def variable_speed_view(cloud: Forest, gamma: float, s: float, rng) -> np.ndarray:
-    """Time-changed positions Y_s of all lineages alive at time s.
-
-    Requires the cloud to have been run with mu = gamma / t; interior times
-    are filled in by exact OU bridges between stored segment endpoints, so
-    Var(Y_s) = t (e^{2 gamma s/t} - 1)/(e^{2 gamma} - 1).
-    """
-    t = cloud.horizon_t
-    if not math.isclose(cloud.mu * t, gamma, rel_tol=1e-9, abs_tol=1e-12):
-        raise ValueError("cloud must satisfy mu * horizon_t = gamma")
-    if not 0.0 <= s <= t:
-        raise ValueError("s must lie in [0, horizon_t]")
-    scale = gamma_constants(gamma).c_gamma * math.exp(gamma * s / t)
-    if s == 0.0:
-        return np.zeros(1)
-    birth = cloud.t_birth
-    idx = cloud.leaf_index if s == t else np.flatnonzero((birth < s) & (s <= cloud.t_end))
-    x_birth = cloud._at_parent(cloud.x_end, idx)
-    at_end = np.isclose(cloud.t_end[idx], s)
-    pos = np.empty(idx.size)
-    pos[at_end] = cloud.x_end[idx[at_end]]
-    mid = ~at_end
-    if np.any(mid):
-        i = idx[mid]
-        pos[mid] = sample_ou_bridge(
-            x_birth[mid], cloud.x_end[i], cloud.mu,
-            s - birth[i], cloud.t_end[i] - s, rng)
-    return scale * pos

@@ -123,26 +123,3 @@ def gamma_constants(gamma: float) -> GammaConstants:
     two_g = 2.0 * gamma
     c = math.sqrt(two_g / math.expm1(two_g)) if two_g < 700 else 0.0
     return GammaConstants(gamma=gamma, c_gamma=c, d_gamma=normalization_factor(gamma, 1.0))
-
-
-def ou_bridge_moments(x_a, x_b, mu, d_as, d_sb):
-    """Conditional mean/variance at an interior time of an OU path.
-
-    The path starts at x_a, is pinned to x_b after total duration
-    d_as + d_sb, and is queried after d_as.
-    """
-    m_s = np.asarray(x_a, float) * np.exp(-mu * d_as)
-    v_s = ou_variance(mu, d_as)
-    m_b = np.asarray(x_a, float) * np.exp(-mu * (d_as + d_sb))
-    v_b = ou_variance(mu, d_as + d_sb)
-    cov = np.exp(-mu * d_sb) * v_s
-    with np.errstate(invalid="ignore", divide="ignore"):
-        gain = np.where(v_b > 0, cov / np.where(v_b > 0, v_b, 1.0), 0.0)
-    mean = m_s + gain * (np.asarray(x_b, float) - m_b)
-    var = np.maximum(v_s - gain * cov, 0.0)
-    return mean, var
-
-
-def sample_ou_bridge(x_a, x_b, mu, d_as, d_sb, rng):
-    mean, var = ou_bridge_moments(x_a, x_b, mu, d_as, d_sb)
-    return mean + np.sqrt(var) * rng.standard_normal(np.shape(mean) or None)

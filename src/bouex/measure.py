@@ -40,17 +40,9 @@ class PointMeasure:
     def __repr__(self):
         return f"PointMeasure({self.atoms.tolist()!r})"
 
-    @property
-    def max(self) -> float:
-        """Largest atom; -inf for the empty measure."""
-        return float(self.atoms[-1]) if self.atoms.size else -math.inf
-
     def count_above(self, a: float) -> int:
         """Number of atoms >= a."""
         return int(self.atoms.size - np.searchsorted(self.atoms, a, side="left"))
-
-    def count_strictly_above(self, a: float) -> int:
-        return int(self.atoms.size - np.searchsorted(self.atoms, a, side="right"))
 
 
 def group_max(group, atoms, n_groups: int) -> np.ndarray:

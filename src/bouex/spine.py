@@ -5,9 +5,10 @@ The spine realization is a standard Brownian motion B observed at the atoms
 sigma_k of a rate-2 Poisson process on [0, T]; branch k carries an
 independent Brownian cloud of age sigma_k, each of whose leaves X places an
 atom at B_{sigma_k} - sqrt(2) rho sigma_k + X, on top of the fixed atom at 0.
-`_spine_atoms` collects a realization's atoms and adds the one at 0, so its
-consumers (`sample_spine`, `sample_decoration` and the spine-identity check)
-take them as they are.
+`_spine_atoms` collects the atoms of m realizations, each one's atom at 0
+included when the window reaches it, so its consumers (`sample_decoration`,
+one realization at a time, and the spine-identity check) take them as they
+are.
 
 The fraction of realizations with no strictly positive atom, divided by
 sqrt(4 pi), estimates the large-deviation prefactor c(rho) of the maximal
@@ -33,20 +34,6 @@ from .rng import chunks, substream, spawn_seed
 from .window import collect_atoms_above, leaves
 
 CHUNK = 4096
-
-
-@dataclass(frozen=True)
-class SpineRealization:
-    rho: float
-    horizon_T: float
-    window_a: float
-    atoms: PointMeasure          # all atoms >= window_a, the one at 0 included
-    count_above_zero: int        # strictly positive atoms
-    pruned_mass: float = 0.0
-
-    def __post_init__(self):
-        if self.atoms.count_above(self.window_a) != len(self.atoms):
-            raise ValueError("atoms below the window")
 
 
 @dataclass(frozen=True)
@@ -163,19 +150,6 @@ def _spine_atoms(m: int, horizon_T: float, speed: float, window_a: float, rng,
         res.group = np.concatenate((res.group, np.arange(m, dtype=np.int64)))
         res.atoms = np.concatenate((res.atoms, np.zeros(m)))
     return res, b_T
-
-
-def sample_spine(rho: float, horizon_T: float, window_a: float, rng) -> SpineRealization:
-    """One spine realization truncated at horizon_T, atoms kept above window_a."""
-    if rho < 1.0:
-        raise ValueError("rho must be >= 1")
-    if not horizon_T > 0:
-        raise ValueError("horizon_T must be positive")
-    res, _ = _spine_atoms(1, horizon_T, SQRT2 * rho, window_a, rng, 1e-9)
-    pm = PointMeasure(res.atoms)
-    return SpineRealization(rho=rho, horizon_T=horizon_T, window_a=window_a,
-                            atoms=pm, count_above_zero=pm.count_strictly_above(0.0),
-                            pruned_mass=float(res.pruned_mass[0]))
 
 
 def estimate_C(rho: float, horizon_T: float, n: int, seed: int) -> EstimatorResult:

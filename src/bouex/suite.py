@@ -103,10 +103,6 @@ def _specs(scale: str):
     ]
 
 
-def suite_names(suite: str):
-    return [name for name, _ in _specs(suite)]
-
-
 def run_suite(suite: str, seed: int, progress=None):
     reports = []
     for i, (name, runner) in enumerate(_specs(suite)):

@@ -8,13 +8,12 @@ import pytest
 from scipy import stats
 
 from bouex.cloud import (additive_martingale_per_rep, derivative_martingale_per_rep,
-                         extremal_measure, simulate_forest, variable_speed_view)
+                         simulate_forest)
 from bouex import cli, cloud as cloud_mod, window
 from bouex.checks import (check_many_to_one, check_many_to_two, check_spine_identity,
                           check_yule_counts, exponential_window, smooth_step)
 from bouex.errors import ResourceLimitError
 from bouex.gaussian import SQRT2, normalization_factor, ou_variance, pair_covariance
-from bouex.measure import Centering
 from bouex.rng import substream
 from bouex.spine import sample_limit_process
 from bouex.window import leaves
@@ -97,34 +96,6 @@ class TestManyToOne:
             assert abs(s.mean() - target) < 4.0 * se + 1e-12
 
 
-class TestExtremalMeasure:
-    def test_single_leaf_shift(self):
-        rng = substream(8, 0)
-        while True:
-            cloud = simulate_forest(0.0, 1.0, 1, rng)
-            if cloud.leaf_count == 1:
-                break
-        m = extremal_measure(cloud, Centering("bou_onehalf", 1.0))
-        assert m.atoms[0] == pytest.approx(cloud.leaf_positions[0] - SQRT2)
-
-    def test_atom_count_equals_leaf_count(self):
-        cloud = simulate_forest(1.0, 4.0, 1, substream(9, 0))
-        m = extremal_measure(cloud, Centering("bou_tilde", 4.0))
-        assert len(m) == cloud.leaf_count
-
-    def test_centering_equivariance(self):
-        cloud = simulate_forest(1.0, 4.0, 1, substream(10, 0))
-        m1 = extremal_measure(cloud, Centering("bou_onehalf", 4.0))
-        m2 = extremal_measure(cloud, Centering("bou_tilde", 4.0))
-        shift = Centering("bou_onehalf", 4.0).value - Centering("bou_tilde", 4.0).value
-        assert np.allclose(m2.atoms, m1.atoms + shift)
-
-    def test_mismatched_horizon(self):
-        cloud = simulate_forest(1.0, 4.0, 1, substream(11, 0))
-        with pytest.raises(ValueError):
-            extremal_measure(cloud, Centering("bou_tilde", 3.0))
-
-
 class TestMartingales:
     def test_beta_zero_is_yule_martingale(self):
         rep, x = leaves(0.0, 3.0, 20_000, substream(12, 0))
@@ -200,45 +171,6 @@ class TestSiblingCovariance:
         resid = np.array(resid)
         se = resid.std(ddof=1) / math.sqrt(resid.size)
         assert abs(resid.mean()) < 4.0 * se
-
-
-    def test_mrca_across_replicas_is_an_error(self):
-        f = simulate_forest(0.0, 1.0, 2, substream(23, 0))
-        reps = f.rep[f.leaf_index]
-        u, v = int(np.flatnonzero(reps == 0)[0]), int(np.flatnonzero(reps == 1)[0])
-        assert f.mrca_time(u, u) == 1.0
-        with pytest.raises(ValueError, match="different replicas"):
-            f.mrca_time(u, v)
-
-
-class TestVariableSpeedView:
-    def test_boundary_times(self):
-        gamma, t = 1.0, 4.0
-        cloud = simulate_forest(gamma / t, t, 1, substream(20, 0))
-        y0 = variable_speed_view(cloud, gamma, 0.0, substream(20, 1))
-        assert np.allclose(y0, 0.0)
-        yt = variable_speed_view(cloud, gamma, t, substream(20, 2))
-        lam = normalization_factor(gamma / t, t)
-        assert np.allclose(np.sort(yt), np.sort(lam * cloud.leaf_positions))
-
-    def test_requires_matching_gamma(self):
-        cloud = simulate_forest(0.5, 4.0, 1, substream(21, 0))
-        with pytest.raises(ValueError):
-            variable_speed_view(cloud, 1.0, 2.0, substream(21, 1))
-
-    def test_profile_variance(self):
-        gamma, t, s = 1.0, 6.0, 3.0
-        rng = substream(22, 0)
-        brng = substream(22, 1)
-        vals = []
-        for _ in range(2500):
-            cloud = simulate_forest(gamma / t, t, 1, rng)
-            y = variable_speed_view(cloud, gamma, s, brng)
-            vals.append(y[0])
-        vals = np.array(vals)
-        target = t * math.expm1(2 * gamma * s / t) / math.expm1(2 * gamma)
-        se = vals.var() * math.sqrt(2.0 / vals.size)
-        assert abs(vals.var(ddof=1) - target) < 4.0 * se
 
 
 class TestLeafPath:

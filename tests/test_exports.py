@@ -1,4 +1,12 @@
-"""Every name the package exports has a caller in the package or the benchmark."""
+"""Every public name of the package has a caller in the package or the benchmark.
+
+The public names are what `bouex/__init__.py` imports, every module-level
+function and class in `src/bouex/*.py` whose name has no leading underscore,
+and every such method or property of those classes.  A caller is a use by
+name outside the name's own definition; a property is used only by an
+attribute read that is not called, so `array.max()` does not use a `max`
+property.
+"""
 
 import ast
 from pathlib import Path
@@ -6,10 +14,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "bouex"
 
-# exported names that no module or benchmark workload calls yet, kept open:
-# the covariance for the exact finite-t targets, the genealogy readers and
-# the single-spine sampler until a check reads them or they go
-OPEN = {"pair_covariance", "extremal_measure", "variable_speed_view", "sample_spine"}
+# public names that no module or benchmark workload calls yet, kept open:
+# the covariance for the exact finite-t targets
+OPEN = {"pair_covariance"}
 
 
 def _exports():
@@ -18,33 +25,75 @@ def _exports():
             if isinstance(node, ast.ImportFrom) for alias in node.names}
 
 
-def _references(tree, name):
-    """Uses of `name` in tree as a name or an attribute, outside its own def."""
+def _is_property(node):
+    return any(ast.unparse(d).endswith("property") for d in node.decorator_list)
+
+
+def _public(tree):
+    """{name: is a property} of tree's public functions and classes, and of
+    the public methods and properties of those classes."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            names[node.name] = False
+            if isinstance(node, ast.ClassDef):
+                names.update((item.name, _is_property(item)) for item in node.body
+                             if isinstance(item, ast.FunctionDef)
+                             and not item.name.startswith("_"))
+    return names
+
+
+def _references(tree, name, is_property=False):
+    """Uses of `name` in tree outside its own def: as a name or an attribute,
+    or for a property as an attribute that is not called."""
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
     stack = [tree]
     while stack:
         node = stack.pop()
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name:
             continue
-        if isinstance(node, ast.Name) and node.id == name or \
-                isinstance(node, ast.Attribute) and node.attr == name:
+        if isinstance(node, ast.Name) and node.id == name and not is_property or \
+                isinstance(node, ast.Attribute) and node.attr == name and \
+                not (is_property and id(node) in called):
             return True
         stack.extend(ast.iter_child_nodes(node))
     return False
 
 
 def _unreferenced(names):
+    """The names of {name: is a property} with no use in the package or the benchmark."""
     files = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
     trees = [ast.parse(p.read_text()) for p in files + sorted((ROOT / "perfbench").glob("*.py"))]
-    return {name for name in names if not any(_references(t, name) for t in trees)}
+    return {name for name, prop in names.items()
+            if not any(_references(t, name, prop) for t in trees)}
 
 
 def test_every_export_has_a_caller_but_the_open_ones():
-    exports = _exports()
-    assert OPEN <= exports
-    assert _unreferenced(exports) == OPEN
+    names = dict.fromkeys(_exports(), False)
+    for path in PACKAGE.glob("*.py"):
+        names.update(_public(ast.parse(path.read_text())))
+    assert OPEN <= names.keys()
+    assert _unreferenced(names) == OPEN
 
 
 def test_an_export_only_its_own_definition_uses_is_found():
     # a recursive function that nothing else calls has no caller
     tree = ast.parse("def f(n):\n    return f(n - 1) if n else 0\n\ny = g()\n")
     assert not _references(tree, "f") and _references(tree, "g")
+
+
+def test_an_unreferenced_method_or_property_is_found():
+    source = ("class A:\n"
+              "    def used(self):\n        return self.width\n"
+              "    def unused(self):\n        return self.used()\n"
+              "    @property\n    def top(self):\n        return 0\n"
+              "    @property\n    def width(self):\n        return 1\n"
+              "    def _private(self):\n        pass\n"
+              "\n\nA().used()\nxs.top()\n")
+    tree = ast.parse(source)
+    names = _public(tree)
+    assert names == {"A": False, "used": False, "unused": False, "top": True,
+                     "width": True}
+    # `xs.top()` calls some other `top`; a property is read, not called
+    assert {n for n, prop in names.items() if not _references(tree, n, prop)} == \
+        {"unused", "top"}

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from bouex.cloud import _decayed, _ou_step
 from bouex.gaussian import (GammaConstants, SpringParams, gamma_constants,
-                            normalization_factor, ou_bridge_moments, ou_variance,
-                            pair_covariance, sample_ou_bridge)
+                            normalization_factor, ou_variance, pair_covariance)
 from bouex.rng import substream
 
 
@@ -169,24 +168,6 @@ class TestGammaConstants:
         assert 0.0 < gc.c_gamma < 1.0 < gc.d_gamma
 
 
-class TestBridge:
-    def test_endpoint_consistency(self):
-        # pinning at zero separation reproduces the endpoints
-        rng = substream(14, 0)
-        v = sample_ou_bridge(0.7, 1.1, 0.5, 0.0, 2.0, rng)
-        assert v == pytest.approx(0.7, abs=1e-12)
-        v = sample_ou_bridge(0.7, 1.1, 0.5, 2.0, 0.0, rng)
-        assert v == pytest.approx(1.1, abs=1e-12)
-
-    def test_brownian_bridge_moments(self):
-        rng = substream(15, 0)
-        n = 200_000
-        vals = sample_ou_bridge(np.zeros(n), np.full(n, 2.0), 0.0, 1.0, 1.0, rng)
-        # Brownian bridge at midpoint: mean 1, variance 1/2
-        assert abs(vals.mean() - 1.0) < 4.0 * math.sqrt(0.5 / n)
-        assert vals.var(ddof=1) == pytest.approx(0.5, rel=0.02)
-
-
 class TestSpringParams:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -265,26 +246,3 @@ def test_gamma_constants_bracket_one(gamma):
     gc = gamma_constants(gamma)
     assert 0.0 <= gc.c_gamma <= 1.0 <= gc.d_gamma < math.inf
 
-
-_durations = st.floats(0.0, 100.0)
-_positions = st.floats(-1e3, 1e3)
-
-
-@given(mu=_mu, d_as=_durations, d_sb=_durations, x_a=_positions, x_b=_positions)
-def test_bridge_variance_is_symmetric_and_at_most_the_forward_variance(mu, d_as, d_sb,
-                                                                      x_a, x_b):
-    # var_mu(d_as) var_mu(d_sb) / var_mu(d_as + d_sb), computed as
-    # var_mu(d_as) - gain cov: the subtraction loses digits of the larger variance
-    _, var = ou_bridge_moments(x_a, x_b, mu, d_as, d_sb)
-    _, mirrored = ou_bridge_moments(x_a, x_b, mu, d_sb, d_as)
-    assert 0.0 <= var <= ou_variance(mu, d_as)
-    assert abs(var - mirrored) <= 1e-12 * ou_variance(mu, d_as + d_sb)
-
-
-@given(mu=_mu, d=st.floats(0.0, 100.0, exclude_min=True), x_a=_positions, x_b=_positions)
-def test_bridge_means_at_the_ends_are_the_pins(mu, d, x_a, x_b):
-    mean, var = ou_bridge_moments(x_a, x_b, mu, 0.0, d)
-    assert (mean, var) == (x_a, 0.0)
-    mean, var = ou_bridge_moments(x_a, x_b, mu, d, 0.0)
-    assert var == 0.0
-    assert mean == pytest.approx(x_b, abs=1e-12 * (abs(x_a) + abs(x_b)))

@@ -13,18 +13,17 @@ def test_atoms_sorted_and_counted():
     assert pm.atoms.tolist() == [-1.0, -1.0, 0.0, 2.0]
     assert len(pm) == 4
     assert pm.count_above(0.0) == 2
-    assert pm.count_strictly_above(0.0) == 1
     assert pm.count_above(-5.0) == 4
 
 
 def test_empty_measure():
     pm = PointMeasure()
-    assert (pm.max, pm.count_above(0.0)) == (-math.inf, 0)
+    assert (len(pm), pm.count_above(0.0)) == (0, 0)
 
 
 def test_max_and_counts_example():
     pm = PointMeasure([-1.0, 0.0, 2.0])
-    assert (pm.max, pm.count_above(0.0)) == (2.0, 2)
+    assert (pm.atoms[-1], pm.count_above(0.0)) == (2.0, 2)
 
 
 def test_rejects_non_finite():
@@ -69,4 +68,3 @@ def test_sorted_and_counts_partition(atoms, a):
     assert np.all(np.diff(pm.atoms) >= 0)
     below = sum(v < a for v in atoms)
     assert pm.count_above(a) + below == len(pm)
-    assert pm.count_strictly_above(a) <= pm.count_above(a)

@@ -191,7 +191,7 @@ class TestDecoration:
         rng = substream(66, 0)
         for _ in range(30):
             m = sample_decoration(2.0, 5.0, -4.0, 500, rng)
-            assert m.max == 0.0
+            assert m.atoms[-1] == 0.0
             assert m.atoms.min() >= -4.0
 
     def test_high_speed_sparsity_trend(self):
