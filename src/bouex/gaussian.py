@@ -79,9 +79,9 @@ def ou_variance(mu, s):
 def normalization_factor(mu: float, t: float) -> float:
     """Dilation lambda_{mu t} making the time-t position have variance t.
 
-    lambda^2 = 2 mu t / (1 - e^{-2 mu t}); where 2 mu t is below the smallest
-    normal float it is 1 to full precision, so 1 is returned there, as
-    `ou_variance` returns s (and mu = 0 is the Brownian 1).
+    lambda^2 = 2 mu t / (1 - e^{-2 mu t}).  Where 2 mu t is below the
+    smallest normal float, mu = 0 included, lambda is 1 to full precision
+    and 1 is returned, as `ou_variance` returns s there.
     """
     if not 0.0 < t < math.inf:
         raise ValueError(f"t must be finite and positive, got {t}")

@@ -46,7 +46,8 @@ def _public(tree):
 def _references(tree, name, is_property=False):
     """Uses of `name` in tree outside its own def: as a name or an attribute,
     or for a property as an attribute that is not called."""
-    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    called = {id(node.func) for node in ast.walk(tree)
+              if isinstance(node, ast.Call)} if is_property else set()
     stack = [tree]
     while stack:
         node = stack.pop()
@@ -54,7 +55,7 @@ def _references(tree, name, is_property=False):
             continue
         if isinstance(node, ast.Name) and node.id == name and not is_property or \
                 isinstance(node, ast.Attribute) and node.attr == name and \
-                not (is_property and id(node) in called):
+                id(node) not in called:
             return True
         stack.extend(ast.iter_child_nodes(node))
     return False
