@@ -9,13 +9,12 @@ identities and limit laws statistically.
 
 __version__ = "0.1.0"
 
-from .gaussian import (SQRT2, GammaConstants, SpringParams, gamma_constants,
-                       normalization_factor, pair_covariance)
-from .measure import Centering, PointMeasure
+from .gaussian import (SQRT2, GammaConstants, gamma_constants, normalization_factor,
+                       pair_covariance)
+from .measure import Centering
 from .cloud import simulate_forest
-from .spine import (EstimatorResult, LimitProcessSample, estimate_C, estimate_C_curve,
-                    limit_intensity, sample_decoration, sample_limit_process,
-                    truncation_horizon)
+from .spine import (EstimatorResult, estimate_C, estimate_C_curve, limit_intensity,
+                    sample_decoration, sample_limit_process, truncation_horizon)
 from .kpp import KppField, KppParams, estimate_C_pde, front_tail, solve_kpp
 from .checks import (CheckReport, TestFunction, check_first_moment,
                      check_iid_limit, check_many_to_one, check_many_to_two,

@@ -148,6 +148,8 @@ def cmd_simulate(args) -> int:
     rows = []
     if args.emit == "martingales":
         betas = args.betas
+        if not all(map(math.isfinite, betas)):
+            raise ValueError(f"--betas must be finite, got {_fmt(betas)}")
         columns = ["replica"] + [f"W_beta_{_fmt(b)}" for b in betas] + ["Z"]
         for j, start, m in chunks(args.replicas, 1024):
             rep, x = leaves(0.0, args.t, m, substream(args.seed, j))
@@ -176,9 +178,8 @@ def cmd_decorate(args) -> int:
     rng = substream(args.seed, 0)
     rows = []
     for k in range(args.samples):
-        measure = sample_decoration(args.rho, horizon, args.window_a,
-                                    args.max_attempts, rng)
-        rows += [[k, float(a)] for a in measure.atoms]
+        atoms = sample_decoration(args.rho, horizon, args.window_a, args.max_attempts, rng)
+        rows += [[k, float(a)] for a in atoms]
     _write_table(args, ["sample_id", "atom"], rows, horizon_T=horizon)
     if args.summary:
         with open(args.summary, "w") as fh:
@@ -193,11 +194,11 @@ def cmd_limit_process(args) -> int:
     rng = substream(args.seed, 0)
     rows = []
     for k in range(args.samples):
-        sample = sample_limit_process(args.gamma, args.window_a, rng,
-                                      c_value=args.c_value,
-                                      proxy_horizon=args.proxy_horizon,
-                                      max_attempts=args.max_attempts)
-        rows += [[k, float(a)] for a in sample.atoms.atoms]
+        atoms = sample_limit_process(args.gamma, args.window_a, rng,
+                                     c_value=args.c_value,
+                                     proxy_horizon=args.proxy_horizon,
+                                     max_attempts=args.max_attempts)
+        rows += [[k, float(a)] for a in atoms]
     _write_table(args, ["sample_id", "atom"], rows)
     return 0
 

@@ -46,7 +46,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import ResourceLimitError
-from .gaussian import SQRT2, SpringParams, ou_variance
+from .gaussian import SQRT2, _check_spring, ou_variance
 
 HORIZON_CAP = 16.0
 _NODE_CAP = 80_000_000
@@ -399,7 +399,7 @@ def _check_full_tree(mu: float, horizon_t: float) -> None:
     Raises ValueError for a bad mu or horizon_t and ResourceLimitError for a
     horizon above HORIZON_CAP; the traversal itself stops at _NODE_CAP nodes.
     """
-    SpringParams(mu, horizon_t)
+    _check_spring(mu, horizon_t)
     if horizon_t > HORIZON_CAP:
         raise ResourceLimitError(
             f"horizon {horizon_t} exceeds cap {HORIZON_CAP}: expected leaf count "

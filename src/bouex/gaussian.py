@@ -23,20 +23,6 @@ _TINY = float(np.finfo(float).tiny)  # the smallest normal float
 
 
 @dataclass(frozen=True)
-class SpringParams:
-    """Spring constant and simulation horizon of one branching-diffusion run."""
-
-    mu: float
-    horizon_t: float
-
-    def __post_init__(self):
-        if not 0.0 < self.horizon_t < math.inf:
-            raise ValueError(f"horizon_t must be finite and positive, got {self.horizon_t}")
-        if not 0.0 <= self.mu < math.inf:
-            raise ValueError(f"spring constant must be finite and >= 0, got {self.mu}")
-
-
-@dataclass(frozen=True)
 class GammaConstants:
     """Start/end slope constants of the limiting variance profile.
 
@@ -76,6 +62,14 @@ def ou_variance(mu, s):
     return float(out) if out.ndim == 0 else out
 
 
+def _check_spring(mu: float, t: float) -> None:
+    """Raise ValueError unless t is finite and positive and mu finite and >= 0."""
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"t must be finite and positive, got {t}")
+    if not 0.0 <= mu < math.inf:
+        raise ValueError(f"spring constant must be finite and >= 0, got {mu}")
+
+
 def normalization_factor(mu: float, t: float) -> float:
     """Dilation lambda_{mu t} making the time-t position have variance t.
 
@@ -83,10 +77,7 @@ def normalization_factor(mu: float, t: float) -> float:
     smallest normal float, mu = 0 included, lambda is 1 to full precision
     and 1 is returned, as `ou_variance` returns s there.
     """
-    if not 0.0 < t < math.inf:
-        raise ValueError(f"t must be finite and positive, got {t}")
-    if not 0.0 <= mu < math.inf:
-        raise ValueError(f"spring constant must be finite and >= 0, got {mu}")
+    _check_spring(mu, t)
     two_mu_t = 2.0 * mu * t
     if two_mu_t < _TINY:
         return 1.0

@@ -66,6 +66,8 @@ class KppParams:
     def __post_init__(self):
         if not all(0.0 < v < math.inf for v in (self.dx, self.t_max, self.rho_max)):
             raise ValueError("dx, t_max, rho_max must be finite and positive")
+        if not 0.0 < self.ic_slope < math.inf:
+            raise ValueError(f"ic_slope must be finite and positive, got {self.ic_slope}")
         if self.n_points < 5:
             raise ValueError(f"the grid has {self.n_points} points; the implicit "
                              f"solve needs at least 5 (reduce dx)")

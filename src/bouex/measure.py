@@ -1,7 +1,7 @@
-"""Point measures and centring schemes.
+"""Centring schemes, and the per-group maximum of flat atom arrays.
 
-A PointMeasure is the universal carrier for every extremal object in the
-package: a finite multiset of real atom positions kept in ascending order.
+The package carries an extremal point process as a flat array of atom
+positions, with a parallel array of group ids where there are several.
 """
 
 from __future__ import annotations
@@ -15,34 +15,6 @@ from .gaussian import SQRT2
 
 _SCHEMES = ("bbm_threehalves", "bou_onehalf", "bou_tilde")
 _ALIASES = {"bbm": "bbm_threehalves", "bou": "bou_onehalf", "tilde": "bou_tilde"}
-
-
-class PointMeasure:
-    """Finite multiset of atom positions, ascending-sorted."""
-
-    __slots__ = ("atoms",)
-
-    def __init__(self, atoms=()):
-        arr = np.sort(np.asarray(atoms, dtype=float).ravel())
-        if arr.size and not np.all(np.isfinite(arr)):
-            raise ValueError("atoms must be finite")
-        self.atoms = arr
-
-    def __len__(self):
-        return int(self.atoms.size)
-
-    def __iter__(self):
-        return iter(self.atoms)
-
-    def __eq__(self, other):
-        return isinstance(other, PointMeasure) and np.array_equal(self.atoms, other.atoms)
-
-    def __repr__(self):
-        return f"PointMeasure({self.atoms.tolist()!r})"
-
-    def count_above(self, a: float) -> int:
-        """Number of atoms >= a."""
-        return int(self.atoms.size - np.searchsorted(self.atoms, a, side="left"))
 
 
 def group_max(group, atoms, n_groups: int) -> np.ndarray:

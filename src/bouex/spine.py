@@ -20,7 +20,6 @@ is that curve at a single point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -28,20 +27,11 @@ import numpy as np
 from .cloud import additive_martingale_per_rep
 from .errors import RejectionBudgetError
 from .gaussian import SQRT2, INV_SQRT_4PI, gamma_constants
-from .measure import PointMeasure
 from .results import EstimatorResult
 from .rng import chunks, substream, spawn_seed
 from .window import collect_atoms_above, leaves
 
 CHUNK = 4096
-
-
-@dataclass(frozen=True)
-class LimitProcessSample:
-    gamma: float
-    window_a: float
-    atoms: PointMeasure
-    intensity_mass: float
 
 
 def _split_fraction(rho: float) -> float:
@@ -56,8 +46,8 @@ def truncation_miss_bound(rho: float, window_a: float, T: float) -> float:
     Chernoff bound) and the cloud maximum (first-moment envelope
     e^{-sqrt(2) y - y^2/2s} / (2 sqrt(pi))), integrated in closed form.
     """
-    if rho <= 1.0:
-        raise ValueError("no finite horizon certificate exists for rho <= 1")
+    if not rho > 1.0:
+        raise ValueError(f"no finite horizon certificate exists for rho <= 1, got {rho}")
     beta = _split_fraction(rho)
     d = rho - 1.0
     if window_a + SQRT2 * d * T <= 0:
@@ -71,8 +61,8 @@ def truncation_miss_bound(rho: float, window_a: float, T: float) -> float:
 
 def truncation_horizon(rho: float, window_a: float, eps: float) -> float:
     """Smallest certified horizon with truncation miss probability <= eps."""
-    if rho <= 1.0:
-        raise ValueError("no finite horizon certificate exists for rho <= 1")
+    if not rho > 1.0:
+        raise ValueError(f"no finite horizon certificate exists for rho <= 1, got {rho}")
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
     lo = max(0.0, -window_a / (SQRT2 * (rho - 1.0))) + 1e-9
@@ -112,6 +102,8 @@ def _draw_branches(n_reps: int, horizon_T: float, rng):
     Returns flat arrays (rep, sigma, b) sorted by (rep, sigma), plus the
     spine value at the horizon for each realization.
     """
+    if not 0.0 <= horizon_T < math.inf:
+        raise ValueError(f"horizon_T must be finite and >= 0, got {horizon_T}")
     counts = rng.poisson(2.0 * horizon_T, size=n_reps)
     rep = np.repeat(np.arange(n_reps, dtype=np.int64), counts)
     sigma = _sort_blocks(counts, rng.uniform(0.0, horizon_T, size=rep.size))
@@ -171,8 +163,8 @@ def estimate_C_curve(rho_grid, horizon_T: float, n: int, seed: int):
     grid = np.asarray(rho_grid, dtype=float)
     if grid.size == 0 or np.any(np.diff(grid) < 0):
         raise ValueError("rho_grid must be ascending and non-empty")
-    if np.any(grid < 1.0):
-        raise ValueError("rho must be >= 1")
+    if not np.all(grid >= 1.0):
+        raise ValueError(f"rho must be >= 1, got {grid.tolist()}")
     if n < 1:
         raise ValueError("need n >= 1")
     rho_min = float(grid[0])
@@ -214,16 +206,16 @@ def _right_derivative_at_one(grid, void_fracs):
 
 
 def sample_decoration(rho: float, horizon_T: float, window_a: float,
-                      max_attempts: int, rng) -> PointMeasure:
+                      max_attempts: int, rng) -> np.ndarray:
     """Rejection sample of the decoration law: spine conditioned on voidness.
 
-    Returns atoms in [window_a, 0] with the atom at 0 included; raises after
-    max_attempts rejections, reporting the running acceptance estimate.
+    Returns the ascending atoms in [window_a, 0], the atom at 0 included;
+    raises after max_attempts rejections, reporting the acceptance estimate.
     """
-    if rho <= 1.0:
-        raise ValueError("the decoration sampler needs rho > 1")
-    if window_a > 0.0:
-        raise ValueError("window_a must be <= 0 (decorations live on (-inf, 0])")
+    if not rho > 1.0:
+        raise ValueError(f"the decoration sampler needs rho > 1, got {rho}")
+    if not window_a <= 0.0:
+        raise ValueError(f"window_a must be <= 0 (decorations live on (-inf, 0]), got {window_a}")
     if max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
     for _ in range(max_attempts):
@@ -231,7 +223,7 @@ def sample_decoration(rho: float, horizon_T: float, window_a: float,
                               stop_level=0.0)
         # a realization abandoned at stop_level has emitted the atom that ended it
         if not np.any(res.atoms > 0.0):
-            return PointMeasure(res.atoms)
+            return np.sort(res.atoms)
     raise RejectionBudgetError(
         f"no void realization in {max_attempts} attempts at rho={rho} "
         f"(acceptance estimate < {1.0 / max_attempts:.2e})",
@@ -252,17 +244,19 @@ def sample_limit_process(gamma: float, window_a: float, rng,
                          c_value: Optional[float] = None,
                          proxy_horizon: float = 12.0,
                          max_attempts: int = 10_000,
-                         decoration_horizon: Optional[float] = None) -> LimitProcessSample:
+                         decoration_horizon: Optional[float] = None) -> np.ndarray:
     """Draw the limiting decorated Poisson point process above window_a.
 
-    gamma = inf is exact: the mixing weight is a unit exponential, the
-    intensity constant is 1/sqrt(4 pi), and decorations are single atoms.
-    Finite gamma uses the additive martingale at `proxy_horizon` as the
-    mixing-weight proxy (documented bias source) and dilated decoration
-    draws; the window restriction is exact because decorations only move
-    atoms down.  Finite gamma needs c_value, e.g. from `limit_intensity`;
-    gamma = inf rejects one, since its constant is fixed.
+    Returns the ascending atoms.  gamma = inf is exact: the mixing weight is
+    a unit exponential, the intensity constant is 1/sqrt(4 pi), and
+    decorations are single atoms.  Finite gamma uses the additive martingale
+    at `proxy_horizon` as the mixing-weight proxy (documented bias source)
+    and dilated decoration draws; the window restriction is exact because
+    decorations only move atoms down.  Finite gamma needs c_value, e.g. from
+    `limit_intensity`; gamma = inf rejects one, since its constant is fixed.
     """
+    if not math.isfinite(window_a):
+        raise ValueError(f"window_a must be finite, got {window_a}")
     gc = gamma_constants(gamma)
     d_gamma = gc.d_gamma
     if math.isinf(gamma):
@@ -274,23 +268,21 @@ def sample_limit_process(gamma: float, window_a: float, rng,
     else:
         if c_value is None:
             raise ValueError("finite gamma needs c_value (see limit_intensity)")
+        if not 0.0 < c_value < math.inf:
+            raise ValueError(f"c_value must be finite and positive, got {c_value}")
         rep, x = leaves(0.0, proxy_horizon, 1, rng)
         w = float(additive_martingale_per_rep(rep, x, proxy_horizon, 1, SQRT2 * gc.c_gamma)[0])
         c = float(c_value)
-    mass = c * w * math.exp(-SQRT2 * window_a)
-    count = int(rng.poisson(mass))
-    poisson_atoms = window_a + rng.exponential(size=count) / SQRT2
-    if math.isinf(gamma):
-        atoms = poisson_atoms
-    else:
+    count = int(rng.poisson(c * w * math.exp(-SQRT2 * window_a)))
+    atoms = window_a + rng.exponential(size=count) / SQRT2
+    if not math.isinf(gamma):
         pieces = []
-        for xi in poisson_atoms:
+        for xi in atoms:
             dec_window = min(0.0, (window_a - xi) / d_gamma)
             t_dec = decoration_horizon if decoration_horizon is not None \
                 else truncation_horizon(d_gamma, dec_window, 1e-2)
-            dec = sample_decoration(d_gamma, t_dec, dec_window, max_attempts, rng)
-            shifted = xi + d_gamma * dec.atoms
+            shifted = xi + d_gamma * sample_decoration(d_gamma, t_dec, dec_window,
+                                                       max_attempts, rng)
             pieces.append(shifted[shifted >= window_a])
         atoms = np.concatenate(pieces) if pieces else np.zeros(0)
-    return LimitProcessSample(gamma=gamma, window_a=window_a,
-                              atoms=PointMeasure(atoms), intensity_mass=mass)
+    return np.sort(atoms)

@@ -194,6 +194,8 @@ def windowed_extremal_atoms(mu: float, t: float, centering, window: float,
     Output coordinates are lambda_{mu t} X - centering.value; the raw
     collection level is the window mapped back through that affine map.
     """
+    if math.isnan(window):  # a window of -inf or +inf is valid
+        raise ValueError("window must not be NaN")
     lam = normalization_factor(mu, t)
     level_raw = (window + centering.value) / lam
     return collect_atoms_above(

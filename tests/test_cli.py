@@ -1,5 +1,6 @@
 """CLI surface: flags, outputs, determinism, exit codes."""
 
+import argparse
 import json
 import math
 import os
@@ -350,6 +351,52 @@ def test_library_value_error_is_usage_error(argv, tmp_path, capsys):
     assert err.startswith(f"bouex {argv[0]}: error: ")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+# an otherwise valid, small command line for each subcommand with a float
+# flag, and the flags a flag is read under, where the base does not read it
+_NAN_BASES = {
+    "estimate-c": {"--rho-min": "1.5", "--rho-max": "2", "--steps": "2", "--replicas": "10"},
+    "kpp": {"--rho": "2", "--t-max": "1", "--dx": "0.1"},
+    "simulate": {"--mu": "1", "--t": "2", "--replicas": "3", "--emit": "max"},
+    "decorate": {"--rho": "2", "--window-a": "-1", "--samples": "2"},
+    "limit-process": {"--gamma": "2", "--c-value": "0.25", "--proxy-horizon": "4",
+                      "--window-a": "-1", "--samples": "2"},
+}
+_NAN_MODES = {"--betas": {"--mu": "0", "--emit": "martingales"}}
+
+
+def _float_flags():
+    """(subcommand, flag) for every float flag of every subcommand."""
+    sub, = (a for a in cli._build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction))
+    return [pytest.param(command, flag, id=command + flag)
+            for command, parser in sub.choices.items() for action in parser._actions
+            if action.type is float for flag in action.option_strings[:1]]
+
+
+def _nan_argv(command, values, out):
+    return [command, *(v for pair in values.items() for v in pair), "-o", str(out)]
+
+
+@pytest.mark.parametrize("command, flag", _float_flags())
+def test_nan_float_flag_is_usage_error(command, flag, tmp_path, capsys):
+    # a NaN passes every `x <= bound` check, so each range check must be
+    # written to fail on it
+    out = tmp_path / "out.csv"
+    values = {**_NAN_BASES[command], **_NAN_MODES.get(flag, {}), flag: "nan"}
+    assert run(_nan_argv(command, values, out)) == 2
+    err = capsys.readouterr().err
+    prefix = f"bouex {command}: error: "
+    assert err.startswith(prefix) and err.strip() != prefix.strip()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, mode", [pytest.param(c, None, id=c) for c in _NAN_BASES] +
+                         [pytest.param("simulate", f, id="simulate" + f) for f in _NAN_MODES])
+def test_nan_cases_are_otherwise_valid(command, mode, tmp_path):
+    values = {**_NAN_BASES[command], **_NAN_MODES.get(mode, {})}
+    assert run(_nan_argv(command, values, tmp_path / "out.csv")) == 0
 
 
 class TestVerify:

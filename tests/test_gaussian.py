@@ -7,10 +7,11 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from bouex.cloud import _decayed, _ou_step
-from bouex.gaussian import (GammaConstants, SpringParams, gamma_constants,
-                            normalization_factor, ou_variance, pair_covariance)
+from bouex.cloud import _decayed, _ou_step, simulate_forest
+from bouex.gaussian import (GammaConstants, gamma_constants, normalization_factor,
+                            ou_variance, pair_covariance)
 from bouex.rng import substream
+from bouex.window import leaves
 
 
 class TestOuTransition:
@@ -169,16 +170,26 @@ class TestGammaConstants:
 
 
 class TestSpringParams:
+    """The one (mu, t) check, at every entry point that takes a spring and a horizon."""
+
+    ENTRIES = (lambda mu, t: simulate_forest(mu, t, 2, substream(1, 0)),
+               lambda mu, t: leaves(mu, t, 2, substream(1, 0)),
+               normalization_factor)
+
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SpringParams(mu=-0.1, horizon_t=1.0)
-        with pytest.raises(ValueError):
-            SpringParams(mu=0.1, horizon_t=0.0)
-        assert SpringParams(mu=0.0, horizon_t=2.0).mu == 0.0
+        for entry in self.ENTRIES:
+            for mu, t, message in ((-0.1, 1.0, "spring constant"),
+                                   (math.nan, 1.0, "spring constant"),
+                                   (0.1, 0.0, "t must be"), (0.1, math.nan, "t must be")):
+                with pytest.raises(ValueError, match=message):
+                    entry(mu, t)
+            entry(0.0, 2.0)
 
     def test_rejects_infinite_horizon(self):
-        with pytest.raises(ValueError):
-            SpringParams(mu=1.0, horizon_t=math.inf)
+        for entry in self.ENTRIES:
+            for mu, t in ((1.0, math.inf), (math.inf, 1.0)):
+                with pytest.raises(ValueError, match="must be finite"):
+                    entry(mu, t)
 
 
 @pytest.mark.parametrize("mu", [0.0, 1e-300, 0.1, 1.0, 10.0])

@@ -103,6 +103,12 @@ class TestSolver:
             with pytest.raises(ValueError):
                 KppParams(dx=0.05, dt=dt, t_max=4.0, rho_max=2.0)
 
+    @pytest.mark.parametrize("ic_mode", ["step", "ramp", "uniform"])
+    def test_rejects_ic_slope_not_finite_and_positive(self, ic_mode):
+        for slope in (math.nan, math.inf, 0.0, -1.0):
+            with pytest.raises(ValueError, match="ic_slope"):
+                KppParams(ic_mode=ic_mode, ic_slope=slope)
+
     def test_default_run_stores_every_checkpoint(self, default_field):
         # the default dt divides t_switch, so t_max = 10 is a grid time and is stored
         params = default_field.params

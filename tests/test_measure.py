@@ -1,34 +1,8 @@
 import math
 
-import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from bouex.measure import Centering, PointMeasure
-
-
-def test_atoms_sorted_and_counted():
-    pm = PointMeasure([2.0, -1.0, 0.0, -1.0])
-    assert pm.atoms.tolist() == [-1.0, -1.0, 0.0, 2.0]
-    assert len(pm) == 4
-    assert pm.count_above(0.0) == 2
-    assert pm.count_above(-5.0) == 4
-
-
-def test_empty_measure():
-    pm = PointMeasure()
-    assert (len(pm), pm.count_above(0.0)) == (0, 0)
-
-
-def test_max_and_counts_example():
-    pm = PointMeasure([-1.0, 0.0, 2.0])
-    assert (pm.atoms[-1], pm.count_above(0.0)) == (2.0, 2)
-
-
-def test_rejects_non_finite():
-    with pytest.raises(ValueError):
-        PointMeasure([np.nan])
+from bouex.measure import Centering
 
 
 def test_centering_values():
@@ -58,13 +32,3 @@ def test_centering_rejects_infinite_horizon():
     with pytest.raises(ValueError):
         Centering("tilde", math.inf)
 
-
-_finite = st.floats(-1e300, 1e300)
-
-
-@given(st.lists(_finite, max_size=40), _finite)
-def test_sorted_and_counts_partition(atoms, a):
-    pm = PointMeasure(atoms)
-    assert np.all(np.diff(pm.atoms) >= 0)
-    below = sum(v < a for v in atoms)
-    assert pm.count_above(a) + below == len(pm)

@@ -40,6 +40,19 @@ class TestTruncationHorizon:
         with pytest.raises(ValueError):
             truncation_horizon(1.0, 0.0, 0.01)
 
+    def test_nan_fails_every_range_check(self):
+        # each check is written so that a NaN fails it, as a bad value would
+        rng = substream(51, 0)
+        for call in (lambda: truncation_horizon(math.nan, 0.0, 0.01),
+                     lambda: truncation_miss_bound(math.nan, 0.0, 1.0),
+                     lambda: sample_decoration(math.nan, 2.0, -1.0, 10, rng),
+                     lambda: sample_decoration(2.0, 2.0, math.nan, 10, rng),
+                     lambda: sample_decoration(2.0, math.nan, -1.0, 10, rng),
+                     lambda: estimate_C_curve([math.nan, 2.0], 2.0, 10, 1),
+                     lambda: estimate_C_curve([1.5], math.nan, 10, 1)):
+            with pytest.raises(ValueError, match="nan"):
+                call()
+
     def test_empirical_certificate(self):
         # branches after a certified horizon rarely reach the window
         rho, a, eps, n = 1.5, -6.0, 0.01, 800
@@ -189,10 +202,16 @@ class TestCurve:
 class TestDecoration:
     def test_max_atom_is_zero(self):
         rng = substream(66, 0)
+        sizes = set()
         for _ in range(30):
-            m = sample_decoration(2.0, 5.0, -4.0, 500, rng)
-            assert m.atoms[-1] == 0.0
-            assert m.atoms.min() >= -4.0
+            atoms = sample_decoration(2.0, 5.0, -4.0, 500, rng)
+            # the atoms as an ascending float64 array, the atom at 0 last
+            assert isinstance(atoms, np.ndarray) and atoms.dtype == np.float64
+            assert atoms.ndim == 1 and np.all(np.diff(atoms) >= 0.0)
+            assert atoms[-1] == 0.0
+            assert atoms.min() >= -4.0
+            sizes.add(atoms.size)
+        assert max(sizes) > 2  # some draws have atoms to order
 
     def test_high_speed_sparsity_trend(self):
         # decorations thin out toward a single atom as the speed grows;
@@ -239,9 +258,9 @@ class TestLimitProcess:
             m = min(8192, n - 8192 * j)
             rng = substream(71, j)
             for _ in range(m):
-                s = sample_limit_process(math.inf, -1.0, rng)
+                atoms = sample_limit_process(math.inf, -1.0, rng)
                 for i, z in enumerate(z_grid):
-                    hits[i] += s.atoms.count_above(z) == 0
+                    hits[i] += not np.any(atoms >= z)
         emp = hits / n
         target = 1.0 / (1.0 + np.exp(-SQRT2 * z_grid) * INV_SQRT_4PI)
         se = np.sqrt(target * (1 - target) / n)
@@ -252,8 +271,7 @@ class TestLimitProcess:
         window = -0.5
         atoms = []
         for _ in range(4000):
-            s = sample_limit_process(math.inf, window, rng)
-            atoms.extend(s.atoms.atoms)
+            atoms.extend(sample_limit_process(math.inf, window, rng))
         atoms = np.array(atoms)
         assert atoms.min() >= window
         # conditional law of position - window is Exp(sqrt 2)
@@ -270,18 +288,43 @@ class TestLimitProcess:
             for _ in range(n):
                 sa = sample_limit_process(math.inf, -0.5, rng_a)
                 sb = sample_limit_process(math.inf, -2.5, rng_b)
-                za.append(sa.atoms.count_above(-0.5))
-                zb.append(sb.atoms.count_above(-0.5))
+                za.append(np.count_nonzero(sa >= -0.5))
+                zb.append(np.count_nonzero(sb >= -0.5))
         za, zb = np.array(za), np.array(zb)
         se = math.hypot(za.std(ddof=1), zb.std(ddof=1)) / math.sqrt(n)
         assert abs(za.mean() - zb.mean()) < 4.0 * se
 
     def test_finite_gamma_properties(self):
         rng = substream(75, 0)
-        s = sample_limit_process(1.0, -1.0, rng, c_value=0.21, proxy_horizon=6.0,
-                                 decoration_horizon=8.0)
-        assert s.atoms.atoms.size == 0 or s.atoms.atoms.min() >= -1.0
-        assert s.intensity_mass > 0.0
+        atoms = sample_limit_process(1.0, -1.0, rng, c_value=0.21, proxy_horizon=6.0,
+                                     decoration_horizon=8.0)
+        assert atoms.size == 0 or atoms.min() >= -1.0
+
+    @pytest.mark.parametrize("gamma, kw", [
+        (math.inf, {}),
+        (2.0, dict(c_value=0.25, proxy_horizon=5.0, decoration_horizon=5.0))],
+        ids=["gamma-inf", "gamma-2"])
+    def test_returns_an_ascending_array(self, gamma, kw):
+        rng = substream(78, 0)
+        sizes = set()
+        for _ in range(40):
+            atoms = sample_limit_process(gamma, -1.5, rng, **kw)
+            assert isinstance(atoms, np.ndarray) and atoms.dtype == np.float64
+            assert atoms.ndim == 1 and np.all(np.diff(atoms) >= 0.0)
+            assert atoms.size == 0 or atoms[0] >= -1.5
+            sizes.add(atoms.size)
+        assert max(sizes) > 2  # some draws have atoms to order
+
+    @pytest.mark.parametrize("window_a", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_window(self, window_a):
+        for gamma, c_value in ((math.inf, None), (2.0, 0.25)):
+            with pytest.raises(ValueError, match="window_a must be finite"):
+                sample_limit_process(gamma, window_a, substream(75, 0), c_value=c_value)
+
+    @pytest.mark.parametrize("c_value", [math.nan, math.inf, 0.0, -0.2])
+    def test_rejects_a_c_value_not_finite_and_positive(self, c_value):
+        with pytest.raises(ValueError, match="c_value must be finite and positive"):
+            sample_limit_process(2.0, -1.0, substream(75, 0), c_value=c_value)
 
     def test_finite_gamma_needs_c_value(self):
         with pytest.raises(ValueError):
@@ -303,8 +346,8 @@ class TestLimitProcess:
                                       proxy_horizon=6.0, decoration_horizon=6.0)
             sb = sample_limit_process(2.0, -1.5, rng_b, c_value=0.25,
                                       proxy_horizon=6.0, decoration_horizon=6.0)
-            ca.append(sa.atoms.count_above(-0.5))
-            cb.append(sb.atoms.count_above(-0.5))
+            ca.append(np.count_nonzero(sa >= -0.5))
+            cb.append(np.count_nonzero(sb >= -0.5))
         ca, cb = np.array(ca), np.array(cb)
         se = math.hypot(ca.std(ddof=1), cb.std(ddof=1)) / math.sqrt(n)
         assert abs(ca.mean() - cb.mean()) < 4.0 * se

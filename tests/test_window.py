@@ -259,6 +259,15 @@ class TestWindowedExtremal:
                                       2000, substream(42, 0))
         assert res.atoms.size == 0 or res.atoms.min() >= -1.0
 
+    def test_nan_window_fails_and_infinite_windows_hold(self):
+        centering = Centering("bou_tilde", 3.0)
+        with pytest.raises(ValueError, match="NaN"):
+            windowed_extremal_atoms(1.0, 3.0, centering, math.nan, 4, substream(43, 0))
+        everything = windowed_extremal_atoms(1.0, 3.0, centering, -math.inf, 4,
+                                             substream(43, 0))
+        nothing = windowed_extremal_atoms(1.0, 3.0, centering, math.inf, 4, substream(43, 0))
+        assert everything.atoms.size >= 4 and nothing.atoms.size == 0
+
 
 def _digest(*arrays):
     h = hashlib.sha256()
@@ -344,9 +353,8 @@ def _yule_counts(monkeypatch):
 
 
 def _limit_process_atoms():
-    s = sample_limit_process(2.0, -1.0, substream(24, 0), c_value=0.25,
-                             proxy_horizon=6.0, decoration_horizon=6.0)
-    return s.atoms.atoms, np.asarray(s.intensity_mass)
+    return (sample_limit_process(2.0, -1.0, substream(24, 0), c_value=0.25,
+                                 proxy_horizon=6.0, decoration_horizon=6.0),)
 
 
 def _single_cloud_outputs():
@@ -391,7 +399,7 @@ _LEAF_DIGESTS = {
     "spine-identity-sides":
         "262a09b671169d51c801c3917de1f066d8445e1be92ef5f3926f27df635c7dcb",
     "limit-process-gamma-2":
-        "c688b4430fe6a733c4e8f5fc5626cbc601969bdf3504b15e6f35ac345a87c232",
+        "632745745c9d17324a278e84069643af8b7930785ac84da059fec14051075a90",
 }
 
 # Forest.positions_for on the mu = 1 forest of _FORESTS, for other spring constants
@@ -508,7 +516,7 @@ class TestPinnedBits:
     def test_sample_decoration(self):
         rng = substream(100, 0)
         decorations = [sample_decoration(2.0, 3.0, -3.0, 1000, rng) for _ in range(6)]
-        assert _digest(*(d.atoms for d in decorations)) == _DECORATIONS
+        assert _digest(*decorations) == _DECORATIONS
 
 
 @pytest.fixture(params=[(1, 1), (2, 1), (3, 1), (3, 1000)],
