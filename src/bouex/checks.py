@@ -144,12 +144,9 @@ class CheckReport:
     def failed(self) -> bool:
         return not self.passed and not self.inconclusive
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def reports_to_json(reports) -> str:
-    return json.dumps([r.to_dict() for r in reports], indent=2, default=float)
+    return json.dumps([asdict(r) for r in reports], indent=2, default=float)
 
 
 # ---------------------------------------------------------------------------

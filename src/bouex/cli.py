@@ -35,7 +35,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -258,8 +257,7 @@ def _build_parser(config=None) -> argparse.ArgumentParser:
         parser_class=functools.partial(_ConfigParser, config=config))
 
     def add_common(p):
-        p.add_argument("--seed", type=int,
-                       default=int(os.environ.get("BOUEX_SEED", "20240801")))
+        p.add_argument("--seed", type=int, default=20240801)
         p.add_argument("--config", type=str, default=None,
                        help="JSON file with default parameter values")
         p.add_argument("--output", "-o", type=str, default="-")

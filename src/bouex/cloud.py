@@ -67,9 +67,7 @@ class Forest:
     Leaves are read through `leaf_index`, in storage order.
     """
 
-    mu: float
     horizon_t: float
-    n_reps: int
     rep: np.ndarray        # replica index per node
     parent: np.ndarray     # node index, -1 for roots
     t_end: np.ndarray      # branch time, or horizon for leaves
@@ -423,7 +421,7 @@ def simulate_forest(mu: float, horizon_t: float, n_reps: int, rng) -> Forest:
     columns = list(zip(*waves))
     del waves  # a column's pieces die once it is merged, so the tree is held once
     merged = [np.concatenate(columns.pop(0)) for _ in range(len(columns))]
-    return Forest(mu, horizon_t, n_reps, *merged, wave_edges=list(zip([0] + ends[:-1], ends)))
+    return Forest(horizon_t, *merged, wave_edges=list(zip([0] + ends[:-1], ends)))
 
 
 def additive_martingale_per_rep(rep, x, t: float, n_reps: int, beta: float) -> np.ndarray:

@@ -15,7 +15,3 @@ class NumericalFailureError(RuntimeError):
 
 class RejectionBudgetError(RuntimeError):
     """A rejection sampler exhausted its attempt budget."""
-
-    def __init__(self, message, acceptance_estimate=None):
-        super().__init__(message)
-        self.acceptance_estimate = acceptance_estimate

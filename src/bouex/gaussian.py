@@ -30,7 +30,6 @@ class GammaConstants:
     downstream dilation by d_gamma must branch on it explicitly.
     """
 
-    gamma: float
     c_gamma: float
     d_gamma: float
 
@@ -110,7 +109,7 @@ def gamma_constants(gamma: float) -> GammaConstants:
     if not gamma > 0:
         raise ValueError("gamma must lie in (0, inf]")
     if math.isinf(gamma):
-        return GammaConstants(gamma=math.inf, c_gamma=0.0, d_gamma=math.inf)
+        return GammaConstants(c_gamma=0.0, d_gamma=math.inf)
     two_g = 2.0 * gamma
     c = math.sqrt(two_g / math.expm1(two_g)) if two_g < 700 else 0.0
-    return GammaConstants(gamma=gamma, c_gamma=c, d_gamma=normalization_factor(gamma, 1.0))
+    return GammaConstants(c_gamma=c, d_gamma=normalization_factor(gamma, 1.0))

@@ -22,13 +22,13 @@ time.  A checkpoint must be a whole number of steps (to 1e-9 relative), lie
 in [0, t_max] and, in step mode, not precede `t_switch`; it is stored at
 its own step, k = checkpoint / dt.
 
-Each implicit step solves a linear system that is constant within a phase.
-Its Dirichlet rows hold known values: row 0, row n-1 in the u phase, and in
-the w phase row n-2, once the extrapolation row n-1 is substituted into it.
-The rows between them are symmetric positive-definite and tridiagonal, so
-they are factored once per phase (LAPACK pttrf) and each step is one pttrs.
-This matches `scipy.linalg.solve_banded` on the full system to rounding, not
-bit for bit.
+Both phases solve one constant linear system per implicit step.  Its
+Dirichlet rows hold known values: row 0, and row n-2 once the right edge's
+extrapolation row n-1 is substituted into it (in the u phase that edge only
+reaches points the tail formula replaces).  The rows between are symmetric
+positive-definite and tridiagonal, so they are factored once (LAPACK pttrf)
+and each step is one pttrs.  This matches `scipy.linalg.solve_banded` on
+the full system to rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -128,7 +128,6 @@ class KppField:
     x: np.ndarray
     times: list
     w: list                      # one array per checkpoint time
-    params: KppParams
 
     def w_at(self, t: float) -> np.ndarray:
         for tk, wk in zip(self.times, self.w):
@@ -137,15 +136,15 @@ class KppField:
         raise ValueError(f"t={t} is not a stored checkpoint (have {self.times})")
 
 
-def _implicit_solver(n: int, r: float, right_extrapolation: bool):
-    """Factor one phase's implicit matrix once; return its per-step solve.
+def _implicit_solver(n: int, r: float):
+    """Factor the implicit matrix once; return its per-step solve.
 
     Rows 1..n-2 are (-r, 1 + 2r, -r); row 0 is x[0] = b[0], and row n-1 is
-    x[n-1] = b[n-1] or, with `right_extrapolation`, x[n-1] = 2 x[n-2] -
-    x[n-3] + b[n-1].  `solve(b, t, step)` overwrites b with x and returns it;
-    a non-finite b is a NumericalFailureError naming the time and step.
+    x[n-1] = 2 x[n-2] - x[n-3] + b[n-1].  `solve(b, t, step)` overwrites b
+    with x and returns it; a non-finite b is a NumericalFailureError naming
+    the time and step.
     """
-    hi = n - 2 if right_extrapolation else n - 1      # the interior is x[1:hi]
+    hi = n - 2              # the interior is x[1:hi]
     zeros = np.zeros(n)     # 0 * b[i] is NaN exactly when b[i] is not finite
     d, e, info = dpttrf(np.full(hi - 1, 1.0 + 2.0 * r), np.full(hi - 2, -r))
     if info != 0:
@@ -155,16 +154,14 @@ def _implicit_solver(n: int, r: float, right_extrapolation: bool):
         if math.isnan(np.dot(zeros, b)):
             raise NumericalFailureError(
                 f"non-finite right-hand side at t={t:.4f} (step {step})")
-        if right_extrapolation:     # row n-2 reduces to x[n-2] = b[n-2] + r b[n-1]
-            b[hi] += r * b[n - 1]
+        b[hi] += r * b[n - 1]       # row n-2 reduces to x[n-2] = b[n-2] + r b[n-1]
         b[1] += r * b[0]            # move the known x[0] and x[hi] to the right
         b[hi - 1] += r * b[hi]
         _, info = dpttrs(d, e, b[1:hi], overwrite_b=1)
         if info != 0:
             raise NumericalFailureError(
                 f"tridiagonal solve failed at t={t:.4f} (step {step}, info={info})")
-        if right_extrapolation:
-            b[n - 1] += 2.0 * b[hi] - b[hi - 1]
+        b[n - 1] += 2.0 * b[hi] - b[hi - 1]
         return b
 
     return solve
@@ -201,6 +198,7 @@ def solve_kpp(params: KppParams) -> KppField:
             return float(_log_tail(np.array([params.x_lo]), max(t, 1e-12))[0])
         return 0.0
 
+    solve = _implicit_solver(n, r)
     t = 0.0
     n_u = 0
     if params.ic_mode == "step":
@@ -208,16 +206,14 @@ def solve_kpp(params: KppParams) -> KppField:
         i0 = int(np.argmin(np.abs(x)))
         u[i0] = 0.5
         n_u = int(round(params.t_switch / dt))
-        solve_u = _implicit_solver(n, r, right_extrapolation=False)
         for k in range(n_u):
             rhs = u + dt * (u - (u * u if nonlin else 0.0))
             rhs[0] = math.exp(left_bc_w(t + dt))
             rhs[-1] = 0.0
-            u = solve_u(rhs, t + dt, k)
+            u = solve(rhs, t + dt, k)
             t += dt
-        w = np.where(u > _SWITCH_FLOOR, np.log(np.maximum(u, 1e-300)), 0.0)
-        w_tail = np.minimum(_log_tail(x, t), math.log(_SWITCH_FLOOR))
-        w = np.where(u > _SWITCH_FLOOR, w, w_tail)
+        w = np.where(u > _SWITCH_FLOOR, np.log(np.maximum(u, 1e-300)),
+                     np.minimum(_log_tail(x, t), math.log(_SWITCH_FLOOR)))
         w = np.minimum(w, 0.0) if nonlin else w
     elif params.ic_mode == "ramp":
         w = -params.ic_slope * np.maximum(x, 0.0)
@@ -228,7 +224,6 @@ def solve_kpp(params: KppParams) -> KppField:
     total_steps = int(round((params.t_max - t) / dt))
     check_every = max(1, total_steps // 50)
     wx, rhs, growth = np.zeros(n), np.empty(n), np.empty(n)
-    solve_w = _implicit_solver(n, r, right_extrapolation=True)
     for k in range(total_steps):
         # rhs = w + dt * (0.5 * wx * wx + 1 - e^min(w, 50)), in that order, in place
         np.subtract(w[2:], w[:-2], out=wx[1:-1])
@@ -243,7 +238,7 @@ def solve_kpp(params: KppParams) -> KppField:
         rhs += w
         rhs[0] = left_bc_w(t + dt)
         rhs[-1] = 0.0
-        w, rhs = solve_w(rhs, t + dt, k), w
+        w, rhs = solve(rhs, t + dt, k), w
         t += dt
         if k % check_every == 0 or k == total_steps - 1:
             tail = w[int(0.9 * n):]
@@ -252,7 +247,7 @@ def solve_kpp(params: KppParams) -> KppField:
                     f"instability at t={t:.4f} (step {k}): "
                     f"max w={np.nanmax(w):.3g}, dt={dt:.3g}, dx={dx}")
         store(n_u + k + 1, w)
-    return KppField(x=x, times=stored_t, w=stored_w, params=params)
+    return KppField(x=x, times=stored_t, w=stored_w)
 
 
 def front_tail(field: KppField, rho: float, t: float) -> float:
@@ -304,8 +299,7 @@ def estimate_C_pde(field: KppField, rho: float):
     else:
         estimate = float(richardson(-2, -1))
         spread = float(diffs[-1])
-    return EstimatorResult(estimate=estimate, stderr=spread, n_samples=len(ts),
-                           extra={"c_of_t": dict(zip(map(float, ts), map(float, cs)))})
+    return EstimatorResult(estimate=estimate, stderr=spread, n_samples=len(ts))
 
 
 def dump_checkpoints(field: KppField, path: str):

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 
@@ -14,4 +14,3 @@ class EstimatorResult:
     n_accepted: int = 0
     warning: Optional[str] = None
     pruned_mass: float = 0.0
-    extra: dict = field(default_factory=dict)

@@ -39,6 +39,18 @@ def _split_fraction(rho: float) -> float:
     return (-1.0 + math.sqrt(1.0 + 2.0 * (rho - 1.0))) / (rho - 1.0)
 
 
+def _window_exp(x: float, window_a: float) -> float:
+    """e^x, x growing as window_a falls; a non-finite window_a or e^x is a ValueError."""
+    if not abs(window_a) < math.inf:
+        raise ValueError(f"window_a must be finite, got {window_a}")
+    try:
+        if x < math.inf:
+            return math.exp(x)
+    except OverflowError:
+        pass
+    raise ValueError(f"window_a={window_a} is too negative: e^{x:.6g} overflows")
+
+
 def truncation_miss_bound(rho: float, window_a: float, T: float) -> float:
     """Certified bound on P(any branch after T contributes an atom >= window_a).
 
@@ -50,12 +62,12 @@ def truncation_miss_bound(rho: float, window_a: float, T: float) -> float:
         raise ValueError(f"no finite horizon certificate exists for rho <= 1, got {rho}")
     beta = _split_fraction(rho)
     d = rho - 1.0
+    r_m = 2.0 * (1.0 - beta) * d
+    a_m = _window_exp(-SQRT2 * (1.0 - beta) * window_a, window_a) / (math.sqrt(math.pi) * r_m)
+    r_b = beta * beta * d * d
+    a_b = 2.0 * _window_exp(-SQRT2 * window_a * beta * beta * d, window_a) / r_b
     if window_a + SQRT2 * d * T <= 0:
         return 1.0
-    r_m = 2.0 * (1.0 - beta) * d
-    a_m = math.exp(-SQRT2 * (1.0 - beta) * window_a) / (math.sqrt(math.pi) * r_m)
-    r_b = beta * beta * d * d
-    a_b = 2.0 * math.exp(-SQRT2 * window_a * beta * beta * d) / r_b
     return a_m * math.exp(-r_m * T) + a_b * math.exp(-r_b * T)
 
 
@@ -157,8 +169,7 @@ def estimate_C_curve(rho_grid, horizon_T: float, n: int, seed: int):
     is exactly {rho >= rho*}, so the coupled curve is monotone by
     construction.  A realization is abandoned as soon as it emits an atom
     above the top of the grid, since it is then non-void at every grid point.
-    Returns one EstimatorResult per grid point, with the empirical right
-    derivative at 1 attached to the first result's extras.
+    Returns one EstimatorResult per grid point.
     """
     grid = np.asarray(rho_grid, dtype=float)
     if grid.size == 0 or np.any(np.diff(grid) < 0):
@@ -183,7 +194,6 @@ def estimate_C_curve(rho_grid, horizon_T: float, n: int, seed: int):
         void_counts += (grid[None, :] >= rho_star[:, None]).sum(axis=0)
         pruned_total += float(res.pruned_mass.sum())
     results = []
-    slope = _right_derivative_at_one(grid, void_counts / n)
     for i, rho in enumerate(grid):
         p = int(void_counts[i]) / n
         se = math.sqrt(max(p * (1.0 - p), 1e-300) / n)
@@ -191,18 +201,8 @@ def estimate_C_curve(rho_grid, horizon_T: float, n: int, seed: int):
         results.append(EstimatorResult(
             estimate=p * INV_SQRT_4PI, stderr=se * INV_SQRT_4PI, n_samples=n,
             n_accepted=int(void_counts[i]), warning=warning,
-            pruned_mass=pruned_total / n,
-            extra={"right_derivative_at_one": slope} if i == 0 else {}))
+            pruned_mass=pruned_total / n))
     return results
-
-
-def _right_derivative_at_one(grid, void_fracs):
-    """Finite-difference slope of c at rho = 1+ from the two lowest grid points."""
-    if grid.size < 2:
-        return math.nan
-    c = void_fracs * INV_SQRT_4PI
-    return float((c[1] - c[0]) / (grid[1] - grid[0])) if grid[0] > 1.0 else \
-        float(c[1] / (grid[1] - 1.0))
 
 
 def sample_decoration(rho: float, horizon_T: float, window_a: float,
@@ -226,8 +226,7 @@ def sample_decoration(rho: float, horizon_T: float, window_a: float,
             return np.sort(res.atoms)
     raise RejectionBudgetError(
         f"no void realization in {max_attempts} attempts at rho={rho} "
-        f"(acceptance estimate < {1.0 / max_attempts:.2e})",
-        acceptance_estimate=0.0)
+        f"(acceptance estimate < {1.0 / max_attempts:.2e})")
 
 
 def limit_intensity(gamma: float, rng) -> float:
@@ -255,8 +254,7 @@ def sample_limit_process(gamma: float, window_a: float, rng,
     decorations only move atoms down.  Finite gamma needs c_value, e.g. from
     `limit_intensity`; gamma = inf rejects one, since its constant is fixed.
     """
-    if not math.isfinite(window_a):
-        raise ValueError(f"window_a must be finite, got {window_a}")
+    density = _window_exp(-SQRT2 * window_a, window_a)
     gc = gamma_constants(gamma)
     d_gamma = gc.d_gamma
     if math.isinf(gamma):
@@ -273,7 +271,7 @@ def sample_limit_process(gamma: float, window_a: float, rng,
         rep, x = leaves(0.0, proxy_horizon, 1, rng)
         w = float(additive_martingale_per_rep(rep, x, proxy_horizon, 1, SQRT2 * gc.c_gamma)[0])
         c = float(c_value)
-    count = int(rng.poisson(c * w * math.exp(-SQRT2 * window_a)))
+    count = int(rng.poisson(c * w * density))
     atoms = window_a + rng.exponential(size=count) / SQRT2
     if not math.isinf(gamma):
         pieces = []

@@ -392,6 +392,27 @@ def test_nan_float_flag_is_usage_error(command, flag, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_nan_or_very_negative_window_is_a_usage_error(capsys):
+    # a NaN window fails the horizon certificate's range check, and a window
+    # whose envelope e^(-sqrt(2) window_a) overflows names window_a
+    from bouex.spine import sample_limit_process, truncation_horizon, truncation_miss_bound
+    for call in (lambda: truncation_horizon(2.0, math.nan, 0.01),
+                 lambda: truncation_miss_bound(2.0, math.nan, 3.0)):
+        with pytest.raises(ValueError, match="window_a must be finite, got nan"):
+            call()
+    for call in (lambda: truncation_horizon(2.0, -1000.0, 0.01),
+                 lambda: truncation_miss_bound(2.0, -1000.0, 3.0),
+                 lambda: sample_limit_process(math.inf, -1000.0, np.random.default_rng(1))):
+        with pytest.raises(ValueError, match="window_a=-1000.0 is too negative"):
+            call()
+    for argv in (["limit-process", "--gamma", "inf"],
+                 ["limit-process", "--gamma", "2", "--c-value", "0.2"],
+                 ["decorate", "--rho", "2"]):
+        assert run(argv + ["--window-a=-1000", "--samples", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"bouex {argv[0]}: error: window_a=-1000.0 is too negative")
+
+
 @pytest.mark.parametrize("command, mode", [pytest.param(c, None, id=c) for c in _NAN_BASES] +
                          [pytest.param("simulate", f, id="simulate" + f) for f in _NAN_MODES])
 def test_nan_cases_are_otherwise_valid(command, mode, tmp_path):

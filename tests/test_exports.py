@@ -1,4 +1,5 @@
-"""Every public name of the package has a caller in the package or the benchmark.
+"""Every public name of the package has a caller in the package or the
+benchmark, and every public field a reader (see `FIELDS_OPEN` below).
 
 The public names are what `bouex/__init__.py` imports, every module-level
 function and class in `src/bouex/*.py` whose name has no leading underscore,
@@ -98,3 +99,64 @@ def test_an_unreferenced_method_or_property_is_found():
     # `xs.top()` calls some other `top`; a property is read, not called
     assert {n for n, prop in names.items() if not _references(tree, n, prop)} == \
         {"unused", "top"}
+
+
+# Fields.  A public field is a dataclass field (not a ClassVar) or an
+# attribute a method assigns on `self`, of a public class in src/bouex.  It
+# is used when src/bouex or perfbench reads it as an attribute; the class's
+# own methods count (`Forest.positions_for` reads `self.horizon_t`), while an
+# assignment or a keyword at construction does not.  The rule goes by name,
+# so it cannot see a field whose name collides with another read: the
+# removed `Forest.mu` and `GammaConstants.gamma` passed it, since `args.mu`
+# and `args.gamma` are read in the CLI.
+#
+# public fields that nothing reads as an attribute, kept open:
+FIELDS_OPEN = {
+    # the benchmark's tracer reads it by name, with getattr
+    "Forest.t_end",
+    # perfbench/test_perfbench.py constructs CollectedAtoms with it
+    "CollectedAtoms.stopped",
+}
+
+
+def _fields(tree):
+    """{name: "Class.name"} of the public fields of tree's public classes."""
+    fields = {}
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+            continue
+        for item in cls.body:
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name) and \
+                    not ast.unparse(item.annotation).startswith("ClassVar"):
+                fields[item.target.id] = f"{cls.name}.{item.target.id}"
+        for node in ast.walk(cls):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) and \
+                    isinstance(node.value, ast.Name) and node.value.id == "self":
+                fields[node.attr] = f"{cls.name}.{node.attr}"
+    return {name: owner for name, owner in fields.items() if not name.startswith("_")}
+
+
+def _unread_fields(package, readers):
+    """The "Class.name" of every public field of package that no reader reads."""
+    fields = {}
+    for path in package.glob("*.py"):
+        fields.update(_fields(ast.parse(path.read_text())))
+    read = {node.attr for path in readers for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return {owner for name, owner in fields.items() if name not in read}
+
+
+def test_every_field_is_read_but_the_open_ones():
+    readers = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    assert _unread_fields(PACKAGE, readers) == FIELDS_OPEN
+
+
+def test_an_unread_field_is_found(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "from dataclasses import dataclass\nfrom typing import ClassVar\n\n\n"
+        "@dataclass\nclass A:\n    kept: int\n    unread: int\n    limit: ClassVar[int] = 3\n\n"
+        "    def total(self):\n        return self.kept + self.limit\n\n\n"
+        "class E(Exception):\n    def __init__(self, stored):\n        self.stored = stored\n"
+        "\n\nclass _P:\n    hidden: int\n")
+    # only `A.kept` is read; E's attribute is assigned, never read
+    assert _unread_fields(tmp_path, [tmp_path / "m.py"]) == {"A.unread", "E.stored"}

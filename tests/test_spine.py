@@ -14,6 +14,7 @@ from bouex.rng import substream
 from bouex.spine import (CHUNK, estimate_C, estimate_C_curve, sample_decoration,
                          sample_limit_process, truncation_horizon,
                          truncation_miss_bound, _draw_branches, _sort_blocks, _spine_atoms)
+from bouex.suite import check_curve_monotone
 
 
 class TestTruncationHorizon:
@@ -188,7 +189,11 @@ class TestCurve:
         top = curve[-1]
         se = math.hypot(top.stderr, single.stderr)
         assert abs(top.estimate - single.estimate) < 4.0 * se
-        assert "right_derivative_at_one" in curve[0].extra
+        # the curve check reports c's slope between its two lowest points, 1.1 and 1.2
+        details = check_curve_monotone(300, seed=62, horizon_T=4.0).details
+        c = details["estimates"]
+        assert details["right_derivative_at_one"] == pytest.approx((c[1] - c[0]) / 0.1, rel=1e-12)
+        assert details["right_derivative_at_one"] >= 0.0
 
     def test_uncoupled_consistency(self):
         grid = np.array([1.5, 2.5])

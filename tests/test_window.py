@@ -169,7 +169,7 @@ class TestOneWaveCore:
         assert np.array_equal(res.group, rep)
         assert np.array_equal(res.atoms, x)
         assert res.n_nodes == forest.n_nodes
-        assert np.array_equal(forest.positions_for(forest.mu), x)
+        assert np.array_equal(forest.positions_for(mu), x)
         # the leaf path is that collection
         rep_l, x_l = leaves(mu, t, n, substream(44, 0))
         assert np.array_equal(rep_l, rep) and np.array_equal(x_l, x)
