@@ -46,12 +46,12 @@ from typing import Callable
 import numpy as np
 from scipy.special import chdtrc, expit, ndtr, ndtri, owens_t
 
-from .cloud import _run, simulate_forest
+from .cloud import _run, leaves, simulate_forest
 from .gaussian import SQRT2, normalization_factor, ou_variance
 from .measure import Centering, group_max
 from .rng import chunks, substream
 from .spine import _spine_atoms, sample_limit_process
-from .window import leaves, windowed_extremal_atoms
+from .window import windowed_extremal_atoms
 
 CHUNK = 2048
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -365,7 +365,7 @@ def check_slepian_monotonicity(mu_list, phi: TestFunction, t: float, n: int,
 
 
 def _leaf_sums(mu: float, t: float, f, n: int, seed: int) -> np.ndarray:
-    """sum_u f(X_t(u)) per replica, from `window.leaves` in chunks of 512 replicas."""
+    """sum_u f(X_t(u)) per replica, from `cloud.leaves` in chunks of 512 replicas."""
     def draw(j, m):
         rep, x = leaves(mu, t, m, substream(seed, j))
         return np.bincount(rep, weights=f(x), minlength=m)

@@ -18,7 +18,7 @@ an empty measure's maximum is written as the string -inf, and an unset
 optional flag as an empty value.  `kpp` leaves the c_extrapolated and
 uncertainty cells empty when it stores fewer than two checkpoints, since the
 1/t extrapolation needs two, and for rho = 1, where c(rho) has no 1/t
-extrapolation; a rho below 1 is a usage error.
+extrapolation; a rho below 1 is a usage error, as is a count below 1.
 
 `--config PATH` (or `--config=PATH`) names a JSON file of flag values, keyed
 by flag name without the leading dashes; they act as defaults, so a flag the
@@ -41,7 +41,7 @@ import numpy as np
 
 from . import __version__
 from .checks import reports_to_json
-from .cloud import additive_martingale_per_rep, derivative_martingale_per_rep
+from .cloud import additive_martingale_per_rep, derivative_martingale_per_rep, leaves
 from .errors import NumericalFailureError, RejectionBudgetError, ResourceLimitError
 from .kpp import KppParams, dump_checkpoints, estimate_C_pde, prefactor_of_t, \
     front_tail, solve_kpp
@@ -50,7 +50,7 @@ from .rng import chunks, substream
 from .spine import estimate_C_curve, limit_intensity, \
     sample_decoration, sample_limit_process, truncation_horizon
 from .suite import run_suite
-from .window import leaves, windowed_extremal_atoms
+from .window import windowed_extremal_atoms
 
 SCHEMA = 1
 
@@ -89,8 +89,6 @@ def _write_output(args, text):
 
 
 def cmd_estimate_c(args) -> int:
-    if args.steps < 1:
-        raise ValueError(f"--steps must be >= 1, got {args.steps}")
     grid = np.linspace(args.rho_min, args.rho_max, args.steps)
     # --coupled: one curve over the grid, on common random numbers, at the
     # horizon of its lowest rho; otherwise each rho is a curve of its own
@@ -355,10 +353,17 @@ def _merge_config(argv) -> argparse.ArgumentParser:
     return _build_parser({k.replace("-", "_"): v for k, v in values.items()})
 
 
+_COUNTS = ("steps", "replicas", "samples", "max_attempts")  # int flags that must be >= 1
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = _merge_config(argv).parse_args(argv)
     try:
+        for dest in _COUNTS:  # here, where the command line and --config values meet
+            if getattr(args, dest, 1) < 1:
+                raise ValueError(f"--{dest.replace('_', '-')} must be >= 1, "
+                                 f"got {getattr(args, dest)}")
         return args.func(args)
     except ValueError as exc:  # an invalid value that argparse cannot see
         print(f"bouex {args.command}: error: {exc}", file=sys.stderr)

@@ -3,14 +3,15 @@
 Genealogy is a rate-1 binary Yule tree; motion between branch events is one
 exact OU transition, so there is no time discretization anywhere.
 
-`_waves` is the one wave core that samples this law, for `simulate_forest`
-and for the windowed collector in `window.py` alike.  Its clock is each
-node's remaining time tau: a node is a leaf when its exponential lifetime is
-at least tau, and its children start with tau minus that lifetime.  The OU
-step over a segment is `_ou_step`, the scale `_ou_scale` times the
-innovation plus the mean `_decayed`; `Forest.positions_for` replays it under
-another spring constant, and the wave core takes the same terms, the scale
-and the mean before the innovation is drawn.
+`_waves` is the one wave core that samples this law, for `simulate_forest`,
+`leaves` and the windowed collector in `window.py` alike; each reads the
+waves it yields.  Its clock is each node's remaining time tau: a node is a
+leaf when its exponential lifetime is at least tau, and its children start
+with tau minus that lifetime.  The OU step over a segment is `_ou_step`,
+the scale `_ou_scale` times the innovation plus the mean `_decayed`;
+`Forest.positions_for` replays it under another spring constant, and the
+wave core takes the same terms, the scale and the mean before the
+innovation is drawn.
 
 A wave of at least _SPLIT_ROWS rows is cut into one contiguous slice of rows
 per usable core.  `_run` runs a wave's slices, or the replica chunks of a
@@ -18,18 +19,19 @@ Monte Carlo job (`checks`), at once on the calling thread and a thread pool
 made on first use.  No output bit depends on the cut or on how many tasks
 run at once.  The calling thread makes every random draw of a wave, of
 the same sizes in the same order; every step is row-wise; the collector
-adds its dropped bounds in node order and takes its atoms slice by slice,
-and its early stops take effect between waves.  Chunk j draws only from its
-own stream, and the results are kept in chunk order.  A smaller wave, every
-wave with one usable core and every wave of a chunk that runs beside others
-(which keep every core busy already) runs on the calling thread alone; a job
-of one chunk runs on the calling thread, whose large waves are cut.
+adds its dropped bounds in node order and takes its atoms from each whole
+wave, and its early stops take effect between waves.  Chunk j draws only
+from its own stream, and the results are kept in chunk order.  A smaller
+wave, every wave with one usable core and every wave of a chunk that runs
+beside others (which keep every core busy already) runs on the calling
+thread alone; a job of one chunk runs on the calling thread, whose large
+waves are cut.
 
 A Forest stores the whole tree as flat node arrays in wave (generation)
 order, so that `Forest.positions_for` can couple spring constants on one
 tree (the Slepian check); a single cloud is the one-replica Forest
 `simulate_forest(mu, t, 1, rng)`.  Monte Carlo that reads only the leaves
-takes them from `window.leaves`, which stores no node.
+takes them from `leaves`, which stores no node.
 """
 
 from __future__ import annotations
@@ -264,16 +266,15 @@ _ROWS = (float, float, np.int64)  # the dtypes of tau, x and root
 
 class _Wave:
     """One drawn wave: its node columns root, tau, life, xi, leaf, dur and
-    x_new; `found`, what `at_leaves` returned on each slice of its nodes, in
-    order; and `children`, the (tau, x, root) rows of the next wave."""
+    x_new, and `children`, the (tau, x, root) rows of the next wave."""
 
-    def __init__(self, root, tau, life, xi, leaf, dur, x_new, found, children):
+    def __init__(self, root, tau, life, xi, leaf, dur, x_new, children):
         self.root, self.tau, self.life, self.xi = root, tau, life, xi
         self.leaf, self.dur, self.x_new = leaf, dur, x_new
-        self.found, self.children = found, children
+        self.children = children
 
 
-def _whole_wave(mu, rows, pair, rng, decide, settle, at_leaves, n, node_cap):
+def _whole_wave(mu, rows, pair, rng, decide, settle, n, node_cap):
     """A wave on the calling thread alone, or None when every row is
     dropped; see `_waves`.  Empties the list `rows` once its nodes are
     gathered, so the rows die before the wave's draws are made."""
@@ -292,11 +293,10 @@ def _whole_wave(mu, rows, pair, rng, decide, settle, at_leaves, n, node_cap):
     leaf, dur, x_new, mean, split = _grow(mu, life, tau, x)
     xi = rng.standard_normal(m)
     children = _move(x_new, xi, mean, tau, root, life, split)
-    found = None if at_leaves is None else [at_leaves(root, x_new, leaf)]
-    return _Wave(root, tau, life, xi, leaf, dur, x_new, found, children)
+    return _Wave(root, tau, life, xi, leaf, dur, x_new, children)
 
 
-def _split_wave(mu, rows, pair, rng, decide, settle, at_leaves, n, node_cap):
+def _split_wave(mu, rows, pair, rng, decide, settle, n, node_cap):
     """A wave cut into _WORKERS contiguous slices of rows, or None when
     every row is dropped; see `_waves`.
 
@@ -331,15 +331,10 @@ def _split_wave(mu, rows, pair, rng, decide, settle, at_leaves, n, node_cap):
     del grown
     ends = list(accumulate((split.size for split in splits), initial=0))
     children = _empty(ends[-1], *_ROWS)
-
-    def finish(s, split, c):
-        _move(x_new[s], xi[s], x[s], tau[s], root[s], life[s], split,
-              tuple(col[c] for col in children))
-        return None if at_leaves is None else at_leaves(root[s], x_new[s], leaf[s])
-
-    found, _ = _run([partial(finish, s, split, slice(a, b))
-                     for s, split, a, b in zip(nodes, splits, ends, ends[1:])])
-    return _Wave(root, tau, life, xi, leaf, dur, x_new, found, children)
+    _run([partial(_move, x_new[s], xi[s], x[s], tau[s], root[s], life[s], split,
+                  tuple(col[a:b] for col in children))
+          for s, split, a, b in zip(nodes, splits, ends, ends[1:])])
+    return _Wave(root, tau, life, xi, leaf, dur, x_new, children)
 
 
 def _check_cap(n, m, node_cap):
@@ -350,7 +345,7 @@ def _check_cap(n, m, node_cap):
             "a higher window or a larger prune_tol expands fewer nodes")
 
 
-def _waves(mu, tau, x, rng, node_cap, decide=None, settle=None, at_leaves=None):
+def _waves(mu, tau, x, rng, node_cap, decide=None, settle=None):
     """Expand a batch of subtrees generation by generation.
 
     Root i starts at position x[i] with remaining time tau[i] > 0.  Yields
@@ -365,7 +360,6 @@ def _waves(mu, tau, x, rng, node_cap, decide=None, settle=None, at_leaves=None):
     `settle(tallies, pair)` takes the tallies of all slices, in order.  So a
     prune decision is taken once per sibling pair, and the kept rows are
     repeated into nodes, exactly the nodes a per-node decision would keep.
-    `found` lists `at_leaves(root, x_new, leaf)` on each slice of nodes.
 
     A wave of fewer than _SPLIT_ROWS rows, any wave with one usable core and
     every wave of a chunk worker (whose job already keeps every core busy)
@@ -381,7 +375,7 @@ def _waves(mu, tau, x, rng, node_cap, decide=None, settle=None, at_leaves=None):
     gate = _SPLIT_ROWS if _WORKERS > 1 and not _in_chunk() else math.inf
     while rows[0].size:
         step = _split_wave if rows[0].size >= gate else _whole_wave
-        wave = step(mu, rows, pair, rng, decide, settle, at_leaves, n, node_cap)
+        wave = step(mu, rows, pair, rng, decide, settle, n, node_cap)
         if wave is None:
             return
         yield wave
@@ -391,27 +385,28 @@ def _waves(mu, tau, x, rng, node_cap, decide=None, settle=None, at_leaves=None):
         pair = 2
 
 
-def _check_full_tree(mu: float, horizon_t: float) -> None:
-    """The guards of a full, unpruned tree, taken before any draw.
+def _full_waves(mu: float, horizon_t: float, n_reps: int, rng):
+    """The waves of n_reps full, unpruned clouds, their roots at 0 with
+    remaining time horizon_t.
 
-    Raises ValueError for a bad mu or horizon_t and ResourceLimitError for a
-    horizon above HORIZON_CAP; the traversal itself stops at _NODE_CAP nodes.
+    The guards are taken before any draw: ValueError for a bad mu or
+    horizon_t, and ResourceLimitError for a horizon above HORIZON_CAP; the
+    traversal itself stops at _NODE_CAP nodes.
     """
     _check_spring(mu, horizon_t)
     if horizon_t > HORIZON_CAP:
         raise ResourceLimitError(
             f"horizon {horizon_t} exceeds cap {HORIZON_CAP}: expected leaf count "
             f"is e^t = {math.exp(horizon_t):.3g} per replica")
+    return _waves(mu, np.full(n_reps, float(horizon_t)), np.zeros(n_reps), rng, _NODE_CAP)
 
 
 def simulate_forest(mu: float, horizon_t: float, n_reps: int, rng) -> Forest:
     """Draw n_reps independent clouds with one exact-law batched traversal."""
-    _check_full_tree(mu, horizon_t)
     waves = []  # the seven node columns of each wave
     parent = np.full(n_reps, -1, dtype=np.int64)
     n = 0  # nodes before this wave
-    for w in _waves(mu, np.full(n_reps, float(horizon_t)), np.zeros(n_reps), rng,
-                    _NODE_CAP):
+    for w in _full_waves(mu, horizon_t, n_reps, rng):
         t_end = np.where(w.leaf, horizon_t, horizon_t - w.tau + w.life)
         waves.append((w.root, parent, t_end, w.dur, w.xi, w.x_new, w.leaf))
         # the next wave is the two children of each split, in order
@@ -422,6 +417,20 @@ def simulate_forest(mu: float, horizon_t: float, n_reps: int, rng) -> Forest:
     del waves  # a column's pieces die once it is merged, so the tree is held once
     merged = [np.concatenate(columns.pop(0)) for _ in range(len(columns))]
     return Forest(horizon_t, *merged, wave_edges=list(zip([0] + ends[:-1], ends)))
+
+
+def leaves(mu: float, t: float, n_reps: int, rng):
+    """(replica, position) of every leaf of n_reps full clouds run to time t.
+
+    The leaves of `simulate_forest(mu, t, n_reps, rng)`, bit for bit and in
+    its order, under its guards and node cap, without storing the tree.
+    """
+    reps, xs = [], []
+    for w in _full_waves(mu, t, n_reps, rng):
+        leaf = np.flatnonzero(w.leaf)
+        reps.append(w.root[leaf])
+        xs.append(w.x_new[leaf])
+    return np.concatenate(reps), np.concatenate(xs)
 
 
 def additive_martingale_per_rep(rep, x, t: float, n_reps: int, beta: float) -> np.ndarray:

@@ -24,14 +24,16 @@ from typing import Optional
 
 import numpy as np
 
-from .cloud import additive_martingale_per_rep
+from .cloud import additive_martingale_per_rep, leaves
 from .errors import RejectionBudgetError
 from .gaussian import SQRT2, INV_SQRT_4PI, gamma_constants
 from .results import EstimatorResult
 from .rng import chunks, substream, spawn_seed
-from .window import collect_atoms_above, leaves
+from .window import collect_atoms_above
 
 CHUNK = 4096
+# the largest mean numpy's Generator.poisson accepts
+_POISSON_MAX = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
 
 
 def _split_fraction(rho: float) -> float:
@@ -271,7 +273,11 @@ def sample_limit_process(gamma: float, window_a: float, rng,
         rep, x = leaves(0.0, proxy_horizon, 1, rng)
         w = float(additive_martingale_per_rep(rep, x, proxy_horizon, 1, SQRT2 * gc.c_gamma)[0])
         c = float(c_value)
-    count = int(rng.poisson(c * w * density))
+    mean = c * w * density
+    if not mean <= _POISSON_MAX:
+        raise ValueError(f"window_a={window_a} is too negative: the Poisson mean "
+                         f"{mean:.6g} exceeds numpy's limit {_POISSON_MAX:.6g}")
+    count = int(rng.poisson(mean))
     atoms = window_a + rng.exponential(size=count) / SQRT2
     if not math.isinf(gamma):
         pieces = []

@@ -14,10 +14,9 @@ one-sided miss probability of each group is reported exactly.
 
 The trees are drawn by `cloud._waves`, the one wave core that also builds
 `simulate_forest`'s trees, on the same remaining-time clock tau; this module
-only decides which nodes to expand and which leaves to emit.  With an open
-window and no pruning it emits every leaf: `leaves` is that case, the one
-leaf path for Monte Carlo that needs no genealogy, bit for bit the leaves of
-`simulate_forest` on the same stream but with no node stored.
+only decides which nodes to expand and reads the atoms off each wave's
+leaves.  With an open window and no pruning it emits every leaf of
+`simulate_forest`'s trees on the same stream.
 
 Two shortcuts make the decision cheaper without changing an output bit.
 The two children of a split share (tau, x, root), so the decision is taken
@@ -30,8 +29,8 @@ once, so the collector hands it row-wise work only.  `decide` is a pure
 function of a slice of rows: it reads the early-stop flags, which change
 only between waves, and returns the kept rows with the bounds it dropped.
 `settle` then adds the dropped bounds of all slices to `pruned_mass` on the
-calling thread, in node order, and the atoms each slice's leaves emit are
-taken slice by slice, so every output has the bits of the uncut wave.
+calling thread, in node order, and the atoms are read off the whole wave
+once it is drawn, so every output has the bits of the uncut wave.
 """
 
 from __future__ import annotations
@@ -42,11 +41,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import log_ndtr
 
-from .cloud import _NODE_CAP, _check_full_tree, _decayed, _waves
+from .cloud import _decayed, _waves
 from .gaussian import normalization_factor, ou_variance
 from .measure import group_max
 
-_DEFAULT_NODE_CAP = 200_000_000
+_NODE_CAP = 200_000_000
 
 
 @dataclass
@@ -109,8 +108,7 @@ def _prunable(mu, tau, x, level, log_tol):
 
 
 def collect_atoms_above(mu, horizons, x0, levels, scales, offsets, groups, n_groups,
-                        rng, prune_tol=1e-9, stop_level=None,
-                        node_cap=_DEFAULT_NODE_CAP) -> CollectedAtoms:
+                        rng, prune_tol=1e-9, stop_level=None) -> CollectedAtoms:
     """Run the batched pruned traversal.
 
     Parameters are per root: remaining time, start position, raw collection
@@ -119,7 +117,7 @@ def collect_atoms_above(mu, horizons, x0, levels, scales, offsets, groups, n_gro
     `offsets` may be scalars shared by every root, or anything else that
     broadcasts to the shape of `horizons`.  When stop_level is given, a group
     is abandoned as soon as it emits an atom strictly above it (used by
-    void-probability estimators).
+    void-probability estimators).  The traversal stops at _NODE_CAP nodes.
     """
     tau = np.asarray(horizons, dtype=float)
     x, lvl, scl, off = (np.broadcast_to(np.asarray(a, dtype=float), tau.shape)
@@ -132,21 +130,16 @@ def collect_atoms_above(mu, horizons, x0, levels, scales, offsets, groups, n_gro
     n_nodes = 0
     log_tol = math.log(prune_tol) if prune_tol > 0 else None
 
-    def emit(x_leaf, root):
-        # the atoms of the leaves that reach their level, with their groups
-        hit = np.flatnonzero(x_leaf >= lvl[root])
+    def emit(x, root, leaf=True):
+        # keep the atoms of the leaves (where `leaf`) that reach their level,
+        # with their groups
+        hit = np.flatnonzero((x >= lvl[root]) & leaf)
         root = root[hit]
-        return grp[root], scl[root] * x_leaf[hit] + off[root]
-
-    def at_leaves(root, x_new, leaf):
-        leaf = np.flatnonzero(leaf)
-        return emit(x_new[leaf], root[leaf])
-
-    def record(g, emitted):
+        g, atoms = grp[root], scl[root] * x[hit] + off[root]
         out_groups.append(g)
-        out_atoms.append(emitted)
+        out_atoms.append(atoms)
         if stop_level is not None:
-            stopped[g[emitted > stop_level]] = True
+            stopped[g[atoms > stop_level]] = True
 
     def decide(tau, x, root):
         # rows of unstopped groups whose bound is above prune_tol are kept;
@@ -173,15 +166,14 @@ def collect_atoms_above(mu, horizons, x0, levels, scales, offsets, groups, n_gro
     # a root with tau <= 0 is a leaf already; the wave core expands the rest,
     # whose root ids index the per-root arrays restricted to the live roots
     done = np.flatnonzero(tau <= 0.0)
-    record(*emit(x[done], done))
+    emit(x[done], done)
     live = np.flatnonzero(tau > 0.0)
     lvl, scl, off, grp = (a[live] for a in (lvl, scl, off, grp))
     pruning = stop_level is not None or log_tol is not None
-    for wave in _waves(mu, tau[live], x[live], rng, node_cap,
-                       decide if pruning else None, settle, at_leaves):
+    for wave in _waves(mu, tau[live], x[live], rng, _NODE_CAP,
+                       decide if pruning else None, settle):
         n_nodes += wave.tau.size
-        for g, emitted in wave.found:
-            record(g, emitted)
+        emit(wave.x_new, wave.root, wave.leaf)
 
     return CollectedAtoms(group=np.concatenate(out_groups), atoms=np.concatenate(out_atoms),
                           pruned_mass=pruned, stopped=stopped, n_nodes=n_nodes)
@@ -203,16 +195,3 @@ def windowed_extremal_atoms(mu: float, t: float, centering, window: float,
         offsets=-centering.value, groups=np.arange(n_reps), n_groups=n_reps, rng=rng,
         prune_tol=prune_tol)
 
-
-def leaves(mu: float, t: float, n_reps: int, rng):
-    """(replica, position) of every leaf of n_reps full clouds run to time t.
-
-    The leaves of `simulate_forest(mu, t, n_reps, rng)`, bit for bit and in
-    its order, under its guards and node cap, without storing the tree.
-    """
-    _check_full_tree(mu, t)
-    res = collect_atoms_above(
-        mu, horizons=np.full(n_reps, float(t)), x0=0.0, levels=-np.inf, scales=1.0,
-        offsets=0.0, groups=np.arange(n_reps), n_groups=n_reps, rng=rng,
-        prune_tol=0.0, node_cap=_NODE_CAP)
-    return res.group, res.atoms

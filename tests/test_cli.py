@@ -228,12 +228,12 @@ class TestSimulate:
         assert code == 3
 
     def test_martingales_horizon_cap_exit_3_before_any_draw(self, tmp_path, monkeypatch):
-        from bouex import window
+        from bouex import cloud
 
         def no_draw(*args, **kwargs):
             raise AssertionError("drew a tree past the horizon cap")
 
-        monkeypatch.setattr(window, "_waves", no_draw)
+        monkeypatch.setattr(cloud, "_waves", no_draw)
         out = tmp_path / "x.csv"
         assert run(["simulate", "--mu", "0", "--t", "17", "--replicas", "1",
                     "--emit", "martingales", "-o", str(out)]) == 3
@@ -366,20 +366,22 @@ _NAN_BASES = {
 _NAN_MODES = {"--betas": {"--mu": "0", "--emit": "martingales"}}
 
 
-def _float_flags():
-    """(subcommand, flag) for every float flag of every subcommand."""
+def _flags(kind):
+    """(subcommand, flag) for every flag of type `kind` of every subcommand,
+    but --seed."""
     sub, = (a for a in cli._build_parser()._actions
             if isinstance(a, argparse._SubParsersAction))
     return [pytest.param(command, flag, id=command + flag)
             for command, parser in sub.choices.items() for action in parser._actions
-            if action.type is float for flag in action.option_strings[:1]]
+            if action.type is kind and action.dest != "seed"
+            for flag in action.option_strings[:1]]
 
 
 def _nan_argv(command, values, out):
     return [command, *(v for pair in values.items() for v in pair), "-o", str(out)]
 
 
-@pytest.mark.parametrize("command, flag", _float_flags())
+@pytest.mark.parametrize("command, flag", _flags(float))
 def test_nan_float_flag_is_usage_error(command, flag, tmp_path, capsys):
     # a NaN passes every `x <= bound` check, so each range check must be
     # written to fail on it
@@ -390,6 +392,21 @@ def test_nan_float_flag_is_usage_error(command, flag, tmp_path, capsys):
     prefix = f"bouex {command}: error: "
     assert err.startswith(prefix) and err.strip() != prefix.strip()
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag", _flags(int))
+def test_count_below_one_is_usage_error(command, flag, tmp_path, capsys):
+    # a count below 1 would write a header-only table; it is refused whether
+    # it comes from the command line or from --config
+    out, config = tmp_path / "out.csv", tmp_path / "config.json"
+    config.write_text(json.dumps({flag[2:]: 0}))
+    base = {k: v for k, v in _NAN_BASES[command].items() if k != flag}
+    for argv, value in ((_nan_argv(command, {**base, flag: "-3"}, out), -3),
+                        (_nan_argv(command, base, out) + ["--config", str(config)], 0)):
+        assert run(argv) == 2
+        assert capsys.readouterr().err == \
+            f"bouex {command}: error: {flag} must be >= 1, got {value}\n"
+        assert not out.exists()
 
 
 def test_nan_or_very_negative_window_is_a_usage_error(capsys):
@@ -411,6 +428,13 @@ def test_nan_or_very_negative_window_is_a_usage_error(capsys):
         assert run(argv + ["--window-a=-1000", "--samples", "1"]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"bouex {argv[0]}: error: window_a=-1000.0 is too negative")
+    # a finite envelope whose Poisson mean is past what numpy can draw
+    for window, argv in ((-500, ["limit-process", "--gamma", "inf"]),
+                         (-40, ["limit-process", "--gamma", "2", "--c-value", "0.2"])):
+        assert run(argv + [f"--window-a={window}", "--samples", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"bouex limit-process: error: window_a={window}.0 is too "
+                              "negative: the Poisson mean")
 
 
 @pytest.mark.parametrize("command, mode", [pytest.param(c, None, id=c) for c in _NAN_BASES] +

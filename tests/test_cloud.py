@@ -8,15 +8,14 @@ import pytest
 from scipy import stats
 
 from bouex.cloud import (additive_martingale_per_rep, derivative_martingale_per_rep,
-                         simulate_forest)
-from bouex import cli, cloud as cloud_mod, window
+                         leaves, simulate_forest)
+from bouex import cli, cloud as cloud_mod
 from bouex.checks import (check_many_to_one, check_many_to_two, check_spine_identity,
                           check_yule_counts, exponential_window, smooth_step)
 from bouex.errors import ResourceLimitError
 from bouex.gaussian import SQRT2, normalization_factor, ou_variance, pair_covariance
 from bouex.rng import substream
 from bouex.spine import sample_limit_process
-from bouex.window import leaves
 
 
 class TestSimulateCloud:
@@ -175,7 +174,7 @@ class TestSiblingCovariance:
 
 class TestLeafPath:
     def test_leaf_only_consumers_build_no_forest(self, monkeypatch, tmp_path):
-        # leaves come from window.leaves; a Forest is built only to read a genealogy
+        # leaves come from cloud.leaves; a Forest is built only to read a genealogy
         def no_forest(*args, **kwargs):
             raise AssertionError("a leaf-only consumer built a Forest")
 
@@ -197,7 +196,7 @@ class TestLeafPath:
         def no_draw(*args, **kwargs):
             raise AssertionError("drew a tree past the horizon cap")
 
-        monkeypatch.setattr(window, "_waves", no_draw)
+        monkeypatch.setattr(cloud_mod, "_waves", no_draw)
         with pytest.raises(ResourceLimitError, match="e\\^t"):
             leaves(0.0, 17.0, 1, substream(5, 0))
 

@@ -7,11 +7,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from bouex.cloud import _decayed, _ou_step, simulate_forest
+from bouex.cloud import _decayed, _ou_step, leaves, simulate_forest
 from bouex.gaussian import (GammaConstants, gamma_constants, normalization_factor,
                             ou_variance, pair_covariance)
 from bouex.rng import substream
-from bouex.window import leaves
 
 
 class TestOuTransition:

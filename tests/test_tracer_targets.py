@@ -84,11 +84,10 @@ def test_roots_are_counted_by_horizons(tracer, monkeypatch):
     monkeypatch.setattr(spine, "collect_atoms_above", recording)
     window.windowed_extremal_atoms(1.0, 2.0, Centering("bou_tilde", 2.0), 0.0, 5,
                                    substream(1, 0))
-    window.leaves(0.0, 1.0, 6, substream(2, 0))
     spine._spine_atoms(1, 3.0, SQRT2 * 1.5, -2.0, substream(3, 0), 1e-9)
     branches = spine._draw_branches(1, 3.0, substream(3, 0))[0].size
     assert branches > 1
-    assert seen == [(5, 5), (6, 6), (branches, branches)]
+    assert seen == [(5, 5), (branches, branches)]
 
 
 def test_workload_calls_bind_to_the_signatures():

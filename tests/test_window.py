@@ -13,17 +13,17 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import log_ndtr
 
-from bouex import checks, cli, cloud
+from bouex import checks, cli, cloud, window as window_mod
 from bouex.checks import _leaf_sums, smooth_step, spine_identity_sides
 from bouex.cloud import (additive_martingale_per_rep, derivative_martingale_per_rep,
-                         simulate_forest)
+                         leaves, simulate_forest)
 from bouex.errors import ResourceLimitError
 from bouex.gaussian import SQRT2, normalization_factor, ou_variance
 from bouex.measure import Centering
 from bouex.rng import substream
 from bouex.spine import _draw_branches, _spine_atoms, sample_decoration, sample_limit_process
 from bouex.window import (CollectedAtoms, _exceedance_log_bound, _log_tail_floor,
-                          _prunable, _standard_score, collect_atoms_above, leaves,
+                          _prunable, _standard_score, collect_atoms_above,
                           windowed_extremal_atoms)
 
 
@@ -148,12 +148,13 @@ class TestCollector:
                               n_nodes=0)
         np.testing.assert_array_equal(none.max_per_group(), np.full(3, -np.inf))
 
-    def test_node_cap(self):
+    def test_node_cap(self, monkeypatch):
+        monkeypatch.setattr(window_mod, "_NODE_CAP", 10_000)
         with pytest.raises(ResourceLimitError):
             collect_atoms_above(
                 0.0, np.full(64, 12.0), np.zeros(64), np.full(64, -np.inf),
                 np.ones(64), np.zeros(64), np.arange(64), 64, substream(40, 0),
-                prune_tol=0.0, node_cap=10_000)
+                prune_tol=0.0)
 
 
 class TestOneWaveCore:
@@ -170,9 +171,9 @@ class TestOneWaveCore:
         assert np.array_equal(res.atoms, x)
         assert res.n_nodes == forest.n_nodes
         assert np.array_equal(forest.positions_for(mu), x)
-        # the leaf path is that collection
+        # the leaf path has the forest's leaves, bit for bit (the sign of zero too)
         rep_l, x_l = leaves(mu, t, n, substream(44, 0))
-        assert np.array_equal(rep_l, rep) and np.array_equal(x_l, x)
+        assert rep_l.tobytes() == rep.tobytes() and x_l.tobytes() == x.tobytes()
 
     @pytest.mark.parametrize("stop_level", [None, 5.0])
     def test_non_positive_horizon_roots(self, stop_level):
