@@ -8,7 +8,7 @@ Replicas are reduced one way: a Monte Carlo check builds an array with one
 row per replica (`_replica_values`), the one chunk loop of the checks, and
 every replica mean it reports comes with the Bessel-corrected standard error
 of `_mean_se`.  The chunks run at once on the wave core's threads
-(`cloud._run`, the one executor, which also runs a large wave's slices);
+(`cloud._run`, the one executor, which also runs a wave's row-wise decisions);
 each draws only from its own stream and the rows are stacked in chunk
 order, so no output bit depends on the number of cores.
 The void-law check of the limit process is the one exception to `_mean_se`:
@@ -27,6 +27,9 @@ Import rule: at module level this file uses only `scipy.special`, which
 `window` loads anyway; `scipy.stats` is not used, and `scipy.integrate` is
 imported by `_quad` on the first quadrature, so a process that runs none
 (`kpp`, `simulate`, the prefactor benchmark) never pays for loading it.
+`scipy.linalg` is likewise loaded only by the first KPP solve
+(`kpp._implicit_solver`), which `dual_prefactor` reaches through
+`estimate_C_pde`.
 The Gaussian oracles are closed forms instead: the N(0, sd^2) density in
 scipy.stats.norm.pdf's own arithmetic (`_norm_pdf`), the tail as
 ndtr(-b/sd), the equal-threshold bivariate tail through Owen's T function

@@ -13,19 +13,34 @@ the scale `_ou_scale` times the innovation plus the mean `_decayed`;
 wave core takes the same terms, the scale and the mean before the
 innovation is drawn.
 
-A wave of at least _SPLIT_ROWS rows is cut into one contiguous slice of rows
-per usable core.  `_run` runs a wave's slices, or the replica chunks of a
-Monte Carlo job (`checks`), at once on the calling thread and a thread pool
-made on first use.  No output bit depends on the cut or on how many tasks
-run at once.  The calling thread makes every random draw of a wave, of
-the same sizes in the same order; every step is row-wise; the collector
-adds its dropped bounds in node order and takes its atoms from each whole
-wave, and its early stops take effect between waves.  Chunk j draws only
-from its own stream, and the results are kept in chunk order.  A smaller
-wave, every wave with one usable core and every wave of a chunk that runs
-beside others (which keep every core busy already) runs on the calling
-thread alone; a job of one chunk runs on the calling thread, whose large
-waves are cut.
+A wave's kept rows are cut into blocks of _BLOCK_ROWS rows (the last one
+shorter), and one block task (`_step`) gathers, grows and moves a block's
+nodes in one pass, so no column of a whole wave is held but the
+lifetimes.  The calling thread makes every random draw of a wave: its
+lifetimes in one `exponential(m)` call for its m nodes, then its
+innovations as consecutive `standard_normal` pieces, one per block, which
+are the bits of one draw of m (tests/test_rng.py).  A wave of more than
+one block, outside a chunk worker and with more than one usable core, is
+streamed (`_stream`): the pool made on first use gathers the first blocks
+during the lifetimes draw, steps each block once its piece is drawn and
+stays at most 2 * _WORKERS blocks ahead of the reader, and the calling
+thread steps any block no pool thread has started when it is needed.
+Every other wave is stepped block by block on the calling thread.  The
+reader takes one block at a time, in node order, and may keep any of its
+columns; what it lets go dies with the block, and `life` is a view of the
+wave's lifetimes.  Before each wave, once the reader has taken the last
+block of the one before, the collector decides which rows to expand, so
+its early stops take effect between waves.  No output bit depends on the
+block size or on the thread count: every step is row-wise, the draws have
+the same sizes in the same order, and the collector adds its dropped
+bounds in node order and reads its atoms off each block in turn.
+
+`_run` runs a Monte Carlo job's replica chunks (`checks`), or a wave's
+row-wise decisions, at once on the calling thread and the pool.  Chunk j
+draws only from its own stream, and the results are kept in chunk order.
+Every wave of a chunk that runs beside others (which keep every core busy
+already) is stepped on the thread that runs the chunk; a job of one chunk
+runs on the calling thread, whose waves are streamed.
 
 A Forest stores the whole tree as flat node arrays in wave (generation)
 order, so that `Forest.positions_for` can couple spring constants on one
@@ -40,10 +55,10 @@ import math
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, wait
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
-from itertools import accumulate
 
 import numpy as np
 
@@ -52,8 +67,8 @@ from .gaussian import SQRT2, _check_spring, ou_variance
 
 HORIZON_CAP = 16.0
 _NODE_CAP = 80_000_000
-_SPLIT_ROWS = 1 << 16  # a wave of fewer rows runs whole on the calling thread
-# the usable cores: the threads that share a larger wave or a chunk job
+_BLOCK_ROWS = 1 << 15  # kept rows per block; see `_waves`
+# the usable cores: the threads that share a wave's blocks or a chunk job
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else \
     os.cpu_count() or 1
 _CHUNK_CPU_SHARE = 0.8  # a pool thread that ran for less of its task's time takes no more
@@ -123,10 +138,13 @@ def _decayed(mu, dur, x, out=None):
     return np.multiply(decay, x, out=decay if out is None else out)
 
 
-def _ou_scale(mu, dur, out=None):
-    """The OU step's standard deviation sqrt(var_mu(dur)), into `out` or a new array."""
+def _ou_scale(mu, dur):
+    """The OU step's standard deviation sqrt(var_mu(dur)) in a new array;
+    sqrt(dur) at mu = 0, where the variance is dur itself."""
+    if not mu:
+        return np.sqrt(dur)
     var = ou_variance(mu, dur)
-    return np.sqrt(var, out=var if out is None else out)
+    return np.sqrt(var, out=var)
 
 
 def _ou_step(mu, dur, x, xi):
@@ -157,11 +175,11 @@ def _run(tasks, draw=None):
     """The results of the tasks, in order, run at once on the pool and the
     calling thread, and what `draw` returned.
 
-    The tasks are a large wave's slices or a Monte Carlo job's replica
-    chunks; each must read no state that another task writes.  The pool
-    starts the tasks while the calling thread makes `draw()`, a wave's random
-    draw, which releases the interpreter lock; then the calling thread joins
-    them.  The tasks are handed out in order, one at a time, to at most
+    The tasks are a Monte Carlo job's replica chunks, or a wave's row-wise
+    decisions or first block gathers; each must read no state that another
+    task writes.  The pool starts the tasks while the calling thread makes
+    `draw()`, a wave's lifetimes draw, which releases the interpreter lock;
+    then the calling thread joins them.  The tasks are handed out in order, one at a time, to at most
     _WORKERS threads.  If one raises, no further task is handed out; the
     running ones finish, and the exception of the lowest failing task is
     raised, as a loop over the tasks would raise it.  With one task or one
@@ -217,7 +235,7 @@ def _run(tasks, draw=None):
     return results, drawn
 
 
-def _take(columns, idx, out=None):
+def _take(columns, idx, out):
     """Each of `columns` at idx, into the arrays `out` if given.  Mode "clip"
     leaves an index in range as it is and fills `out` in place, where the
     default mode would fill a copy of it."""
@@ -226,32 +244,44 @@ def _take(columns, idx, out=None):
     return [np.take(col, idx, out=o, mode="clip") for col, o in zip(columns, out)]
 
 
-def _gather(rows, kept, pair, out=None):
-    """The (tau, x, root) of the nodes of the kept rows, into `out` if given:
-    each row stands for `pair` nodes."""
-    return _take(rows, np.repeat(kept, pair), out)
+def _gather(segments, pair):
+    """The (tau, x, root) of a block's nodes.  Each segment is a piece of
+    rows and the kept rows of it, in row order; each row stands for `pair`
+    nodes."""
+    if len(segments) == 1:
+        rows, kept = segments[0]
+        return _take(rows, np.repeat(kept, pair), None)
+    m = pair * sum(kept.size for _, kept in segments)
+    out = _empty(m, *_ROWS)
+    a = 0
+    for rows, kept in segments:
+        b = a + pair * kept.size
+        _take(rows, np.repeat(kept, pair), [col[a:b] for col in out])
+        a = b
+    return out
 
 
-def _grow(mu, life, tau, x, out=(None, None, None)):
+def _grow(mu, life, tau, x):
     """All of a node's step that its innovation does not enter.
 
-    Returns leaf, duration and the OU step's scale, into `out` if given,
-    the step's mean, computed into x, and the splitting nodes.
+    Returns leaf, duration and the OU step's scale, the step's mean,
+    computed into x, and the splitting nodes.
     """
-    leaf = np.greater_equal(life, tau, out=out[0])
-    dur = np.minimum(life, tau, out=out[1])  # tau on the leaves
-    scale = _ou_scale(mu, dur, out=out[2])
+    leaf = np.greater_equal(life, tau)
+    dur = np.minimum(life, tau)  # tau on the leaves
+    scale = _ou_scale(mu, dur)
     mean = _decayed(mu, dur, x, out=x)
-    # index gathers: a boolean mask as random as `leaf` gathers far slower
-    return leaf, dur, scale, mean, np.flatnonzero(~leaf)
+    # index gathers: a boolean mask as random as `leaf` gathers far slower;
+    # nonzero()[0] spares np.flatnonzero's wrappers, about 1 us a wave
+    return leaf, dur, scale, mean, (~leaf).nonzero()[0]
 
 
-def _move(scale, xi, mean, tau, root, life, split, out=None):
+def _move(scale, xi, mean, tau, root, life, split):
     """The OU step x_new = scale * xi + mean, computed into scale, and the
-    children's (tau, x, root) rows, into `out` if given."""
+    children's (tau, x, root) rows."""
     scale *= xi
     scale += mean
-    children = _take((tau, scale, root), split, out)
+    children = _take((tau, scale, root), split, None)
     children[0] -= life[split]
     return children
 
@@ -264,77 +294,114 @@ def _empty(m, *kinds):
 _ROWS = (float, float, np.int64)  # the dtypes of tau, x and root
 
 
-class _Wave:
-    """One drawn wave: its node columns root, tau, life, xi, leaf, dur and
-    x_new, and `children`, the (tau, x, root) rows of the next wave."""
+class _Block:
+    """One stepped block of a wave: its node columns root, tau, life, xi,
+    leaf, dur and x_new, and `start`, the offset of its first node in the
+    wave."""
 
-    def __init__(self, root, tau, life, xi, leaf, dur, x_new, children):
+    def __init__(self, root, tau, life, xi, leaf, dur, x_new, start):
         self.root, self.tau, self.life, self.xi = root, tau, life, xi
         self.leaf, self.dur, self.x_new = leaf, dur, x_new
-        self.children = children
+        self.start = start
 
 
-def _whole_wave(mu, rows, pair, rng, decide, settle, n, node_cap):
-    """A wave on the calling thread alone, or None when every row is
-    dropped; see `_waves`.  Empties the list `rows` once its nodes are
-    gathered, so the rows die before the wave's draws are made."""
-    if decide is None:
-        kept = np.arange(rows[0].size)
-    else:
-        kept, tally = decide(*rows)
-        settle([tally], pair)
-    m = pair * kept.size
-    if not m:
-        return None
-    _check_cap(n, m, node_cap)
-    tau, x, root = _gather(rows, kept, pair)
-    rows.clear()
-    life = rng.exponential(size=m)
+def _step(mu, pair, segments, rows, life, xi, start):
+    """The block task: gather the block's nodes (unless `rows` holds them
+    already), grow them on their lifetimes and move them on their
+    innovations, in one pass.  Returns the `_Block` and the (tau, x, root)
+    rows of its children."""
+    tau, x, root = _gather(segments, pair) if rows is None else rows
     leaf, dur, x_new, mean, split = _grow(mu, life, tau, x)
-    xi = rng.standard_normal(m)
     children = _move(x_new, xi, mean, tau, root, life, split)
-    return _Wave(root, tau, life, xi, leaf, dur, x_new, children)
+    return _Block(root, tau, life, xi, leaf, dur, x_new, start), children
 
 
-def _split_wave(mu, rows, pair, rng, decide, settle, n, node_cap):
-    """A wave cut into _WORKERS contiguous slices of rows, or None when
-    every row is dropped; see `_waves`.
+def _cut(pieces, kept):
+    """The kept rows cut into blocks of _BLOCK_ROWS rows, the last one
+    shorter: each block a list of (piece, kept rows of it) segments."""
+    if len(kept) == 1 and kept[0].size <= _BLOCK_ROWS:
+        return [[(pieces[0], kept[0])]]  # the usual small wave, spared the slicing
+    blocks, segments, room = [], [], _BLOCK_ROWS
+    for piece, rows in zip(pieces, kept):
+        while rows.size:
+            segments.append((piece, rows[:room]))
+            room -= segments[-1][1].size
+            rows = rows[segments[-1][1].size:]
+            if not room:
+                blocks.append(segments)
+                segments, room = [], _BLOCK_ROWS
+    if segments:
+        blocks.append(segments)
+    return blocks
 
-    Each step of `_whole_wave` runs on all slices at once (`_run`): the pool
-    starts them while the calling thread draws.  It allocates every
-    column the slices fill, so what a pool thread allocates dies within
-    its step, and it empties `rows` as `_whole_wave` does.
+
+def _claim(queued):
+    """The result of the first of the queued (future, task) pairs, which it
+    removes: run on the calling thread when no pool thread has started it.
+    While a pool thread runs it, the calling thread runs the next queued
+    tasks that no pool thread has started, and keeps their results queued."""
+    future, task = queued.popleft()
+    if future.cancel():
+        return task()
+    for i, (later, task) in enumerate(queued):
+        if future.done():
+            break
+        if later.cancel():
+            queued[i] = (Future(), task)
+            queued[i][0].set_result(task())
+    return future.result()
+
+
+def _stream(mu, pair, blocks, m, rng, pooled, children):
+    """The stepped blocks of one wave of m nodes, in order, each block's
+    children rows, unless empty, appended to `children` as it is yielded;
+    see `_waves`.
+
+    Every block but the last has pair * _BLOCK_ROWS nodes.  The calling
+    thread draws the wave's lifetimes, then one piece of innovations per
+    block.  Unpooled, each block is stepped on it right after its piece is
+    drawn.  Pooled, the pool gathers the first blocks during the lifetimes
+    draw (`_run`), steps each block once its piece is drawn, and stays at
+    most 2 * _WORKERS blocks ahead of the reader; a block no pool thread
+    has started when the reader needs it is stepped on the calling thread.
     """
-    size = rows[0].size
-    cuts = [size * i // _WORKERS for i in range(_WORKERS + 1)]
-    parts = [tuple(col[a:b] for col in rows) for a, b in zip(cuts, cuts[1:])]
-    if decide is None:
-        kept = [np.arange(part[0].size) for part in parts]
-    else:
-        kept, tallies = zip(*_run([partial(decide, *part) for part in parts])[0])
-        settle(tallies, pair)
-    ends = list(accumulate((pair * k.size for k in kept), initial=0))
-    m = ends[-1]
-    if not m:
-        return None
-    _check_cap(n, m, node_cap)
-    nodes = [slice(a, b) for a, b in zip(ends, ends[1:])]
-    tau, x, root, leaf, dur, x_new = _empty(m, *_ROWS, bool, float, float)
-    _, life = _run([partial(_gather, part, k, pair, (tau[s], x[s], root[s]))
-                    for part, k, s in zip(parts, kept, nodes)],
-                   lambda: rng.exponential(size=m))
-    del parts, kept
-    rows.clear()
-    grown, xi = _run([partial(_grow, mu, life[s], tau[s], x[s], (leaf[s], dur[s], x_new[s]))
-                      for s in nodes], lambda: rng.standard_normal(m))
-    splits = [g[4] for g in grown]
-    del grown
-    ends = list(accumulate((split.size for split in splits), initial=0))
-    children = _empty(ends[-1], *_ROWS)
-    _run([partial(_move, x_new[s], xi[s], x[s], tau[s], root[s], life[s], split,
-                  tuple(col[a:b] for col in children))
-          for s, split, a, b in zip(nodes, splits, ends, ends[1:])])
-    return _Wave(root, tau, life, xi, leaf, dur, x_new, children)
+    size = pair * _BLOCK_ROWS
+    if not pooled or len(blocks) == 1:
+        life = rng.exponential(size=m)
+        for k, a in enumerate(range(0, m, size)):
+            b = min(a + size, m)
+            segments, blocks[k] = blocks[k], None  # the rows die once gathered
+            block, rows = _step(mu, pair, segments, None, life[a:b], rng.standard_normal(b - a), a)
+            del segments
+            if rows[0].size:
+                children.append(rows)
+            yield block
+            del block  # what the reader did not keep dies here
+        return
+    ahead = 2 * _WORKERS
+    gathered, life = _run([partial(_gather, b, pair) for b in blocks[:ahead]],
+                          lambda: rng.exponential(size=m))
+    gathered += [None] * (len(blocks) - len(gathered))
+    pool = _pool(_WORKERS - 1, os.getpid())
+    queued = deque()
+    try:
+        for k, a in enumerate(range(0, m, size)):
+            b = min(a + size, m)
+            task = partial(_step, mu, pair, blocks[k], gathered[k], life[a:b],
+                           rng.standard_normal(b - a), a)
+            blocks[k] = gathered[k] = None  # the task alone holds them
+            queued.append((pool.submit(task), task))
+            del task
+            while len(queued) > ahead or k == len(blocks) - 1 and queued:
+                block, rows = _claim(queued)
+                if rows[0].size:
+                    children.append(rows)
+                yield block
+                del block
+    finally:  # the reader stopped early, or a block raised
+        for future, _ in queued:
+            future.cancel()
+        wait([future for future, _ in queued])
 
 
 def _check_cap(n, m, node_cap):
@@ -346,42 +413,55 @@ def _check_cap(n, m, node_cap):
 
 
 def _waves(mu, tau, x, rng, node_cap, decide=None, settle=None):
-    """Expand a batch of subtrees generation by generation.
+    """Expand a batch of subtrees generation by generation, one block at a
+    time.
 
     Root i starts at position x[i] with remaining time tau[i] > 0.  Yields
-    one `_Wave` at a time, which holds its columns until the next wave is
-    asked for.  The children of a wave's splits, in order, make up the next
-    wave.
+    the `_Block`s of each wave in node order; the children of a wave's
+    splits, in order, make up the next wave.  A block's columns die when
+    the reader lets them go.
 
     Between waves a row of (tau, x, root) stands for `pair` nodes: one for a
-    root, two for the children of a split, which share all three.  Before a
-    wave is drawn, `decide(tau, x, root)` on a slice of rows may return the
+    root, two for the children of a split, which share all three.  At the
+    start of a wave, once the reader has taken the last block of the one
+    before, `decide(tau, x, root)` on each piece of rows may return the
     indices of the rows to expand and a tally of the others, and
-    `settle(tallies, pair)` takes the tallies of all slices, in order.  So a
+    `settle(tallies, pair)` takes the tallies of all pieces, in order.  So a
     prune decision is taken once per sibling pair, and the kept rows are
     repeated into nodes, exactly the nodes a per-node decision would keep.
+    The pieces are the roots cut into _BLOCK_ROWS rows, then the children
+    of each block.
 
-    A wave of fewer than _SPLIT_ROWS rows, any wave with one usable core and
-    every wave of a chunk worker (whose job already keeps every core busy)
-    is one slice on the calling thread (`_whole_wave`); a larger one is cut
-    into _WORKERS slices (`_split_wave`).  Every step is row-wise and the
-    calling thread makes every draw, of the same sizes in the same order, so
-    no output bit depends on the cut.
+    The kept rows are cut into blocks of _BLOCK_ROWS rows (`_cut`) and
+    stepped by `_stream`: on the pool with more than one block and usable
+    core outside a chunk worker, else on the calling thread.  Every step is
+    row-wise and the calling thread makes every draw, in the same order, so
+    no output bit depends on the block size or the thread count.
     """
-    rows = [tau, x, np.arange(tau.size, dtype=np.int64)]
-    del tau, x  # `rows` alone holds them, so a wave can let them go once gathered
+    rows = (tau, x, np.arange(tau.size, dtype=np.int64))
+    del tau, x  # the pieces alone hold them, so they die once gathered
+    pieces = [tuple(col[a:a + _BLOCK_ROWS] for col in rows)
+              for a in range(0, rows[0].size, _BLOCK_ROWS)]
+    del rows
     pair = 1
     n = 0
-    gate = _SPLIT_ROWS if _WORKERS > 1 and not _in_chunk() else math.inf
-    while rows[0].size:
-        step = _split_wave if rows[0].size >= gate else _whole_wave
-        wave = step(mu, rows, pair, rng, decide, settle, n, node_cap)
-        if wave is None:
+    pooled = _WORKERS > 1 and not _in_chunk()
+    while pieces:
+        if decide is None:
+            kept = [np.arange(piece[0].size) for piece in pieces]
+        else:
+            kept, tallies = zip(*_run([partial(decide, *piece) for piece in pieces])[0])
+            settle(tallies, pair)
+            del tallies
+        m = pair * sum(map(len, kept))
+        if not m:
             return
-        yield wave
-        rows = list(wave.children)
-        n += wave.tau.size
-        wave.__dict__.clear()  # what the consumer did not keep dies here
+        _check_cap(n, m, node_cap)
+        blocks = _cut(pieces, kept)
+        pieces = []  # the blocks alone hold the rows, so a piece dies once gathered
+        del kept
+        yield from _stream(mu, pair, blocks, m, rng, pooled, pieces)
+        n += m
         pair = 2
 
 
@@ -403,20 +483,22 @@ def _full_waves(mu: float, horizon_t: float, n_reps: int, rng):
 
 def simulate_forest(mu: float, horizon_t: float, n_reps: int, rng) -> Forest:
     """Draw n_reps independent clouds with one exact-law batched traversal."""
-    waves = []  # the seven node columns of each wave
-    parent = np.full(n_reps, -1, dtype=np.int64)
-    n = 0  # nodes before this wave
-    for w in _full_waves(mu, horizon_t, n_reps, rng):
-        t_end = np.where(w.leaf, horizon_t, horizon_t - w.tau + w.life)
-        waves.append((w.root, parent, t_end, w.dur, w.xi, w.x_new, w.leaf))
-        # the next wave is the two children of each split, in order
-        parent = np.repeat(np.flatnonzero(~w.leaf) + n, 2)
-        n += w.root.size
-    ends = np.cumsum([w[0].size for w in waves]).tolist()
-    columns = list(zip(*waves))
-    del waves  # a column's pieces die once it is merged, so the tree is held once
+    # the pieces of the seven node columns, one per block; the parents of a
+    # block's children are its splits, which the next wave holds in order
+    columns = ([], [np.full(n_reps, -1, dtype=np.int64)], [], [], [], [], [])
+    starts = []  # the first node of each wave
+    n = 0  # nodes before this block
+    for b in _full_waves(mu, horizon_t, n_reps, rng):
+        if not b.start:
+            starts.append(n)
+        t_end = np.where(b.leaf, horizon_t, horizon_t - b.tau + b.life)
+        split = np.repeat(np.flatnonzero(~b.leaf) + n, 2)
+        for col, piece in zip(columns, (b.root, split, t_end, b.dur, b.xi, b.x_new, b.leaf)):
+            col.append(piece)
+        n += b.root.size
+    columns = list(columns)  # a column's pieces die once it is merged, so the tree is held once
     merged = [np.concatenate(columns.pop(0)) for _ in range(len(columns))]
-    return Forest(horizon_t, *merged, wave_edges=list(zip([0] + ends[:-1], ends)))
+    return Forest(horizon_t, *merged, wave_edges=list(zip(starts, starts[1:] + [n])))
 
 
 def leaves(mu: float, t: float, n_reps: int, rng):
@@ -426,10 +508,10 @@ def leaves(mu: float, t: float, n_reps: int, rng):
     its order, under its guards and node cap, without storing the tree.
     """
     reps, xs = [], []
-    for w in _full_waves(mu, t, n_reps, rng):
-        leaf = np.flatnonzero(w.leaf)
-        reps.append(w.root[leaf])
-        xs.append(w.x_new[leaf])
+    for b in _full_waves(mu, t, n_reps, rng):
+        leaf = np.flatnonzero(b.leaf)
+        reps.append(b.root[leaf])
+        xs.append(b.x_new[leaf])
     return np.concatenate(reps), np.concatenate(xs)
 
 

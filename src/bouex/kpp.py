@@ -29,6 +29,11 @@ reaches points the tail formula replaces).  The rows between are symmetric
 positive-definite and tridiagonal, so they are factored once (LAPACK pttrf)
 and each step is one pttrs.  This matches `scipy.linalg.solve_banded` on
 the full system to rounding, not bit for bit.
+
+Import rule: `scipy.linalg` is imported by `_implicit_solver` on its first
+call, as `checks._quad` imports `scipy.integrate`, so a process that solves
+no KPP front (`simulate`, `decorate`, the extremes benchmark) never pays the
+50-70 ms of loading it.
 """
 
 from __future__ import annotations
@@ -38,7 +43,6 @@ from dataclasses import dataclass
 from typing import ClassVar, Optional
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.special import log_ndtr
 
 from .errors import NumericalFailureError
@@ -144,6 +148,8 @@ def _implicit_solver(n: int, r: float):
     with x and returns it; a non-finite b is a NumericalFailureError naming
     the time and step.
     """
+    from scipy.linalg.lapack import dpttrf, dpttrs
+
     hi = n - 2              # the interior is x[1:hi]
     zeros = np.zeros(n)     # 0 * b[i] is NaN exactly when b[i] is not finite
     d, e, info = dpttrf(np.full(hi - 1, 1.0 + 2.0 * r), np.full(hi - 2, -r))

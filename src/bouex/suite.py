@@ -1,7 +1,7 @@
 """Named check suites for the verification runner.
 
-smoke: about 6 s on a 2-core host (`verify --suite smoke --seed 1000`), used
-by the CLI tests.  fast: about 15 s there.  full: every check at acceptance
+smoke: about 5 s on a 2-core host (`verify --suite smoke --seed 1000`), used
+by the CLI tests.  fast: about 14 s there.  full: every check at acceptance
 scale; it currently stops with ResourceLimitError (exit 3) inside
 `max_limit_law`, whose replicas overrun the collector's node cap in one
 chunk.  Every suite registers the same check names so reports are

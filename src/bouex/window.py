@@ -24,13 +24,14 @@ once per sibling pair and its dropped bound is added once per child, in
 node order.  And a cheap lower bound on log Phi(-z) screens out subtrees
 that are kept for certain; only the rest get the exact log_ndtr bound.
 
-The wave core may cut a large wave into slices that threads work on at
-once, so the collector hands it row-wise work only.  `decide` is a pure
-function of a slice of rows: it reads the early-stop flags, which change
-only between waves, and returns the kept rows with the bounds it dropped.
-`settle` then adds the dropped bounds of all slices to `pruned_mass` on the
-calling thread, in node order, and the atoms are read off the whole wave
-once it is drawn, so every output has the bits of the uncut wave.
+The wave core cuts each wave into blocks that threads may step at once, so
+the collector hands it row-wise work only.  `decide` is a pure function of
+a piece of rows: it reads the early-stop flags, which change only between
+waves, and returns the kept rows with the bounds it dropped.  `settle` then
+adds the dropped bounds of all pieces to `pruned_mass` on the calling
+thread, in node order, and the atoms are read off each block in node
+order as the wave core yields it, so every output has the bits of the
+uncut wave.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ def _prunable(mu, tau, x, level, log_tol):
     """
     z = _standard_score(mu, tau, x, level)
     cut = log_tol + 1.0 if log_tol < 0.0 else np.inf
-    near = np.flatnonzero(tau + _log_tail_floor(z) <= cut)
+    near = (tau + _log_tail_floor(z) <= cut).nonzero()[0]
     log_bound = _exceedance_log_bound(tau[near], z[near])
     drop = log_bound <= log_tol
     return near[drop], log_bound[drop]
@@ -133,7 +134,7 @@ def collect_atoms_above(mu, horizons, x0, levels, scales, offsets, groups, n_gro
     def emit(x, root, leaf=True):
         # keep the atoms of the leaves (where `leaf`) that reach their level,
         # with their groups
-        hit = np.flatnonzero((x >= lvl[root]) & leaf)
+        hit = ((x >= lvl[root]) & leaf).nonzero()[0]
         root = root[hit]
         g, atoms = grp[root], scl[root] * x[hit] + off[root]
         out_groups.append(g)
@@ -146,13 +147,13 @@ def collect_atoms_above(mu, horizons, x0, levels, scales, offsets, groups, n_gro
         # `stopped` changes only between waves, so every row reads one state
         keep = ~stopped[grp[root]] if stop_level is not None else np.ones(tau.size, bool)
         if log_tol is None:
-            return np.flatnonzero(keep), None
+            return keep.nonzero()[0], None
         drop, log_bound = _prunable(mu, tau, x, lvl[root], log_tol)
         if stop_level is not None:
             unstopped = keep[drop]
             drop, log_bound = drop[unstopped], log_bound[unstopped]
         keep[drop] = False
-        return np.flatnonzero(keep), (grp[root[drop]], np.exp(log_bound))
+        return keep.nonzero()[0], (grp[root[drop]], np.exp(log_bound))
 
     def settle(dropped, pair):
         # each row stands for `pair` nodes; its dropped bound is added once per
@@ -170,10 +171,10 @@ def collect_atoms_above(mu, horizons, x0, levels, scales, offsets, groups, n_gro
     live = np.flatnonzero(tau > 0.0)
     lvl, scl, off, grp = (a[live] for a in (lvl, scl, off, grp))
     pruning = stop_level is not None or log_tol is not None
-    for wave in _waves(mu, tau[live], x[live], rng, _NODE_CAP,
-                       decide if pruning else None, settle):
-        n_nodes += wave.tau.size
-        emit(wave.x_new, wave.root, wave.leaf)
+    for block in _waves(mu, tau[live], x[live], rng, _NODE_CAP,
+                        decide if pruning else None, settle):
+        n_nodes += block.tau.size
+        emit(block.x_new, block.root, block.leaf)
 
     return CollectedAtoms(group=np.concatenate(out_groups), atoms=np.concatenate(out_atoms),
                           pruned_mass=pruned, stopped=stopped, n_nodes=n_nodes)

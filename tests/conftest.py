@@ -12,7 +12,7 @@ from bouex import cli
 def smoke_run(tmp_path_factory):
     """One `bouex verify --suite smoke --seed 123` run for the whole session.
 
-    The smoke suite takes about 6 s on a 2-core host, and both the suite
+    The smoke suite takes about 5 s on a 2-core host, and both the suite
     test and the CLI test read it.  Holds the exit code, the parsed JSON report and the
     CheckReport objects that `run_suite` returned inside that CLI run.
     """

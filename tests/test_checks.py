@@ -207,6 +207,28 @@ print("scipy.integrate" in sys.modules)
     assert res.stdout.split() == ["False", "False", "True"]
 
 
+def test_scipy_linalg_loads_only_on_first_kpp_solve(tmp_path):
+    # a fresh interpreter: importing bouex and running simulate leaves
+    # scipy.linalg unloaded; the first KPP front loads it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(checks.__file__)))
+    script = """
+import sys
+import bouex, bouex.cli
+out = sys.argv[1]
+assert bouex.cli.main(["simulate", "--mu", "1.0", "--t", "2.0", "--replicas", "5",
+                       "--emit", "max", "--seed", "1", "-o", out]) == 0
+print("scipy.linalg" in sys.modules)
+assert bouex.cli.main(["kpp", "--rho", "1.5", "--t-max", "2", "--dx", "0.2", "-o", out]) == 0
+print("scipy.linalg" in sys.modules)
+"""
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-c", script, str(tmp_path / "out.csv")],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["False", "True"]
+
+
 class TestReports:
     def test_pass_iff_statistic_below_threshold(self):
         r = CheckReport.make("x", 1.0, 2.0, 10)
@@ -433,11 +455,18 @@ def _recorded_job(monkeypatch, run):
 
 
 _CHUNK_JOBS = {
-    # six chunks of 512 replicas but the last, of small full trees
+    # six chunks of 512 replicas but the last, of small full trees (280k nodes)
     "leaf-sums": lambda: checks._leaf_sums(1.0, 4.0, smooth_step(0.0, 1.0), 2600, 31),
-    # three chunks of 2048 replicas but the last, pruned, with waves above 256 rows
+    # three chunks of 2048 replicas but the last, pruned (1.3M nodes)
     "counts-above": lambda: checks._counts_above(1.0, 5.0, (0.0, 0.5, 1.0), 5000, 32),
+    # one chunk, pruned, whose waves the pool streams (9.6k nodes)
+    "one-chunk": lambda: checks._counts_above(0.5, 3.0, (0.0, 1.0), 300, 33),
 }
+
+_DEFAULT_BLOCK = cloud._BLOCK_ROWS
+# the block sizes each job runs at besides the default: those that cut it
+# into at most 10,000 blocks
+_JOB_BLOCKS = {"leaf-sums": (1000,), "counts-above": (1000,), "one-chunk": (1000, 7, 1)}
 
 
 class TestChunkExecutor:
@@ -486,11 +515,17 @@ class TestChunkExecutor:
         assert cloud._run([lambda: 5], lambda: 7) == ([5], 7)
         assert (cloud._pool.cache_info(), threading.active_count()) == (pools, threads)
 
-    @pytest.mark.parametrize("name", list(_CHUNK_JOBS))
-    def test_equals_serial_loop(self, name, chunk_workers, monkeypatch):
-        monkeypatch.setattr(cloud, "_SPLIT_ROWS", 256)
+    @pytest.mark.parametrize("name, block", [
+        pytest.param(name, block, id=name if block is None else f"{name}-block-{block}")
+        for name, blocks in _JOB_BLOCKS.items() for block in (None,) + blocks])
+    def test_equals_serial_loop(self, name, block, chunk_workers, monkeypatch):
+        # blocks of `block` rows (None: the default) on `chunk_workers`
+        # threads, against a loop over the chunks in default blocks on one
+        if block is not None:
+            monkeypatch.setattr(cloud, "_BLOCK_ROWS", block)
         got, (n, size, draw) = _recorded_job(monkeypatch, _CHUNK_JOBS[name])
         monkeypatch.setattr(cloud, "_WORKERS", 1)
+        monkeypatch.setattr(cloud, "_BLOCK_ROWS", _DEFAULT_BLOCK)
         serial = np.concatenate([draw(j, m) for j, _, m in chunks(n, size)])
         assert got.dtype == serial.dtype and np.array_equal(got, serial)
 
@@ -542,29 +577,33 @@ class TestChunkExecutor:
 
     def test_one_core_makes_no_pool(self, monkeypatch):
         monkeypatch.setattr(cloud, "_WORKERS", 1)
-        monkeypatch.setattr(cloud, "_SPLIT_ROWS", 256)
+        monkeypatch.setattr(cloud, "_BLOCK_ROWS", 256)
         pools, threads = cloud._pool.cache_info(), threading.active_count()
         for run in _CHUNK_JOBS.values():
             run()
         assert (cloud._pool.cache_info(), threading.active_count()) == (pools, threads)
 
-    def test_chunk_workers_never_split_waves(self, monkeypatch):
-        # every wave is large enough to cut; only a job of one chunk cuts them
+    def test_chunk_workers_never_hand_a_block_to_the_pool(self, monkeypatch):
+        # every wave of more than 64 kept rows has several blocks; a chunk
+        # worker steps them itself, and only a job of one chunk streams them
+        # through the pool
         monkeypatch.setattr(cloud, "_WORKERS", 2)
         monkeypatch.setattr(cloud, "_CHUNK_CPU_SHARE", 0.0)
-        monkeypatch.setattr(cloud, "_SPLIT_ROWS", 1)
-        calls = []  # whether the thread runs a chunk job, per `_split_wave` call
-        split_wave = cloud._split_wave
+        monkeypatch.setattr(cloud, "_BLOCK_ROWS", 64)
+        calls = []  # per block: whether its thread runs a chunk job, and the thread
+        step = cloud._step
 
         def recording(*args):
-            calls.append(cloud._in_chunk())
-            return split_wave(*args)
+            calls.append((cloud._in_chunk(), threading.current_thread()))
+            return step(*args)
 
-        monkeypatch.setattr(cloud, "_split_wave", recording)
+        monkeypatch.setattr(cloud, "_step", recording)
         checks._counts_above(1.0, 4.0, (0.0, 1.0), 3000, 33)
-        assert calls == []
+        assert calls and all(chunk for chunk, _ in calls)
+        calls.clear()
         checks._counts_above(1.0, 4.0, (0.0, 1.0), 2000, 33)
-        assert calls and not any(calls)
+        assert not any(chunk for chunk, _ in calls)
+        assert any(thread is not threading.current_thread() for _, thread in calls)
 
 
 class TestSuite:

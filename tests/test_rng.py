@@ -1,8 +1,10 @@
-"""The chunk grid that maps work units to streams."""
+"""The chunk grid that maps work units to streams, and the piecewise draws
+the wave core rests on."""
 
 import numpy as np
+import pytest
 
-from bouex.rng import chunks
+from bouex.rng import chunks, substream
 
 
 class TestChunks:
@@ -28,3 +30,16 @@ class TestChunks:
         assert [m for _, _, m in units] == [4, 4, 4]
         assert units[-1] == (2, 8, 4)
 
+
+
+@pytest.mark.parametrize("sizes", [(5, 0, 1, 1000, 37), (1,) * 40, (65_536, 3, 131_072)])
+def test_consecutive_pieces_equal_one_draw(sizes):
+    # the wave core draws a wave's lifetimes in one exponential call and its
+    # innovations in one standard_normal piece per block: pieces drawn in
+    # turn from one stream are the bits of one draw of their total size
+    whole, cut = substream(61, len(sizes)), substream(61, len(sizes))
+    n = sum(sizes)
+    lives, normals = whole.exponential(size=n), whole.standard_normal(n)
+    assert np.array_equal(np.concatenate([cut.exponential(size=m) for m in sizes]), lives)
+    assert np.array_equal(np.concatenate([cut.standard_normal(m) for m in sizes]), normals)
+    assert cut.random() == whole.random()  # and leave the stream at the same place

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -520,16 +521,27 @@ class TestPinnedBits:
         assert _digest(*decorations) == _DECORATIONS
 
 
-@pytest.fixture(params=[(1, 1), (2, 1), (3, 1), (3, 1000)],
-                ids=["1-worker", "2-workers", "3-workers", "3-workers-gate-1000"])
+_DEFAULT_BLOCK = cloud._BLOCK_ROWS
+
+
+def _cuts(n_nodes=math.inf, blocks=(_DEFAULT_BLOCK, 1000, 7, 1)):
+    """(id, (workers, block)) for 1, 2 and 3 workers at each of `blocks`
+    that cuts a traversal of n_nodes nodes into at most 10,000 blocks."""
+    return [(f"{w}-worker{'s' * (w > 1)}" + ("" if b == _DEFAULT_BLOCK else f"-gate-{b}"),
+             (w, b)) for b in blocks if n_nodes <= 20_000 * b for w in (1, 2, 3)]
+
+
+@pytest.fixture
 def split_waves(request, monkeypatch):
-    """Waves of at least `gate` rows cut into `workers` slices, with threads
-    switching often.  At gate 1 every wave is cut; at gate 1000 whole and
-    cut waves take turns in one traversal; 3 workers are more threads than a
-    2-core host has."""
-    workers, gate = request.param
+    """Waves cut into blocks of `block` rows on `workers` usable cores, with
+    threads switching often.  A wave of at most `block` kept rows runs
+    whole on the calling thread, so the block size is also the gate between
+    whole and streamed waves; at 1000 rows whole and streamed waves take
+    turns in one traversal; 3 workers are more threads than a 2-core host
+    has."""
+    workers, block = request.param
     monkeypatch.setattr(cloud, "_WORKERS", workers)
-    monkeypatch.setattr(cloud, "_SPLIT_ROWS", gate)
+    monkeypatch.setattr(cloud, "_BLOCK_ROWS", block)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -539,28 +551,74 @@ def split_waves(request, monkeypatch):
 
 
 class TestSplitWaves:
-    """The worker count and the gate of the wave core never change a bit."""
+    """The worker count and the block size of the wave core never change a bit."""
 
-    @pytest.mark.parametrize("name", list(_TRAVERSALS))
+    @pytest.mark.parametrize("split_waves, name", [
+        pytest.param(cut, name, id=f"{cut_id}-{name}")
+        for name, (_, _, n_nodes) in _TRAVERSALS.items() for cut_id, cut in _cuts(n_nodes)],
+        indirect=["split_waves"])
     def test_collect_atoms_above(self, name, split_waves):
         run, digest, n_nodes = _TRAVERSALS[name]
         res = run()
         assert (_digest(res.group, res.atoms, res.pruned_mass, res.stopped),
                 res.n_nodes) == (digest, n_nodes)
 
-    @pytest.mark.parametrize("mu", list(_FORESTS))
+    @pytest.mark.parametrize("split_waves, mu", [
+        pytest.param(cut, mu, id=f"{cut_id}-{mu}")
+        for mu, (_, n_nodes) in _FORESTS.items() for cut_id, cut in _cuts(n_nodes)],
+        indirect=["split_waves"])
     def test_simulate_forest(self, mu, split_waves):
         f = simulate_forest(mu, 5.0, 64, substream(97, int(mu)))
         assert (_digest(f.rep, f.parent, f.t_end, f.duration, f.xi, f.x_end, f.is_leaf,
                         np.asarray(f.wave_edges)), f.n_nodes) == _FORESTS[mu]
 
+    # about 1.2M nodes in two chunks
+    @pytest.mark.parametrize("split_waves", [
+        pytest.param(cut, id=cut_id) for cut_id, cut in _cuts(1.2e6)], indirect=True)
     def test_simulate_max_table(self, tmp_path, split_waves):
         argv, digest = _CLI_TABLES["simulate-max"]
         assert _digest(_cli_table(tmp_path, *argv)) == digest
 
+    def test_blocks_hold_a_bounded_share_of_the_largest_wave(self, monkeypatch):
+        # in blocks of 1,024 rows the extremes pin's traced peak stays under
+        # 60 bytes per node of its largest wave (115,470 nodes); whole waves
+        # held 82-88
+        monkeypatch.setattr(cloud, "_BLOCK_ROWS", 1024)
+        sizes = []  # the node count of each wave up to each block
+        waves = window_mod._waves
+
+        def recording(*args):
+            for block in waves(*args):
+                sizes.append(block.start + block.tau.size)
+                yield block
+
+        monkeypatch.setattr(window_mod, "_waves", recording)
+        run, _, n_nodes = _TRAVERSALS["extremes"]
+        run()
+        tracemalloc.start()
+        try:
+            res = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.n_nodes == n_nodes and peak < 60 * max(sizes)
+
+    def test_reader_may_stop_in_a_streamed_wave(self, monkeypatch):
+        # the wave core closed after the first block of a streamed wave cancels
+        # the blocks queued on the pool and waits for the running ones
+        monkeypatch.setattr(cloud, "_WORKERS", 3)
+        monkeypatch.setattr(cloud, "_BLOCK_ROWS", 16)
+        waves = cloud._waves(0.0, np.full(512, 2.0), np.zeros(512), substream(5, 0), 10**6)
+        first = next(waves)
+        waves.close()
+        monkeypatch.setattr(cloud, "_WORKERS", 1)
+        alone = next(cloud._waves(0.0, np.full(512, 2.0), np.zeros(512), substream(5, 0), 10**6))
+        assert all(np.array_equal(getattr(first, k), getattr(alone, k))
+                   for k in ("root", "tau", "life", "xi", "leaf", "dur", "x_new"))
+
     def test_stop_level_groups_straddle_slices(self, monkeypatch):
-        # 35 groups interleaved over 700 roots: every slice holds rows of every
-        # group, so a stop found in one slice must hold back rows of the others
+        # 35 groups interleaved over 700 roots: every block holds rows of every
+        # group, so a stop found in one block must hold back rows of the others
         n, g = 700, 35
 
         def run():
@@ -570,9 +628,9 @@ class TestSplitWaves:
 
         whole = run()
         assert 0 < whole.stopped.sum() < g
-        monkeypatch.setattr(cloud, "_SPLIT_ROWS", 1)
-        for workers in (2, 3):
+        for workers, block in ((2, 1), (3, 7)):
             monkeypatch.setattr(cloud, "_WORKERS", workers)
+            monkeypatch.setattr(cloud, "_BLOCK_ROWS", block)
             cut = run()
             for a, b in zip((whole.group, whole.atoms, whole.pruned_mass, whole.stopped),
                             (cut.group, cut.atoms, cut.pruned_mass, cut.stopped)):
@@ -582,7 +640,7 @@ class TestSplitWaves:
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
     def test_one_core_makes_no_pool(self):
         # a fresh interpreter bound to one core draws the extremes pin, whose
-        # largest waves are cut on more cores, with no thread besides its own
+        # largest waves are streamed on more cores, with no thread besides its own
         src = os.path.dirname(os.path.dirname(os.path.abspath(cloud.__file__)))
         script = """
 import os, threading
