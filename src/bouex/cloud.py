@@ -376,7 +376,7 @@ def _stream(mu, pair, blocks, m, rng, pooled, children):
             if rows[0].size:
                 children.append(rows)
             yield block
-            del block  # what the reader did not keep dies here
+            block.__dict__.clear()  # what the reader did not keep dies here
         return
     ahead = 2 * _WORKERS
     gathered, life = _run([partial(_gather, b, pair) for b in blocks[:ahead]],
@@ -397,7 +397,7 @@ def _stream(mu, pair, blocks, m, rng, pooled, children):
                 if rows[0].size:
                     children.append(rows)
                 yield block
-                del block
+                block.__dict__.clear()
     finally:  # the reader stopped early, or a block raised
         for future, _ in queued:
             future.cancel()

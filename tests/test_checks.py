@@ -465,7 +465,7 @@ _CHUNK_JOBS = {
 
 _DEFAULT_BLOCK = cloud._BLOCK_ROWS
 # the block sizes each job runs at besides the default: those that cut it
-# into at most 10,000 blocks
+# into at most 5,000 blocks
 _JOB_BLOCKS = {"leaf-sums": (1000,), "counts-above": (1000,), "one-chunk": (1000, 7, 1)}
 
 

@@ -526,9 +526,9 @@ _DEFAULT_BLOCK = cloud._BLOCK_ROWS
 
 def _cuts(n_nodes=math.inf, blocks=(_DEFAULT_BLOCK, 1000, 7, 1)):
     """(id, (workers, block)) for 1, 2 and 3 workers at each of `blocks`
-    that cuts a traversal of n_nodes nodes into at most 10,000 blocks."""
+    that cuts a traversal of n_nodes nodes into at most 5,000 blocks."""
     return [(f"{w}-worker{'s' * (w > 1)}" + ("" if b == _DEFAULT_BLOCK else f"-gate-{b}"),
-             (w, b)) for b in blocks if n_nodes <= 20_000 * b for w in (1, 2, 3)]
+             (w, b)) for b in blocks if n_nodes <= 10_000 * b for w in (1, 2, 3)]
 
 
 @pytest.fixture
@@ -581,8 +581,8 @@ class TestSplitWaves:
 
     def test_blocks_hold_a_bounded_share_of_the_largest_wave(self, monkeypatch):
         # in blocks of 1,024 rows the extremes pin's traced peak stays under
-        # 60 bytes per node of its largest wave (115,470 nodes); whole waves
-        # held 82-88
+        # 50 bytes per node of its largest wave (115,470 nodes); whole waves
+        # held 82-88, these blocks 30-35
         monkeypatch.setattr(cloud, "_BLOCK_ROWS", 1024)
         sizes = []  # the node count of each wave up to each block
         waves = window_mod._waves
@@ -601,7 +601,7 @@ class TestSplitWaves:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert res.n_nodes == n_nodes and peak < 60 * max(sizes)
+        assert res.n_nodes == n_nodes and peak < 50 * max(sizes)
 
     def test_reader_may_stop_in_a_streamed_wave(self, monkeypatch):
         # the wave core closed after the first block of a streamed wave cancels
