@@ -179,8 +179,8 @@ def _run(tasks, draw=None):
     decisions or first block gathers; each must read no state that another
     task writes.  The pool starts the tasks while the calling thread makes
     `draw()`, a wave's lifetimes draw, which releases the interpreter lock;
-    then the calling thread joins them.  The tasks are handed out in order, one at a time, to at most
-    _WORKERS threads.  If one raises, no further task is handed out; the
+    then the calling thread joins them.  The tasks are handed out in order,
+    one at a time, to at most _WORKERS threads.  If one raises, no further task is handed out; the
     running ones finish, and the exception of the lowest failing task is
     raised, as a loop over the tasks would raise it.  With one task or one
     usable core, or inside a task of another `_run`, the draw and then the
@@ -235,7 +235,7 @@ def _run(tasks, draw=None):
     return results, drawn
 
 
-def _take(columns, idx, out):
+def _take(columns, idx, out=None):
     """Each of `columns` at idx, into the arrays `out` if given.  Mode "clip"
     leaves an index in range as it is and fills `out` in place, where the
     default mode would fill a copy of it."""
@@ -250,7 +250,7 @@ def _gather(segments, pair):
     nodes."""
     if len(segments) == 1:
         rows, kept = segments[0]
-        return _take(rows, np.repeat(kept, pair), None)
+        return _take(rows, np.repeat(kept, pair))
     m = pair * sum(kept.size for _, kept in segments)
     out = _empty(m, *_ROWS)
     a = 0
@@ -281,7 +281,7 @@ def _move(scale, xi, mean, tau, root, life, split):
     children's (tau, x, root) rows."""
     scale *= xi
     scale += mean
-    children = _take((tau, scale, root), split, None)
+    children = _take((tau, scale, root), split)
     children[0] -= life[split]
     return children
 
@@ -297,7 +297,7 @@ _ROWS = (float, float, np.int64)  # the dtypes of tau, x and root
 class _Block:
     """One stepped block of a wave: its node columns root, tau, life, xi,
     leaf, dur and x_new, and `start`, the offset of its first node in the
-    wave."""
+    wave.  `_waves` clears it when the reader asks for the next block."""
 
     def __init__(self, root, tau, life, xi, leaf, dur, x_new, start):
         self.root, self.tau, self.life, self.xi = root, tau, life, xi
@@ -418,8 +418,8 @@ def _waves(mu, tau, x, rng, node_cap, decide=None, settle=None):
 
     Root i starts at position x[i] with remaining time tau[i] > 0.  Yields
     the `_Block`s of each wave in node order; the children of a wave's
-    splits, in order, make up the next wave.  A block's columns die when
-    the reader lets them go.
+    splits, in order, make up the next wave.  A block is cleared when the
+    next one is asked for, so the columns the reader did not keep die then.
 
     Between waves a row of (tau, x, root) stands for `pair` nodes: one for a
     root, two for the children of a split, which share all three.  At the

@@ -116,7 +116,10 @@ def _record(args, revs, runs, metrics) -> dict:
     return {
         "description": args.note,
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g}",
-        "pairs_command": " ".join(["python3 tools/bench_pairs.py"] + sys.argv[1:]),
+        "pairs_command": (f"python3 tools/bench_pairs.py {args.parent} {args.change} "
+                          f"--out {os.path.basename(args.out)} --pairs {args.pairs} "
+                          f"--seconds {args.seconds:g} --seed0 {args.seed0} "
+                          f"--workloads {' '.join(args.workloads)}"),
         "host": f"{os.cpu_count()}-CPU {platform.machine()}, Python {platform.python_version()}",
         "parent": revs["parent"],
         "change": revs["change"],
