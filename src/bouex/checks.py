@@ -300,7 +300,7 @@ def _replica_values(n: int, size: int, draw) -> np.ndarray:
     """Per-replica values: `draw(j, m)` for each unit of `chunks(n, size)`,
     stacked in unit order; the units run at once (`cloud._run`), so `draw`
     must read no state that another unit writes."""
-    return np.concatenate(_run([partial(draw, j, m) for j, _, m in chunks(n, size)])[0])
+    return np.concatenate(_run([partial(draw, j, m) for j, _, m in chunks(n, size)]))
 
 
 def _mean_se(values):

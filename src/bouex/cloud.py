@@ -19,14 +19,14 @@ nodes in one pass, so no column of a whole wave is held but the
 lifetimes.  The calling thread makes every random draw of a wave: its
 lifetimes in one `exponential(m)` call for its m nodes, then its
 innovations as consecutive `standard_normal` pieces, one per block, which
-are the bits of one draw of m (tests/test_rng.py).  A wave of more than
-one block, outside a chunk worker and with more than one usable core, is
-streamed (`_stream`): the pool made on first use gathers the first blocks
-during the lifetimes draw, steps each block once its piece is drawn and
-stays at most 2 * _WORKERS blocks ahead of the reader, and the calling
-thread steps any block no pool thread has started when it is needed.
-Every other wave is stepped block by block on the calling thread.  The
-reader takes one block at a time, in node order, and may keep any of its
+are the bits of one draw of m (tests/test_rng.py).  `_waves` queues each
+block's task once its piece is drawn.  A wave of more than one block,
+outside a chunk worker and with more than one usable core, hands the
+queued tasks to the pool made on first use and stays at most 2 * _WORKERS
+blocks ahead of the reader; the calling thread steps any block no pool
+thread has started when it is needed.  Every other wave queues none ahead,
+so each block is stepped on the calling thread as it is read.  The reader
+takes one block at a time, in node order, and may keep any of its
 columns; what it lets go dies with the block, and `life` is a view of the
 wave's lifetimes.  Before each wave, once the reader has taken the last
 block of the one before, the collector decides which rows to expand, so
@@ -40,7 +40,7 @@ row-wise decisions, at once on the calling thread and the pool.  Chunk j
 draws only from its own stream, and the results are kept in chunk order.
 Every wave of a chunk that runs beside others (which keep every core busy
 already) is stepped on the thread that runs the chunk; a job of one chunk
-runs on the calling thread, whose waves are streamed.
+runs on the calling thread, which hands its waves' blocks to the pool.
 
 A Forest stores the whole tree as flat node arrays in wave (generation)
 order, so that `Forest.positions_for` can couple spring constants on one
@@ -171,20 +171,17 @@ def _in_chunk():
     return getattr(_local, "chunk", False)
 
 
-def _run(tasks, draw=None):
+def _run(tasks):
     """The results of the tasks, in order, run at once on the pool and the
-    calling thread, and what `draw` returned.
+    calling thread.
 
     The tasks are a Monte Carlo job's replica chunks, or a wave's row-wise
-    decisions or first block gathers; each must read no state that another
-    task writes.  The pool starts the tasks while the calling thread makes
-    `draw()`, a wave's lifetimes draw, which releases the interpreter lock;
-    then the calling thread joins them.  The tasks are handed out in order,
-    one at a time, to at most _WORKERS threads.  If one raises, no further task is handed out; the
-    running ones finish, and the exception of the lowest failing task is
-    raised, as a loop over the tasks would raise it.  With one task or one
-    usable core, or inside a task of another `_run`, the draw and then the
-    tasks run in a loop on the calling thread.
+    decisions; each must read no state that another task writes.  They are
+    handed out in order, one at a time, to at most _WORKERS threads.  If one
+    raises, no further task is handed out; the running ones finish, and the
+    exception of the lowest failing task is raised, as a loop over the tasks
+    would raise it.  With one task or one usable core, or inside a task of
+    another `_run`, the tasks run in a loop on the calling thread.
 
     A pool thread that ran for less than _CHUNK_CPU_SHARE of the time its
     task took was mostly waiting for the interpreter lock: such tasks are
@@ -194,8 +191,7 @@ def _run(tasks, draw=None):
     """
     workers = min(_WORKERS, len(tasks))
     if workers < 2 or _in_chunk():
-        drawn = draw() if draw else None
-        return [task() for task in tasks], drawn
+        return [task() for task in tasks]
     results = [None] * len(tasks)
     errors = {}
     lock = threading.Lock()
@@ -224,7 +220,6 @@ def _run(tasks, draw=None):
     pool = _pool(_WORKERS - 1, os.getpid())
     futures = [pool.submit(work) for _ in range(workers - 1)]
     try:
-        drawn = draw() if draw else None
         work(pooled=False)
     finally:
         for f in futures:
@@ -232,33 +227,20 @@ def _run(tasks, draw=None):
         wait(futures)
     if errors:
         raise errors[min(errors)]
-    return results, drawn
+    return results
 
 
-def _take(columns, idx, out=None):
-    """Each of `columns` at idx, into the arrays `out` if given.  Mode "clip"
-    leaves an index in range as it is and fills `out` in place, where the
-    default mode would fill a copy of it."""
-    if out is None:
-        return [col[idx] for col in columns]
-    return [np.take(col, idx, out=o, mode="clip") for col, o in zip(columns, out)]
+def _take(columns, idx):
+    """Each of `columns` at idx."""
+    return [col[idx] for col in columns]
 
 
 def _gather(segments, pair):
     """The (tau, x, root) of a block's nodes.  Each segment is a piece of
     rows and the kept rows of it, in row order; each row stands for `pair`
     nodes."""
-    if len(segments) == 1:
-        rows, kept = segments[0]
-        return _take(rows, np.repeat(kept, pair))
-    m = pair * sum(kept.size for _, kept in segments)
-    out = _empty(m, *_ROWS)
-    a = 0
-    for rows, kept in segments:
-        b = a + pair * kept.size
-        _take(rows, np.repeat(kept, pair), [col[a:b] for col in out])
-        a = b
-    return out
+    taken = [_take(rows, np.repeat(kept, pair)) for rows, kept in segments]
+    return taken[0] if len(taken) == 1 else [np.concatenate(col) for col in zip(*taken)]
 
 
 def _grow(mu, life, tau, x):
@@ -286,14 +268,6 @@ def _move(scale, xi, mean, tau, root, life, split):
     return children
 
 
-def _empty(m, *kinds):
-    """Uninitialized arrays of m items, one of each dtype in kinds."""
-    return tuple(np.empty(m, kind) for kind in kinds)
-
-
-_ROWS = (float, float, np.int64)  # the dtypes of tau, x and root
-
-
 class _Block:
     """One stepped block of a wave: its node columns root, tau, life, xi,
     leaf, dur and x_new, and `start`, the offset of its first node in the
@@ -305,12 +279,11 @@ class _Block:
         self.start = start
 
 
-def _step(mu, pair, segments, rows, life, xi, start):
-    """The block task: gather the block's nodes (unless `rows` holds them
-    already), grow them on their lifetimes and move them on their
-    innovations, in one pass.  Returns the `_Block` and the (tau, x, root)
-    rows of its children."""
-    tau, x, root = _gather(segments, pair) if rows is None else rows
+def _step(mu, pair, segments, life, xi, start):
+    """The block task: gather the block's nodes, grow them on their
+    lifetimes and move them on their innovations, in one pass.  Returns the
+    `_Block` and the (tau, x, root) rows of its children."""
+    tau, x, root = _gather(segments, pair)
     leaf, dur, x_new, mean, split = _grow(mu, life, tau, x)
     children = _move(x_new, xi, mean, tau, root, life, split)
     return _Block(root, tau, life, xi, leaf, dur, x_new, start), children
@@ -337,71 +310,25 @@ def _cut(pieces, kept):
 
 def _claim(queued):
     """The result of the first of the queued (future, task) pairs, which it
-    removes: run on the calling thread when no pool thread has started it.
-    While a pool thread runs it, the calling thread runs the next queued
-    tasks that no pool thread has started, and keeps their results queued."""
+    removes: run on the calling thread when it has no future or no pool
+    thread has started it.  While a pool thread runs it, the calling thread
+    runs the next queued tasks that no pool thread has started, and keeps
+    their results queued; if one of those raises, the exception is raised
+    once the running task has returned."""
     future, task = queued.popleft()
-    if future.cancel():
+    if future is None or future.cancel():
         return task()
-    for i, (later, task) in enumerate(queued):
-        if future.done():
-            break
-        if later.cancel():
-            queued[i] = (Future(), task)
-            queued[i][0].set_result(task())
-    return future.result()
-
-
-def _stream(mu, pair, blocks, m, rng, pooled, children):
-    """The stepped blocks of one wave of m nodes, in order, each block's
-    children rows, unless empty, appended to `children` as it is yielded;
-    see `_waves`.
-
-    Every block but the last has pair * _BLOCK_ROWS nodes.  The calling
-    thread draws the wave's lifetimes, then one piece of innovations per
-    block.  Unpooled, each block is stepped on it right after its piece is
-    drawn.  Pooled, the pool gathers the first blocks during the lifetimes
-    draw (`_run`), steps each block once its piece is drawn, and stays at
-    most 2 * _WORKERS blocks ahead of the reader; a block no pool thread
-    has started when the reader needs it is stepped on the calling thread.
-    """
-    size = pair * _BLOCK_ROWS
-    if not pooled or len(blocks) == 1:
-        life = rng.exponential(size=m)
-        for k, a in enumerate(range(0, m, size)):
-            b = min(a + size, m)
-            segments, blocks[k] = blocks[k], None  # the rows die once gathered
-            block, rows = _step(mu, pair, segments, None, life[a:b], rng.standard_normal(b - a), a)
-            del segments
-            if rows[0].size:
-                children.append(rows)
-            yield block
-            block.__dict__.clear()  # what the reader did not keep dies here
-        return
-    ahead = 2 * _WORKERS
-    gathered, life = _run([partial(_gather, b, pair) for b in blocks[:ahead]],
-                          lambda: rng.exponential(size=m))
-    gathered += [None] * (len(blocks) - len(gathered))
-    pool = _pool(_WORKERS - 1, os.getpid())
-    queued = deque()
     try:
-        for k, a in enumerate(range(0, m, size)):
-            b = min(a + size, m)
-            task = partial(_step, mu, pair, blocks[k], gathered[k], life[a:b],
-                           rng.standard_normal(b - a), a)
-            blocks[k] = gathered[k] = None  # the task alone holds them
-            queued.append((pool.submit(task), task))
-            del task
-            while len(queued) > ahead or k == len(blocks) - 1 and queued:
-                block, rows = _claim(queued)
-                if rows[0].size:
-                    children.append(rows)
-                yield block
-                block.__dict__.clear()
-    finally:  # the reader stopped early, or a block raised
-        for future, _ in queued:
-            future.cancel()
-        wait([future for future, _ in queued])
+        for i, (later, task) in enumerate(queued):
+            if future.done():
+                break
+            if later.cancel():
+                stolen = Future()
+                stolen.set_result(task())
+                queued[i] = (stolen, task)
+    finally:
+        wait([future])
+    return future.result()
 
 
 def _check_cap(n, m, node_cap):
@@ -432,9 +359,16 @@ def _waves(mu, tau, x, rng, node_cap, decide=None, settle=None):
     The pieces are the roots cut into _BLOCK_ROWS rows, then the children
     of each block.
 
-    The kept rows are cut into blocks of _BLOCK_ROWS rows (`_cut`) and
-    stepped by `_stream`: on the pool with more than one block and usable
-    core outside a chunk worker, else on the calling thread.  Every step is
+    The kept rows are cut into blocks of _BLOCK_ROWS rows (`_cut`), so every
+    block but the last has pair * _BLOCK_ROWS nodes.  The calling thread
+    draws the wave's lifetimes, then one piece of innovations per block,
+    and queues the block's task (`_step`).  A wave of more than one block,
+    outside a chunk worker and with more than one usable core, hands each
+    queued task to the pool and stays at most 2 * _WORKERS blocks ahead of
+    the reader; every other wave queues none ahead, and each block is
+    stepped on the calling thread as it is read.  `_claim` takes the block
+    the reader needs.  A reader that stops early, or a block that raises,
+    cancels the queued blocks and waits for the running ones.  Every step is
     row-wise and the calling thread makes every draw, in the same order, so
     no output bit depends on the block size or the thread count.
     """
@@ -450,7 +384,7 @@ def _waves(mu, tau, x, rng, node_cap, decide=None, settle=None):
         if decide is None:
             kept = [np.arange(piece[0].size) for piece in pieces]
         else:
-            kept, tallies = zip(*_run([partial(decide, *piece) for piece in pieces])[0])
+            kept, tallies = zip(*_run([partial(decide, *piece) for piece in pieces]))
             settle(tallies, pair)
             del tallies
         m = pair * sum(map(len, kept))
@@ -460,7 +394,29 @@ def _waves(mu, tau, x, rng, node_cap, decide=None, settle=None):
         blocks = _cut(pieces, kept)
         pieces = []  # the blocks alone hold the rows, so a piece dies once gathered
         del kept
-        yield from _stream(mu, pair, blocks, m, rng, pooled, pieces)
+        pool = _pool(_WORKERS - 1, os.getpid()) if pooled and len(blocks) > 1 else None
+        ahead = 2 * _WORKERS if pool else 0
+        size = pair * _BLOCK_ROWS
+        life = rng.exponential(size=m)
+        queued = deque()
+        try:
+            for k, a in enumerate(range(0, m, size)):
+                b = min(a + size, m)
+                task = partial(_step, mu, pair, blocks[k], life[a:b],
+                               rng.standard_normal(b - a), a)
+                blocks[k] = None  # the task alone holds them
+                queued.append((pool.submit(task) if pool else None, task))
+                del task
+                while len(queued) > ahead or k == len(blocks) - 1 and queued:
+                    block, rows = _claim(queued)
+                    if rows[0].size:
+                        pieces.append(rows)
+                    yield block
+                    block.__dict__.clear()  # what the reader did not keep dies here
+        finally:  # the reader stopped early, or a block raised
+            for future, _ in queued:
+                future.cancel()
+            wait([future for future, _ in queued])
         n += m
         pair = 2
 

@@ -25,11 +25,11 @@ from typing import Optional
 import numpy as np
 
 from .cloud import additive_martingale_per_rep, leaves
-from .errors import RejectionBudgetError
+from .errors import RejectionBudgetError, ResourceLimitError
 from .gaussian import SQRT2, INV_SQRT_4PI, gamma_constants
 from .results import EstimatorResult
 from .rng import chunks, substream, spawn_seed
-from .window import collect_atoms_above
+from .window import _NODE_CAP, collect_atoms_above
 
 CHUNK = 4096
 # the largest mean numpy's Generator.poisson accepts
@@ -255,6 +255,8 @@ def sample_limit_process(gamma: float, window_a: float, rng,
     and dilated decoration draws; the window restriction is exact because
     decorations only move atoms down.  Finite gamma needs c_value, e.g. from
     `limit_intensity`; gamma = inf rejects one, since its constant is fixed.
+    A Poisson mean above window._NODE_CAP atoms raises ResourceLimitError
+    before the count is drawn.
     """
     density = _window_exp(-SQRT2 * window_a, window_a)
     gc = gamma_constants(gamma)
@@ -277,6 +279,9 @@ def sample_limit_process(gamma: float, window_a: float, rng,
     if not mean <= _POISSON_MAX:
         raise ValueError(f"window_a={window_a} is too negative: the Poisson mean "
                          f"{mean:.6g} exceeds numpy's limit {_POISSON_MAX:.6g}")
+    if mean > _NODE_CAP:
+        raise ResourceLimitError(f"window_a={window_a}: the Poisson mean {mean:.6g} exceeds "
+                                 f"the atom cap {_NODE_CAP}; a higher window draws fewer atoms")
     count = int(rng.poisson(mean))
     atoms = window_a + rng.exponential(size=count) / SQRT2
     if not math.isinf(gamma):

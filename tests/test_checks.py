@@ -473,22 +473,13 @@ class TestChunkExecutor:
     """The checks' chunks run at once on `cloud._run`, the one executor of
     chunks and wave slices, and the worker count never changes a bit."""
 
-    def test_draws_once_and_keeps_task_order(self, chunk_workers):
+    def test_keeps_task_order(self, chunk_workers):
         # tasks of uneven length finish out of order on more threads
-        draws = []
-
-        def draw():
-            draws.append(threading.current_thread())
-            time.sleep(0.005)
-            return "drawn"
-
         def task(i):
             time.sleep(0.002 * (i % 3))
             return i
 
-        results, drawn = cloud._run([lambda i=i: task(i) for i in range(7)], draw)
-        assert (results, drawn) == (list(range(7)), "drawn")
-        assert draws == [threading.current_thread()]
+        assert cloud._run([lambda i=i: task(i) for i in range(7)]) == list(range(7))
 
     def test_raises_once_every_started_task_returned(self, chunk_workers):
         # task 1 raises after 30 ms and task 2 at once, while task 0 runs on
@@ -506,13 +497,13 @@ class TestChunkExecutor:
                 returned.append(i)
 
         with pytest.raises(ValueError, match="task 1"):
-            cloud._run([lambda i=i: task(i) for i in range(6)], lambda: time.sleep(0.01))
+            cloud._run([lambda i=i: task(i) for i in range(6)])
         assert {0, 1} <= set(started) and sorted(returned) == sorted(started)
 
     def test_one_task_makes_no_pool(self, monkeypatch):
         monkeypatch.setattr(cloud, "_WORKERS", 5)
         pools, threads = cloud._pool.cache_info(), threading.active_count()
-        assert cloud._run([lambda: 5], lambda: 7) == ([5], 7)
+        assert cloud._run([lambda: 5]) == [5]
         assert (cloud._pool.cache_info(), threading.active_count()) == (pools, threads)
 
     @pytest.mark.parametrize("name, block", [

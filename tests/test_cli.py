@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -279,6 +280,15 @@ class TestDecorateAndLimit:
                     "--samples", "5", "--c-value", "0.25", "--proxy-horizon",
                     "5.0", "--seed", "11", "-o", str(out)])
         assert code == 0
+
+    def test_limit_process_atom_cap_exit_3_before_the_draw(self, tmp_path, capsys):
+        # at window -20 the Poisson mean is about 5e11 atoms (4 TB of them)
+        out = tmp_path / "lp.csv"
+        start = time.perf_counter()
+        assert run(["limit-process", "--gamma", "inf", "--window-a=-20", "--samples", "1",
+                    "-o", str(out)]) == 3
+        assert time.perf_counter() - start < 1.0
+        assert "exceeds the atom cap" in capsys.readouterr().err and not out.exists()
 
 
 def _argv_from_header(text):

@@ -5,6 +5,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -615,6 +617,48 @@ class TestSplitWaves:
         alone = next(cloud._waves(0.0, np.full(512, 2.0), np.zeros(512), substream(5, 0), 10**6))
         assert all(np.array_equal(getattr(first, k), getattr(alone, k))
                    for k in ("root", "tau", "life", "xi", "leaf", "dur", "x_new"))
+
+    def test_block_that_raises_beside_a_running_one_raises(self, monkeypatch):
+        # a pool thread runs block 0 for 0.3 s while the calling thread, which
+        # needs it, steps block 1, which raises: the error must come once
+        # block 0 has returned, with no block left running, and not hang
+        monkeypatch.setattr(cloud, "_WORKERS", 2)
+        monkeypatch.setattr(cloud, "_BLOCK_ROWS", 4)
+        entered, running, raised = threading.Event(), [], []
+        step = cloud._step
+
+        def stepping(*args):
+            if not threading.current_thread().name.startswith("bouex-wave"):
+                raise MemoryError("stolen block")
+            running.append(args)
+            entered.set()
+            time.sleep(0.3)
+            running.remove(args)
+            return step(*args)
+
+        class Rng:  # block 0 is running on the pool before block 1 is drawn
+            gen = substream(5, 0)
+
+            def exponential(self, size):
+                return self.gen.exponential(size=size)
+
+            def standard_normal(self, size):
+                self.drawn = getattr(self, "drawn", 0) + 1
+                assert self.drawn == 1 or entered.wait(10)
+                return self.gen.standard_normal(size)
+
+        def read():
+            try:
+                for _ in cloud._waves(0.0, np.full(12, 1.0), np.zeros(12), Rng(), 10**6):
+                    pass
+            except MemoryError:
+                raised.append(list(running))
+
+        monkeypatch.setattr(cloud, "_step", stepping)
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        reader.join(10)
+        assert not reader.is_alive() and raised == [[]]
 
     def test_stop_level_groups_straddle_slices(self, monkeypatch):
         # 35 groups interleaved over 700 roots: every block holds rows of every

@@ -5,8 +5,9 @@
         [--workdir DIR] [--note TEXT]
 
 Run it from the root of a git checkout.  It exports both commits with
-`git archive` into fresh directories under --workdir, so each side runs
-its own committed `perfbench/run.py` and `src`, as the benchmark does.
+`git archive` into a fresh directory under --workdir, so each side runs
+its own committed `perfbench/run.py` and `src`, as the benchmark does; the
+directory is removed when the run ends, also on an error or interrupt.
 For each workload and pair it runs both sides with the same seed, one after
 the other, alternating which side goes first; workload w's pair p has seed
 seed0 + w * pairs + p.  It writes the last JSON line of every run and a
@@ -90,25 +91,27 @@ def main(argv=None) -> int:
     revs = {side: subprocess.run(["git", "rev-parse", "--short", rev], check=True,
                                  capture_output=True, text=True).stdout.strip()
             for side, rev in (("parent", args.parent), ("change", args.change))}
-    roots = {side: export(rev, args.workdir) for side, rev in revs.items()}
-    with open(os.path.join(roots["change"], "BENCHMARK.json")) as f:
-        metrics = {m["name"]: m["better"] for m in json.load(f)["end_to_end"]}
+    with tempfile.TemporaryDirectory(prefix="bench-", dir=args.workdir) as workdir:
+        roots = {side: export(rev, workdir) for side, rev in revs.items()}
+        with open(os.path.join(roots["change"], "BENCHMARK.json")) as f:
+            metrics = {m["name"]: m["better"] for m in json.load(f)["end_to_end"]}
 
-    runs = []
-    for w, workload in enumerate(args.workloads):
-        for pair in range(args.pairs):
-            seed = args.seed0 + w * args.pairs + pair
-            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-            for side in order:
-                result = run_once(roots[side], workload, seed, args.seconds)
-                runs.append({"workload": workload, "pair": pair + 1, "side": side,
-                             "seed": seed, "result": result})
-                values = " ".join(f"{k}={v['value']:.4g}" for k, v in result["metrics"].items())
-                print(f"{workload} pair {pair + 1} {side}: {values} failed={result['failed']}",
-                      flush=True)
-            with open(args.out, "w") as f:  # partial results survive an interrupted run
-                json.dump(_record(args, revs, runs, metrics), f, indent=1)
-    print(json.dumps(_record(args, revs, runs, metrics)["summary"], indent=1))
+        runs = []
+        for w, workload in enumerate(args.workloads):
+            for pair in range(args.pairs):
+                seed = args.seed0 + w * args.pairs + pair
+                order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+                for side in order:
+                    result = run_once(roots[side], workload, seed, args.seconds)
+                    runs.append({"workload": workload, "pair": pair + 1, "side": side,
+                                 "seed": seed, "result": result})
+                    values = " ".join(f"{k}={v['value']:.4g}"
+                                      for k, v in result["metrics"].items())
+                    print(f"{workload} pair {pair + 1} {side}: {values} failed={result['failed']}",
+                          flush=True)
+                with open(args.out, "w") as f:  # partial results survive an interrupted run
+                    json.dump(_record(args, revs, runs, metrics), f, indent=1)
+        print(json.dumps(_record(args, revs, runs, metrics)["summary"], indent=1))
     return 0
 
 
