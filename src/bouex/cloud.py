@@ -414,9 +414,10 @@ def _waves(mu, tau, x, rng, node_cap, decide=None, settle=None):
                     yield block
                     block.__dict__.clear()  # what the reader did not keep dies here
         finally:  # the reader stopped early, or a block raised
-            for future, _ in queued:
+            futures = [future for future, _ in queued if future]
+            for future in futures:
                 future.cancel()
-            wait([future for future, _ in queued])
+            wait(futures)
         n += m
         pair = 2
 
