@@ -7,10 +7,10 @@
 Run it from the root of a git checkout.  It exports both commits with
 `git archive` into a fresh directory under --workdir, so each side runs
 its own committed `perfbench/run.py` and `src`, as the benchmark does; the
-directory is removed when the run ends, also on an error or interrupt.
-For each workload and pair it runs both sides with the same seed, one after
-the other, alternating which side goes first; workload w's pair p has seed
-seed0 + w * pairs + p.  It writes the last JSON line of every run and a
+directory is removed when the run ends, also on an error, Ctrl-C or
+SIGTERM.  For each workload and pair it runs both sides with the same
+seed, one after the other, alternating which side goes first; workload
+w's pair p has seed seed0 + w * pairs + p.  It writes the last JSON line of every run and a
 summary: for each end-to-end metric of BENCHMARK.json, each side's median
 and quartiles (statistics.quantiles, n=4) and the pairs the change won by
 the metric's "better" direction (ties count for neither side), and the
@@ -23,6 +23,7 @@ import argparse
 import json
 import os
 import platform
+import signal
 import statistics
 import subprocess
 import sys
@@ -87,6 +88,9 @@ def main(argv=None) -> int:
     ap.add_argument("--workdir", default=tempfile.gettempdir())
     ap.add_argument("--note", default="")
     args = ap.parse_args(argv)
+    # SIGTERM unwinds like Ctrl-C, so the exports are removed and a running
+    # side is killed (subprocess.run kills its child when interrupted)
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
 
     revs = {side: subprocess.run(["git", "rev-parse", "--short", rev], check=True,
                                  capture_output=True, text=True).stdout.strip()
