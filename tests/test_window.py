@@ -8,6 +8,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -630,26 +631,24 @@ class TestSplitWaves:
         def stepping(*args):
             if not threading.current_thread().name.startswith("bouex-wave"):
                 raise MemoryError("stolen block")
-            running.append(args)
+            running.append(1)
             entered.set()
             time.sleep(0.3)
-            running.remove(args)
+            running.pop()
             return step(*args)
 
-        class Rng:  # block 0 is running on the pool before block 1 is drawn
-            gen = substream(5, 0)
+        gen, drawn = substream(5, 0), []
 
-            def exponential(self, size):
-                return self.gen.exponential(size=size)
+        def normal(size):  # block 0 is running on the pool before block 1 is drawn
+            assert not drawn or entered.wait(10)
+            drawn.append(size)
+            return gen.standard_normal(size)
 
-            def standard_normal(self, size):
-                self.drawn = getattr(self, "drawn", 0) + 1
-                assert self.drawn == 1 or entered.wait(10)
-                return self.gen.standard_normal(size)
+        rng = SimpleNamespace(exponential=gen.exponential, standard_normal=normal)
 
         def read():
             try:
-                for _ in cloud._waves(0.0, np.full(12, 1.0), np.zeros(12), Rng(), 10**6):
+                for _ in cloud._waves(0.0, np.full(12, 1.0), np.zeros(12), rng, 10**6):
                     pass
             except MemoryError:
                 raised.append(list(running))
