@@ -471,7 +471,8 @@ _JOB_BLOCKS = {"leaf-sums": (1000,), "counts-above": (1000,), "one-chunk": (1000
 
 class TestChunkExecutor:
     """The checks' chunks run at once on `cloud._run`, the one executor of
-    chunks and wave slices, and the worker count never changes a bit."""
+    chunks and of a wave's row-wise decisions, and the worker count never
+    changes a bit."""
 
     def test_keeps_task_order(self, chunk_workers):
         # tasks of uneven length finish out of order on more threads

@@ -282,7 +282,8 @@ class TestDecorateAndLimit:
         assert code == 0
 
     def test_limit_process_atom_cap_exit_3_before_the_draw(self, tmp_path, capsys):
-        # at window -20 the Poisson mean is about 5e11 atoms (4 TB of them)
+        # at window -20 the Poisson mean is about 1.6e11 atoms at the default
+        # seed, 1.3 TB of float64
         out = tmp_path / "lp.csv"
         start = time.perf_counter()
         assert run(["limit-process", "--gamma", "inf", "--window-a=-20", "--samples", "1",
