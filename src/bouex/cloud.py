@@ -58,6 +58,7 @@ import time
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
+from contextlib import closing
 from functools import cache, cached_property, partial
 
 import numpy as np
@@ -171,63 +172,91 @@ def _in_chunk():
     return getattr(_local, "chunk", False)
 
 
-def _run(tasks):
-    """The results of the tasks, in order, run at once on the pool and the
+def _ordered(tasks, ahead, job=False):
+    """The results of the tasks, in task order, run on the pool and the
     calling thread.
 
-    The tasks are a Monte Carlo job's replica chunks, or a wave's row-wise
-    decisions; each must read no state that another task writes.  They are
-    handed out in order, one at a time, to at most _WORKERS threads.  If one
-    raises, no further task is handed out; the running ones finish, and the
-    exception of the lowest failing task is raised, as a loop over the tasks
-    would raise it.  With one task or one usable core, or inside a task of
-    another `_run`, the tasks run in a loop on the calling thread.
+    The tasks are taken from the iterable on the calling thread, so a draw
+    that makes one stays there and in order; each task must read no state
+    that another task writes.  At most `ahead` tasks past the one the
+    reader waits for are handed to the pool.  The calling thread runs the
+    task it needs when no pool thread has started it, and while a pool
+    thread runs it, runs the next tasks that no pool thread has started.
+    So the tasks start in order.  Once a task raises, no further task
+    starts; the running ones finish, and the lowest failing task's
+    exception is raised, as a loop over the tasks would raise it.  A reader
+    that stops early (closing the generator) cancels the queued tasks and
+    waits for the running ones.  With `ahead` below 1, one usable core, or
+    inside a task of a job, the tasks run in a loop on the calling thread.
 
-    A pool thread that ran for less than _CHUNK_CPU_SHARE of the time its
-    task took was mostly waiting for the interpreter lock: such tasks are
-    mostly interpreter work (small arrays, a Python loop), which threads only
-    slow down as they hand the lock back and forth.  It takes no more tasks,
-    and the calling thread runs the rest.
+    A job (`job=True`: a Monte Carlo job's replica chunks, or a wave's
+    row-wise decisions) runs each task with the thread's chunk flag set
+    (`_in_chunk`).  A pool thread that ran a job's task for less than
+    _CHUNK_CPU_SHARE of the time it took was mostly waiting for the
+    interpreter lock: such tasks are mostly interpreter work (small arrays,
+    a Python loop), which threads only slow down as they hand the lock back
+    and forth.  Then no pool thread starts another task of the job, and the
+    calling thread runs the rest.
     """
-    workers = min(_WORKERS, len(tasks))
-    if workers < 2 or _in_chunk():
-        return [task() for task in tasks]
-    results = [None] * len(tasks)
-    errors = {}
-    lock = threading.Lock()
-    handed = iter(range(len(tasks)))
+    if ahead < 1 or _WORKERS < 2 or _in_chunk():
+        for task in tasks:
+            yield task()
+        return
+    pool = _pool(_WORKERS - 1, os.getpid())
+    stops = []  # no pool thread starts a task past one of these indices
+    queued = deque()  # (index, future, task) of each task handed out and not yet read
 
-    def work(pooled=True):
-        _local.chunk = True
+    def run(i, task, pooled=True):
+        if pooled and i > min(stops, default=i):
+            return task  # not started: the reader runs it
+        _local.chunk = job
+        start, cpu = time.perf_counter(), time.thread_time()
         try:
-            while True:
-                with lock:
-                    i = None if errors else next(handed, None)
-                if i is None:
-                    return
-                start, cpu = time.perf_counter(), time.thread_time()
-                try:
-                    results[i] = tasks[i]()
-                except BaseException as exc:  # raised on the calling thread below
-                    with lock:
-                        errors[i] = exc
-                if pooled and time.thread_time() - cpu < \
-                        _CHUNK_CPU_SHARE * (time.perf_counter() - start):
-                    return
+            return task()
+        except BaseException:
+            stops.append(i)
+            raise
         finally:
             _local.chunk = False
+            if pooled and job and time.thread_time() - cpu < \
+                    _CHUNK_CPU_SHARE * (time.perf_counter() - start):
+                stops.append(-1)
 
-    pool = _pool(_WORKERS - 1, os.getpid())
-    futures = [pool.submit(work) for _ in range(workers - 1)]
+    def claim():
+        i, future, task = queued.popleft()
+        if future.cancel():
+            return run(i, task, pooled=False)
+        for k, (j, later, stolen) in enumerate(queued):  # steal while the pool runs task i
+            if future.done() or j > min(stops, default=j):
+                break
+            if later.cancel():
+                done = Future()
+                try:
+                    done.set_result(run(j, stolen, pooled=False))
+                except BaseException as exc:  # raised when the reader reaches it
+                    done.set_exception(exc)
+                queued[k] = (j, done, stolen)
+        out = future.result()
+        return run(i, task, pooled=False) if out is task else out
+
     try:
-        work(pooled=False)
-    finally:
-        for f in futures:
-            f.cancel()  # a worker not yet started would find no task left
+        for i, task in enumerate(tasks):
+            queued.append((i, pool.submit(run, i, task), task))
+            del task  # the queue alone holds it
+            while len(queued) > ahead:
+                yield claim()
+        while queued:
+            yield claim()
+    finally:  # the reader stopped early, or a task raised
+        futures = [future for _, future, _ in queued]
+        for future in futures:
+            future.cancel()
         wait(futures)
-    if errors:
-        raise errors[min(errors)]
-    return results
+
+
+def _run(tasks):
+    """The results of a job's tasks, in order, all handed out at once (`_ordered`)."""
+    return list(_ordered(tasks, len(tasks) - 1, job=True))
 
 
 def _take(columns, idx):
@@ -308,29 +337,6 @@ def _cut(pieces, kept):
     return blocks
 
 
-def _claim(queued):
-    """The result of the first of the queued (future, task) pairs, which it
-    removes: run on the calling thread when it has no future or no pool
-    thread has started it.  While a pool thread runs it, the calling thread
-    runs the next queued tasks that no pool thread has started, and keeps
-    their results queued; if one of those raises, the exception is raised
-    once the running task has returned."""
-    future, task = queued.popleft()
-    if future is None or future.cancel():
-        return task()
-    try:
-        for i, (later, task) in enumerate(queued):
-            if future.done():
-                break
-            if later.cancel():
-                stolen = Future()
-                stolen.set_result(task())
-                queued[i] = (stolen, task)
-    finally:
-        wait([future])
-    return future.result()
-
-
 def _check_cap(n, m, node_cap):
     """Raise before drawing m more nodes past n when they pass node_cap."""
     if n + m > node_cap:
@@ -379,7 +385,6 @@ def _waves(mu, tau, x, rng, node_cap, decide=None, settle=None):
     del rows
     pair = 1
     n = 0
-    pooled = _WORKERS > 1 and not _in_chunk()
     while pieces:
         if decide is None:
             kept = [np.arange(piece[0].size) for piece in pieces]
@@ -391,33 +396,20 @@ def _waves(mu, tau, x, rng, node_cap, decide=None, settle=None):
         if not m:
             return
         _check_cap(n, m, node_cap)
-        blocks = _cut(pieces, kept)
+        blocks = deque(_cut(pieces, kept))  # each task takes its block's rows off it
         pieces = []  # the blocks alone hold the rows, so a piece dies once gathered
         del kept
-        pool = _pool(_WORKERS - 1, os.getpid()) if pooled and len(blocks) > 1 else None
-        ahead = 2 * _WORKERS if pool else 0
+        ahead = 2 * _WORKERS if len(blocks) > 1 else 0
         size = pair * _BLOCK_ROWS
         life = rng.exponential(size=m)
-        queued = deque()
-        try:
-            for k, a in enumerate(range(0, m, size)):
-                b = min(a + size, m)
-                task = partial(_step, mu, pair, blocks[k], life[a:b],
-                               rng.standard_normal(b - a), a)
-                blocks[k] = None  # the task alone holds them
-                queued.append((pool.submit(task) if pool else None, task))
-                del task
-                while len(queued) > ahead or k == len(blocks) - 1 and queued:
-                    block, rows = _claim(queued)
-                    if rows[0].size:
-                        pieces.append(rows)
-                    yield block
-                    block.__dict__.clear()  # what the reader did not keep dies here
-        finally:  # the reader stopped early, or a block raised
-            futures = [future for future, _ in queued if future]
-            for future in futures:
-                future.cancel()
-            wait(futures)
+        tasks = (partial(_step, mu, pair, blocks.popleft(), life[a:a + size],
+                         rng.standard_normal(min(size, m - a)), a) for a in range(0, m, size))
+        with closing(_ordered(tasks, ahead)) as stepped:
+            for block, rows in stepped:
+                if rows[0].size:
+                    pieces.append(rows)
+                yield block
+                block.__dict__.clear()  # what the reader did not keep dies here
         n += m
         pair = 2
 

@@ -85,6 +85,9 @@ class KppParams:
             raise ValueError(
                 f"dt={self.dt} exceeds the gradient-CFL stability bound "
                 f"{self.stability_dt:.3g} for this domain")
+        if not self.checkpoint_times:
+            raise ValueError(f"t_max={self.t_max} leaves no checkpoint to store: the "
+                             "default ones are whole times from 2 on; give --checkpoints")
         dt = self.dt_value
         first = self.t_switch if self.ic_mode == "step" else 0.0
         for tc in self.checkpoint_times:

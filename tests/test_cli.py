@@ -342,6 +342,7 @@ def test_header_reruns_to_the_same_bytes(argv, tmp_path):
                   "--emit", "martingales"], id="simulate-martingales-t-nan"),
     pytest.param(["kpp", "--rho", "2", "--t-max", "inf"], id="kpp-t-max-inf"),
     pytest.param(["kpp", "--rho", "1.5", "--t-max", "3", "--dx", "8"], id="kpp-four-points"),
+    pytest.param(["kpp", "--rho", "2", "--t-max", "1.5"], id="kpp-no-checkpoint"),
     pytest.param(["estimate-c", "--rho-min", "1.5", "--rho-max", "2", "--steps", "2",
                   "--replicas", "0", "--coupled"], id="estimate-c-coupled-no-replicas"),
     pytest.param(["limit-process", "--gamma", "inf", "--c-value", "0.3"],
@@ -368,7 +369,7 @@ def test_library_value_error_is_usage_error(argv, tmp_path, capsys):
 # flag, and the flags a flag is read under, where the base does not read it
 _NAN_BASES = {
     "estimate-c": {"--rho-min": "1.5", "--rho-max": "2", "--steps": "2", "--replicas": "10"},
-    "kpp": {"--rho": "2", "--t-max": "1", "--dx": "0.1"},
+    "kpp": {"--rho": "2", "--t-max": "2", "--dx": "0.1"},
     "simulate": {"--mu": "1", "--t": "2", "--replicas": "3", "--emit": "max"},
     "decorate": {"--rho": "2", "--window-a": "-1", "--samples": "2"},
     "limit-process": {"--gamma": "2", "--c-value": "0.25", "--proxy-horizon": "4",

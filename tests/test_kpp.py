@@ -121,6 +121,16 @@ class TestSolver:
         with pytest.raises(ValueError, match="checkpoint"):
             KppParams(checkpoints=checkpoints)
 
+    @pytest.mark.parametrize("ic_mode, t_max", [("step", 1.5), ("step", 0.25), ("ramp", 1.0)])
+    def test_rejects_t_max_with_no_checkpoint(self, ic_mode, t_max):
+        # the default checkpoints are whole times from 2 on, so below 2 none
+        # is stored unless some are given (in step mode, from t_switch on)
+        with pytest.raises(ValueError, match="--checkpoints"):
+            KppParams(ic_mode=ic_mode, t_max=t_max)
+        if t_max >= KppParams.t_switch or ic_mode != "step":
+            assert KppParams(ic_mode=ic_mode, t_max=t_max,
+                             checkpoints=(t_max,)).checkpoint_times == (t_max,)
+
     @pytest.mark.parametrize("dx, t_max", [(0.1, 6.0), (0.05, 10.0)])
     def test_step_mode_dt_ignores_ic_slope(self, dx, t_max):
         dts = {KppParams(dx=dx, t_max=t_max, ic_slope=b).dt_value for b in (1.0, 50.0, 500.0)}

@@ -660,6 +660,44 @@ class TestSplitWaves:
         reader.join(10)
         assert not reader.is_alive() and raised == [[]]
 
+    def test_lowest_failing_block_raises(self, monkeypatch):
+        # block 0 raises on a pool thread after 0.3 s, and block 1 at once on
+        # the calling thread, which steps it while block 0 runs: the reader
+        # gets block 0's error, as a loop over the blocks would raise it
+        monkeypatch.setattr(cloud, "_WORKERS", 2)
+        monkeypatch.setattr(cloud, "_BLOCK_ROWS", 4)
+        entered, raised = threading.Event(), []
+
+        def stepping(*args):
+            pooled = threading.current_thread().name.startswith("bouex-wave")
+            if pooled:
+                entered.set()
+                time.sleep(0.3)
+            raise MemoryError(f"block at {args[-1]} ({'pool' if pooled else 'calling'} thread)")
+
+        gen, drawn = substream(5, 0), []
+
+        def normal(size):  # block 0 is running on the pool before block 1 is drawn
+            if drawn:
+                entered.wait(10)
+            drawn.append(size)
+            return gen.standard_normal(size)
+
+        rng = SimpleNamespace(exponential=gen.exponential, standard_normal=normal)
+
+        def read():
+            try:
+                for _ in cloud._waves(0.0, np.full(12, 1.0), np.zeros(12), rng, 10**6):
+                    pass
+            except MemoryError as exc:
+                raised.append(str(exc))
+
+        monkeypatch.setattr(cloud, "_step", stepping)
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        reader.join(10)
+        assert not reader.is_alive() and raised == ["block at 0 (pool thread)"]
+
     def test_stop_level_groups_straddle_slices(self, monkeypatch):
         # 35 groups interleaved over 700 roots: every block holds rows of every
         # group, so a stop found in one block must hold back rows of the others
