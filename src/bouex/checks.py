@@ -8,9 +8,10 @@ Replicas are reduced one way: a Monte Carlo check builds an array with one
 row per replica (`_replica_values`), the one chunk loop of the checks, and
 every replica mean it reports comes with the Bessel-corrected standard error
 of `_mean_se`.  The chunks run at once on the wave core's threads
-(`cloud._run`, the one executor, which also runs a wave's row-wise decisions);
-each draws only from its own stream and the rows are stacked in chunk
-order, so no output bit depends on the number of cores.
+(`cloud._run`, on `cloud._ordered`, the one runner of chunks, a wave's
+row-wise decisions and its blocks); each draws only from its own stream and
+the rows are stacked in chunk order, so no output bit depends on the number
+of cores.
 The void-law check of the limit process is the one exception to `_mean_se`:
 its z-scores use the binomial standard error, floored so that a frequency of
 0 or 1 stays finite.
@@ -298,8 +299,9 @@ def _chisquare(obs, expected):
 
 def _replica_values(n: int, size: int, draw) -> np.ndarray:
     """Per-replica values: `draw(j, m)` for each unit of `chunks(n, size)`,
-    stacked in unit order; the units run at once (`cloud._run`), so `draw`
-    must read no state that another unit writes."""
+    stacked in unit order; the units run at once (`cloud._run`, on the one
+    runner `cloud._ordered`), so `draw` must read no state that another unit
+    writes."""
     return np.concatenate(_run([partial(draw, j, m) for j, _, m in chunks(n, size)]))
 
 

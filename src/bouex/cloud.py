@@ -19,28 +19,28 @@ nodes in one pass, so no column of a whole wave is held but the
 lifetimes.  The calling thread makes every random draw of a wave: its
 lifetimes in one `exponential(m)` call for its m nodes, then its
 innovations as consecutive `standard_normal` pieces, one per block, which
-are the bits of one draw of m (tests/test_rng.py).  `_waves` queues each
-block's task once its piece is drawn.  A wave of more than one block,
-outside a chunk worker and with more than one usable core, hands the
-queued tasks to the pool made on first use and stays at most 2 * _WORKERS
-blocks ahead of the reader; the calling thread steps any block no pool
-thread has started when it is needed.  Every other wave queues none ahead,
-so each block is stepped on the calling thread as it is read.  The reader
-takes one block at a time, in node order, and may keep any of its
-columns; what it lets go dies with the block, and `life` is a view of the
-wave's lifetimes.  Before each wave, once the reader has taken the last
-block of the one before, the collector decides which rows to expand, so
-its early stops take effect between waves.  No output bit depends on the
-block size or on the thread count: every step is row-wise, the draws have
-the same sizes in the same order, and the collector adds its dropped
-bounds in node order and reads its atoms off each block in turn.
+are the bits of one draw of m (tests/test_rng.py).  The reader takes one
+block at a time, in node order, and may keep any of its columns; what it
+lets go dies with the block, and `life` is a view of the wave's
+lifetimes.  Before each wave, once the reader has taken the last block of
+the one before, the collector decides which rows to expand, so its early
+stops take effect between waves.  No output bit depends on the block size
+or on the thread count: every step is row-wise, the draws have the same
+sizes in the same order, and the collector adds its dropped bounds in node
+order and reads its atoms off each block in turn.
 
-`_run` runs a Monte Carlo job's replica chunks (`checks`), or a wave's
-row-wise decisions, at once on the calling thread and the pool.  Chunk j
-draws only from its own stream, and the results are kept in chunk order.
-Every wave of a chunk that runs beside others (which keep every core busy
-already) is stepped on the thread that runs the chunk; a job of one chunk
-runs on the calling thread, which hands its waves' blocks to the pool.
+`_ordered` is the one runner of tasks on the pool and the calling thread:
+a wave's block tasks, a Monte Carlo job's replica chunks (`checks`) and a
+wave's row-wise decisions.  It takes the tasks on the calling thread, so
+each block's draw is made there and in order, hands the pool at most
+`ahead` tasks past the one the reader needs, and yields the results in
+task order; a task no pool thread has started when it is needed runs on
+the calling thread.  A wave of more than one block stays at most
+2 * _WORKERS blocks ahead of the reader; `_run` hands out a job's tasks
+all at once.  Chunk j draws only from its own stream.  Every wave of a
+chunk that runs beside others (which keep every core busy already) is
+stepped on the thread that runs the chunk; a job of one chunk runs on the
+calling thread, which hands its waves' blocks to the pool.
 
 A Forest stores the whole tree as flat node arrays in wave (generation)
 order, so that `Forest.positions_for` can couple spring constants on one
@@ -57,8 +57,8 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
 from contextlib import closing
+from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
 
 import numpy as np
@@ -164,11 +164,12 @@ def _pool(threads, pid):
     return ThreadPoolExecutor(threads, thread_name_prefix="bouex-wave")
 
 
-_local = threading.local()  # `chunk` is true on a thread while it runs a task of `_run`
+_local = threading.local()  # `chunk` is true on a thread while it runs a job's task
 
 
 def _in_chunk():
-    """Whether the calling thread runs a task of a concurrent `_run`."""
+    """Whether the calling thread runs a task of a job that `_ordered` runs
+    beside others (a replica chunk or a wave's row-wise decision)."""
     return getattr(_local, "chunk", False)
 
 
@@ -367,16 +368,16 @@ def _waves(mu, tau, x, rng, node_cap, decide=None, settle=None):
 
     The kept rows are cut into blocks of _BLOCK_ROWS rows (`_cut`), so every
     block but the last has pair * _BLOCK_ROWS nodes.  The calling thread
-    draws the wave's lifetimes, then one piece of innovations per block,
-    and queues the block's task (`_step`).  A wave of more than one block,
-    outside a chunk worker and with more than one usable core, hands each
-    queued task to the pool and stays at most 2 * _WORKERS blocks ahead of
-    the reader; every other wave queues none ahead, and each block is
-    stepped on the calling thread as it is read.  `_claim` takes the block
-    the reader needs.  A reader that stops early, or a block that raises,
-    cancels the queued blocks and waits for the running ones.  Every step is
-    row-wise and the calling thread makes every draw, in the same order, so
-    no output bit depends on the block size or the thread count.
+    draws the wave's lifetimes, then one piece of innovations per block as
+    `_ordered` takes the block's task (`_step`).  A wave of more than one
+    block stays at most 2 * _WORKERS blocks ahead of the reader, and
+    `_ordered` runs it on the pool unless one core is usable or a chunk
+    runs the wave; every other wave is stepped on the calling thread as it
+    is read.  A reader that stops early closes the runner, which cancels the
+    queued blocks and waits for the running ones; a block that raises does
+    the same, and the lowest failing block's error is raised.  Every step
+    is row-wise and the calling thread makes every draw, in the same order,
+    so no output bit depends on the block size or the thread count.
     """
     rows = (tau, x, np.arange(tau.size, dtype=np.int64))
     del tau, x  # the pieces alone hold them, so they die once gathered

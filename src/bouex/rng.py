@@ -7,9 +7,9 @@ consecutive units of a fixed size, and unit j draws from
 ``substream(seed, j)`` (or from indices derived from j), so identical
 ``(seed, config, size)`` gives bit-identical output.  Since no two units
 share a generator, units may also run at once on different threads
-(`cloud._run`): a unit's draws, and so its output, do not depend on
-which thread runs it or when.  Only the unit size decides which stream a
-replica draws from.
+(`cloud._run`, on the one runner `cloud._ordered`): a unit's draws, and
+so its output, do not depend on which thread runs it or when.  Only the
+unit size decides which stream a replica draws from.
 """
 
 from __future__ import annotations
