@@ -8,18 +8,17 @@ exact OU transition, so there is no time discretization anywhere.
 waves it yields.  Its clock is each node's remaining time tau: a node is a
 leaf when its exponential lifetime is at least tau, and its children start
 with tau minus that lifetime.  The OU step over a segment is `_ou_step`,
-the scale `_ou_scale` times the innovation plus the mean `_decayed`;
-`Forest.positions_for` replays it under another spring constant, and the
-wave core takes the same terms, the scale and the mean before the
-innovation is drawn.
+the scale `_ou_scale` times the innovation plus the mean `_decayed`; the
+wave core's block task `_step` moves every node with it, and
+`Forest.positions_for` replays it under another spring constant.
 
 A wave's kept rows are cut into blocks of _BLOCK_ROWS rows (the last one
-shorter), and one block task (`_step`) gathers, grows and moves a block's
-nodes in one pass, so no column of a whole wave is held but the
-lifetimes.  The calling thread makes every random draw of a wave: its
-lifetimes in one `exponential(m)` call for its m nodes, then its
-innovations as consecutive `standard_normal` pieces, one per block, which
-are the bits of one draw of m (tests/test_rng.py).  The reader takes one
+shorter), and one block task (`_step`) gathers and moves a block's nodes
+in one pass, so no column of a whole wave is held but the lifetimes.  The
+calling thread makes every random draw of a wave: its lifetimes in one
+`exponential(m)` call for its m nodes, then its innovations as
+consecutive `standard_normal` pieces, one per block, which are the bits
+of one draw of m (tests/test_rng.py).  The reader takes one
 block at a time, in node order, and may keep any of its columns; what it
 lets go dies with the block, and `life` is a view of the wave's
 lifetimes.  Before each wave, once the reader has taken the last block of
@@ -60,6 +59,7 @@ from concurrent.futures import Future, ThreadPoolExecutor, wait
 from contextlib import closing
 from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -108,7 +108,7 @@ class Forest:
     def leaf_positions(self) -> np.ndarray:
         return self.x_end[self.leaf_index]
 
-    def _at_parent(self, values, nodes=slice(None)) -> np.ndarray:
+    def _at_parent(self, values, nodes) -> np.ndarray:
         """`values` at the parent of each of `nodes`; 0 (birth time and place) at a root."""
         par = self.parent[nodes]
         return np.where(par >= 0, values[np.maximum(par, 0)], 0.0)
@@ -129,14 +129,13 @@ class Forest:
         return x[self.leaf_index]
 
 
-def _decayed(mu, dur, x, out=None):
-    """The OU mean x e^{-mu dur}, into `out` (which may be x) or a new array;
-    x itself at mu = 0."""
+def _decayed(mu, dur, x):
+    """The OU mean x e^{-mu dur} in a new array; x itself at mu = 0."""
     if not mu:
         return x
     decay = np.multiply(dur, -mu)
     np.exp(decay, out=decay)
-    return np.multiply(decay, x, out=decay if out is None else out)
+    return np.multiply(decay, x, out=decay)
 
 
 def _ou_scale(mu, dur):
@@ -260,70 +259,34 @@ def _run(tasks):
     return list(_ordered(tasks, len(tasks) - 1, job=True))
 
 
-def _take(columns, idx):
-    """Each of `columns` at idx."""
-    return [col[idx] for col in columns]
+def _step(mu, pair, segments, life, xi, start):
+    """The block task: gather the block's nodes and move each on its
+    lifetime and innovation with the one OU step, `_ou_step`.
 
-
-def _gather(segments, pair):
-    """The (tau, x, root) of a block's nodes.  Each segment is a piece of
-    rows and the kept rows of it, in row order; each row stands for `pair`
-    nodes."""
-    taken = [_take(rows, np.repeat(kept, pair)) for rows, kept in segments]
-    return taken[0] if len(taken) == 1 else [np.concatenate(col) for col in zip(*taken)]
-
-
-def _grow(mu, life, tau, x):
-    """All of a node's step that its innovation does not enter.
-
-    Returns leaf, duration and the OU step's scale, the step's mean,
-    computed into x, and the splitting nodes.
+    Each segment is a piece of (tau, x, root) rows and the kept rows of it,
+    in row order; each row stands for `pair` nodes.  Returns the block, a
+    namespace of its node columns root, tau, life, xi, leaf, dur and x_new
+    and `start`, the offset of its first node in the wave, and the (tau, x,
+    root) rows of its children.
     """
+    idx = [np.repeat(kept, pair) for _, kept in segments]  # once per segment, not per column
+    taken = [[col[i] for col in rows] for (rows, _), i in zip(segments, idx)]
+    tau, x, root = taken[0] if len(taken) == 1 else map(np.concatenate, zip(*taken))
     leaf = np.greater_equal(life, tau)
     dur = np.minimum(life, tau)  # tau on the leaves
-    scale = _ou_scale(mu, dur)
-    mean = _decayed(mu, dur, x, out=x)
+    x_new = _ou_step(mu, dur, x, xi)
     # index gathers: a boolean mask as random as `leaf` gathers far slower;
     # nonzero()[0] spares np.flatnonzero's wrappers, about 1 us a wave
-    return leaf, dur, scale, mean, (~leaf).nonzero()[0]
-
-
-def _move(scale, xi, mean, tau, root, life, split):
-    """The OU step x_new = scale * xi + mean, computed into scale, and the
-    children's (tau, x, root) rows."""
-    scale *= xi
-    scale += mean
-    children = _take((tau, scale, root), split)
+    split = (~leaf).nonzero()[0]
+    children = [tau[split], x_new[split], root[split]]
     children[0] -= life[split]
-    return children
-
-
-class _Block:
-    """One stepped block of a wave: its node columns root, tau, life, xi,
-    leaf, dur and x_new, and `start`, the offset of its first node in the
-    wave.  `_waves` clears it when the reader asks for the next block."""
-
-    def __init__(self, root, tau, life, xi, leaf, dur, x_new, start):
-        self.root, self.tau, self.life, self.xi = root, tau, life, xi
-        self.leaf, self.dur, self.x_new = leaf, dur, x_new
-        self.start = start
-
-
-def _step(mu, pair, segments, life, xi, start):
-    """The block task: gather the block's nodes, grow them on their
-    lifetimes and move them on their innovations, in one pass.  Returns the
-    `_Block` and the (tau, x, root) rows of its children."""
-    tau, x, root = _gather(segments, pair)
-    leaf, dur, x_new, mean, split = _grow(mu, life, tau, x)
-    children = _move(x_new, xi, mean, tau, root, life, split)
-    return _Block(root, tau, life, xi, leaf, dur, x_new, start), children
+    return SimpleNamespace(root=root, tau=tau, life=life, xi=xi, leaf=leaf, dur=dur,
+                           x_new=x_new, start=start), children
 
 
 def _cut(pieces, kept):
     """The kept rows cut into blocks of _BLOCK_ROWS rows, the last one
     shorter: each block a list of (piece, kept rows of it) segments."""
-    if len(kept) == 1 and kept[0].size <= _BLOCK_ROWS:
-        return [[(pieces[0], kept[0])]]  # the usual small wave, spared the slicing
     blocks, segments, room = [], [], _BLOCK_ROWS
     for piece, rows in zip(pieces, kept):
         while rows.size:
@@ -338,22 +301,15 @@ def _cut(pieces, kept):
     return blocks
 
 
-def _check_cap(n, m, node_cap):
-    """Raise before drawing m more nodes past n when they pass node_cap."""
-    if n + m > node_cap:
-        raise ResourceLimitError(
-            f"tree traversal exceeds node cap {node_cap}; a shorter horizon, "
-            "a higher window or a larger prune_tol expands fewer nodes")
-
-
 def _waves(mu, tau, x, rng, node_cap, decide=None, settle=None):
     """Expand a batch of subtrees generation by generation, one block at a
     time.
 
     Root i starts at position x[i] with remaining time tau[i] > 0.  Yields
-    the `_Block`s of each wave in node order; the children of a wave's
-    splits, in order, make up the next wave.  A block is cleared when the
-    next one is asked for, so the columns the reader did not keep die then.
+    the blocks of each wave (`_step`) in node order; the children of a
+    wave's splits, in order, make up the next wave.  A block is cleared when
+    the next one is asked for, so the columns the reader did not keep die
+    then.
 
     Between waves a row of (tau, x, root) stands for `pair` nodes: one for a
     root, two for the children of a split, which share all three.  At the
@@ -396,7 +352,10 @@ def _waves(mu, tau, x, rng, node_cap, decide=None, settle=None):
         m = pair * sum(map(len, kept))
         if not m:
             return
-        _check_cap(n, m, node_cap)
+        if n + m > node_cap:  # raised before the wave's draws
+            raise ResourceLimitError(
+                f"tree traversal exceeds node cap {node_cap}; a shorter horizon, "
+                "a higher window or a larger prune_tol expands fewer nodes")
         blocks = deque(_cut(pieces, kept))  # each task takes its block's rows off it
         pieces = []  # the blocks alone hold the rows, so a piece dies once gathered
         del kept

@@ -90,13 +90,19 @@ class KppParams:
                              "default ones are whole times from 2 on; give --checkpoints")
         dt = self.dt_value
         first = self.t_switch if self.ic_mode == "step" else 0.0
+        step = None  # the step of the checkpoint before
         for tc in self.checkpoint_times:
             if not first <= tc <= self.t_max * (1 + 1e-9):
                 raise ValueError(f"checkpoint {tc} lies outside [{first}, {self.t_max}] "
                                  f"for ic_mode {self.ic_mode!r}")
+            if not tc > 0.0:  # c(rho) is extrapolated in 1/t
+                raise ValueError(f"checkpoint {tc} must be positive")
             if abs(tc / dt - round(tc / dt)) > 1e-9 * tc / dt:
                 raise ValueError(f"checkpoint {tc} is not a whole number of "
                                  f"dt={dt:.6g} steps")
+            if round(tc / dt) == step:
+                raise ValueError(f"checkpoint {tc} falls on the same step as another")
+            step = round(tc / dt)
 
     @property
     def x_hi(self) -> float:

@@ -74,7 +74,10 @@ def truncation_miss_bound(rho: float, window_a: float, T: float) -> float:
 
 
 def truncation_horizon(rho: float, window_a: float, eps: float) -> float:
-    """Smallest certified horizon with truncation miss probability <= eps."""
+    """Smallest certified horizon with truncation miss probability <= eps.
+
+    ResourceLimitError when even a horizon of 1e7 misses more (rho near 1).
+    """
     if not rho > 1.0:
         raise ValueError(f"no finite horizon certificate exists for rho <= 1, got {rho}")
     if not 0.0 < eps < 1.0:
@@ -83,8 +86,10 @@ def truncation_horizon(rho: float, window_a: float, eps: float) -> float:
     hi = max(lo + 1.0, 1.0)
     while truncation_miss_bound(rho, window_a, hi) > eps:
         hi *= 2.0
-        if hi > 1e7:  # pragma: no cover
-            raise ArithmeticError("horizon search failed to bracket")
+        if hi > 1e7:  # rho so near 1 that the bound decays too slowly
+            raise ResourceLimitError(
+                f"rho={rho}, window_a={window_a}: no horizon up to 1e7 brings the "
+                f"truncation miss bound to eps={eps}; a larger rho, window_a or eps needs less")
     if truncation_miss_bound(rho, window_a, lo) <= eps:
         return lo
     for _ in range(200):

@@ -291,6 +291,29 @@ class TestDecorateAndLimit:
         assert time.perf_counter() - start < 1.0
         assert "exceeds the atom cap" in capsys.readouterr().err and not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["estimate-c", "--rho-min", "1.0001", "--rho-max", "1.0001", "--steps", "1",
+         "--replicas", "10"],
+        ["decorate", "--rho", "1.0001", "--samples", "1"],
+        ["limit-process", "--gamma", "1e-5", "--samples", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_rho_near_one_exit_3_before_any_draw(self, argv, tmp_path, capsys, monkeypatch):
+        # no horizon up to 1e7 certifies the truncation at rho 1.0001 (or
+        # d_gamma 1 + 5e-6), which is a resource limit, not a failed check
+        from bouex import spine
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew past an uncertified horizon")
+
+        for module, name in ((cli, "estimate_C_curve"), (cli, "sample_decoration"),
+                             (spine, "estimate_C")):
+            monkeypatch.setattr(module, name, no_draw)
+        out = tmp_path / "out.csv"
+        assert run(argv + ["-o", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("resource limit: rho=") and "window_a=" in err
+        assert "Traceback" not in err and not out.exists()
+
 
 def _argv_from_header(text):
     """The command line that a table's `# key=value` header describes."""
@@ -343,6 +366,8 @@ def test_header_reruns_to_the_same_bytes(argv, tmp_path):
     pytest.param(["kpp", "--rho", "2", "--t-max", "inf"], id="kpp-t-max-inf"),
     pytest.param(["kpp", "--rho", "1.5", "--t-max", "3", "--dx", "8"], id="kpp-four-points"),
     pytest.param(["kpp", "--rho", "2", "--t-max", "1.5"], id="kpp-no-checkpoint"),
+    pytest.param(["kpp", "--rho", "2", "--t-max", "5", "--ic-mode", "ramp", "--checkpoints",
+                  "0", "5"], id="kpp-ramp-checkpoint-0"),
     pytest.param(["estimate-c", "--rho-min", "1.5", "--rho-max", "2", "--steps", "2",
                   "--replicas", "0", "--coupled"], id="estimate-c-coupled-no-replicas"),
     pytest.param(["limit-process", "--gamma", "inf", "--c-value", "0.3"],

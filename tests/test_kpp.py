@@ -115,11 +115,15 @@ class TestSolver:
         assert params.t_switch / params.dt_value == round(params.t_switch / params.dt_value)
         assert default_field.times == [5.0, 6.0, 7.0, 8.0, 9.0, 10.0]
 
-    @pytest.mark.parametrize("checkpoints", [(0.25, 1.0, 2.0), (11.0,), (-1.0,), (1.0001,)])
-    def test_rejects_checkpoint_off_the_grid(self, checkpoints):
-        # before the step IC's u phase, beyond t_max, or not a whole number of steps
+    @pytest.mark.parametrize("ic_mode, checkpoints", [
+        ("step", (0.25, 1.0, 2.0)), ("step", (11.0,)), ("step", (-1.0,)), ("step", (1.0001,)),
+        ("ramp", (0.0, 5.0)), ("ramp", (0.0, 4.0, 5.0)), ("uniform", (0.0, 5.0)),
+        ("ramp", (3.0, 3.0)), ("uniform", (3.0, 3.0))], ids=[f"checkpoints{i}" for i in range(9)])
+    def test_rejects_checkpoint_off_the_grid(self, ic_mode, checkpoints):
+        # before the step IC's u phase, beyond t_max, not a whole number of
+        # steps, at t = 0 (no 1/t to extrapolate in), or twice on one step
         with pytest.raises(ValueError, match="checkpoint"):
-            KppParams(checkpoints=checkpoints)
+            KppParams(ic_mode=ic_mode, checkpoints=checkpoints)
 
     @pytest.mark.parametrize("ic_mode, t_max", [("step", 1.5), ("step", 0.25), ("ramp", 1.0)])
     def test_rejects_t_max_with_no_checkpoint(self, ic_mode, t_max):

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
-from bouex.errors import RejectionBudgetError
+from bouex.errors import RejectionBudgetError, ResourceLimitError
 from bouex.gaussian import INV_SQRT_4PI, SQRT2
 from bouex.rng import substream
 from bouex.spine import (CHUNK, estimate_C, estimate_C_curve, sample_decoration,
@@ -40,6 +40,13 @@ class TestTruncationHorizon:
     def test_rejects_rho_at_most_one(self):
         with pytest.raises(ValueError):
             truncation_horizon(1.0, 0.0, 0.01)
+
+    def test_rho_near_one_is_a_resource_limit(self):
+        # the bound decays at rate O((rho - 1)^2): at rho 1.0001 no horizon
+        # up to 1e7 brings it to eps
+        for a in (0.0, -4.0):
+            with pytest.raises(ResourceLimitError, match=f"rho=1.0001, window_a={a}"):
+                truncation_horizon(1.0001, a, 0.01)
 
     def test_nan_fails_every_range_check(self):
         # each check is written so that a NaN fails it, as a bad value would

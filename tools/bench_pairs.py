@@ -10,7 +10,8 @@ its own committed `perfbench/run.py` and `src`, as the benchmark does; the
 directory is removed when the run ends, also on an error, Ctrl-C or
 SIGTERM.  For each workload and pair it runs both sides with the same
 seed, one after the other, alternating which side goes first; workload
-w's pair p has seed seed0 + w * pairs + p.  It writes the last JSON line of every run and a
+w's pair p has seed seed0 + w * pairs + p.  It writes the host (usable
+cores, Python, numpy and scipy), the last JSON line of every run and a
 summary: for each end-to-end metric of BENCHMARK.json, each side's median
 and quartiles (statistics.quantiles, n=4) and the pairs the change won by
 the metric's "better" direction (ties count for neither side), and the
@@ -28,6 +29,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+from importlib.metadata import version
 
 
 def export(rev: str, workdir: str) -> str:
@@ -119,6 +121,15 @@ def main(argv=None) -> int:
     return 0
 
 
+def _host() -> str:
+    """The usable cores (what `bouex.cloud._WORKERS` counts), the machine and
+    the versions of Python, numpy and scipy that both sides run on."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return (f"{cores} usable of {os.cpu_count()} CPUs, {platform.machine()}, "
+            f"Python {platform.python_version()}, numpy {version('numpy')}, "
+            f"scipy {version('scipy')}")
+
+
 def _record(args, revs, runs, metrics) -> dict:
     return {
         "description": args.note,
@@ -127,7 +138,7 @@ def _record(args, revs, runs, metrics) -> dict:
                           f"--out {os.path.basename(args.out)} --pairs {args.pairs} "
                           f"--seconds {args.seconds:g} --seed0 {args.seed0} "
                           f"--workloads {' '.join(args.workloads)}"),
-        "host": f"{os.cpu_count()}-CPU {platform.machine()}, Python {platform.python_version()}",
+        "host": _host(),
         "parent": revs["parent"],
         "change": revs["change"],
         "summary": summarize(runs, metrics),
