@@ -18,12 +18,12 @@ in one pass, so no column of a whole wave is held but the lifetimes.  The
 calling thread makes every random draw of a wave: its lifetimes in one
 `exponential(m)` call for its m nodes, then its innovations as
 consecutive `standard_normal` pieces, one per block, which are the bits
-of one draw of m (tests/test_rng.py).  The reader takes one
-block at a time, in node order, and may keep any of its columns; what it
-lets go dies with the block, and `life` is a view of the wave's
-lifetimes.  Before each wave, once the reader has taken the last block of
-the one before, the collector decides which rows to expand, so its early
-stops take effect between waves.  No output bit depends on the block size
+of one draw of m (tests/test_rng.py).  The reader takes one block at a
+time, in node order, and may keep any of its columns; what it lets go
+dies with the block, and `life` is a view of the wave's lifetimes.
+Before each wave, once the reader has taken the last block of the one
+before, the collector decides which rows to expand, so its early stops
+take effect between waves.  No output bit depends on the block size
 or on the thread count: every step is row-wise, the draws have the same
 sizes in the same order, and the collector adds its dropped bounds in node
 order and reads its atoms off each block in turn.

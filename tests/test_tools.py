@@ -55,7 +55,7 @@ def _bench_pairs():
     return module
 
 
-def _run(workload, pair, side, failed, **values):
+def _bench_run(workload, pair, side, failed, **values):
     return {"workload": workload, "pair": pair, "side": side,
             "result": {"failed": failed,
                        "metrics": {k: {"value": v} for k, v in values.items()}}}
@@ -67,11 +67,11 @@ def test_bench_pairs_summary_counts_pairs_won_by_direction():
     # runs are paired by their pair number, not by their order in the list
     parent = [(1.0, 10), (2.0, 10), (3.0, 10)]
     change = [(0.5, 11), (2.0, 12), (3.5, 10)]
-    runs = [_run("a", p, side, p == 3 and side == "change", wall_s=w, atoms=n)
+    runs = [_bench_run("a", p, side, p == 3 and side == "change", wall_s=w, atoms=n)
             for side, vals in (("change", change), ("parent", parent))
             for p, (w, n) in reversed(list(enumerate(vals, 1)))]
-    runs += [_run("b", 1, "parent", 2, wall_s=4.0, atoms=3),
-             _run("b", 1, "change", 0, wall_s=5.0, atoms=3)]
+    runs += [_bench_run("b", 1, "parent", 2, wall_s=4.0, atoms=3),
+             _bench_run("b", 1, "change", 0, wall_s=5.0, atoms=3)]
     summary = _bench_pairs().summarize(runs, {"wall_s": "lower", "atoms": "higher"})
     assert list(summary) == ["a", "b"]
     a, b = summary["a"], summary["b"]
