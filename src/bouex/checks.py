@@ -50,7 +50,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import chdtrc, expit, ndtr, ndtri, owens_t
 
-from .cloud import _run, leaves, simulate_forest
+from .cloud import _run, leaf_blocks, leaves, simulate_forest
 from .gaussian import SQRT2, normalization_factor, ou_variance
 from .measure import Centering, group_max
 from .rng import chunks, substream
@@ -370,10 +370,13 @@ def check_slepian_monotonicity(mu_list, phi: TestFunction, t: float, n: int,
 
 
 def _leaf_sums(mu: float, t: float, f, n: int, seed: int) -> np.ndarray:
-    """sum_u f(X_t(u)) per replica, from `cloud.leaves` in chunks of 512 replicas."""
+    """sum_u f(X_t(u)) per replica, in chunks of 512 replicas; each chunk adds
+    the terms of each block of `cloud.leaf_blocks` into its sums in turn."""
     def draw(j, m):
-        rep, x = leaves(mu, t, m, substream(seed, j))
-        return np.bincount(rep, weights=f(x), minlength=m)
+        sums = np.zeros(m)
+        for rep, x in leaf_blocks(mu, t, m, substream(seed, j)):
+            np.add.at(sums, rep, f(x))
+        return sums
 
     return _replica_values(n, 512, draw)
 
@@ -582,8 +585,14 @@ def check_yule_counts(t: float, n: int, seed: int) -> CheckReport:
     if kmax < 2:
         return CheckReport.make("yule_geometric_counts", math.inf, 2.0, n, inconclusive=True,
                                 t=t, bins=1, note="one bin: n e^{-t} < 5")
-    counts = _replica_values(n, 512, lambda j, m: np.bincount(
-        leaves(0.0, t, m, substream(seed, j))[0], minlength=m))
+
+    def count(j, m):
+        counts = np.zeros(m, dtype=np.intp)
+        for rep, _ in leaf_blocks(0.0, t, m, substream(seed, j)):
+            np.add.at(counts, rep, 1)
+        return counts
+
+    counts = _replica_values(n, 512, count)
     edges = np.arange(1, kmax + 1)
     probs = p * (1 - p) ** (edges - 1)
     obs = np.bincount(np.minimum(counts, kmax), minlength=kmax + 1)[1:]

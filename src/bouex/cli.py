@@ -41,7 +41,7 @@ import numpy as np
 
 from . import __version__
 from .checks import reports_to_json
-from .cloud import additive_martingale_per_rep, derivative_martingale_per_rep, leaves
+from .cloud import additive_martingale_per_rep, derivative_martingale_per_rep, leaf_blocks
 from .errors import NumericalFailureError, RejectionBudgetError, ResourceLimitError
 from .kpp import KppParams, dump_checkpoints, estimate_C_pde, prefactor_of_t, \
     front_tail, solve_kpp
@@ -149,9 +149,11 @@ def cmd_simulate(args) -> int:
             raise ValueError(f"--betas must be finite, got {_fmt(betas)}")
         columns = ["replica"] + [f"W_beta_{_fmt(b)}" for b in betas] + ["Z"]
         for j, start, m in chunks(args.replicas, 1024):
-            rep, x = leaves(0.0, args.t, m, substream(args.seed, j))
-            ws = [additive_martingale_per_rep(rep, x, args.t, m, b) for b in betas]
-            z = derivative_martingale_per_rep(rep, x, args.t, m)
+            ws, z = np.zeros((len(betas), m)), np.zeros(m)
+            for rep, x in leaf_blocks(0.0, args.t, m, substream(args.seed, j)):
+                for w, b in zip(ws, betas):
+                    additive_martingale_per_rep(rep, x, args.t, m, b, out=w)
+                derivative_martingale_per_rep(rep, x, args.t, m, out=z)
             for i in range(m):
                 rows.append([start + i] + [float(w[i]) for w in ws] + [float(z[i])])
     else:  # one windowed traversal per chunk; max and atoms-above differ in the rows

@@ -45,7 +45,12 @@ A Forest stores the whole tree as flat node arrays in wave (generation)
 order, so that `Forest.positions_for` can couple spring constants on one
 tree (the Slepian check); a single cloud is the one-replica Forest
 `simulate_forest(mu, t, 1, rng)`.  Monte Carlo that reads only the leaves
-takes them from `leaves`, which stores no node.
+takes them block by block from `leaf_blocks`, which stores no node.  A
+per-replica sum over them (a martingale, a leaf count, sum_u f(X_t(u)))
+adds each block into an n_reps accumulator with np.add.at, in the order
+that one np.bincount over all the leaves adds them, so it has that
+bincount's bits and holds no leaf array of a whole cloud.  `leaves` joins
+the blocks for the readers that need every leaf at once.
 """
 
 from __future__ import annotations
@@ -410,27 +415,59 @@ def simulate_forest(mu: float, horizon_t: float, n_reps: int, rng) -> Forest:
     return Forest(horizon_t, *merged, wave_edges=list(zip(starts, starts[1:] + [n])))
 
 
+def leaf_blocks(mu: float, t: float, n_reps: int, rng):
+    """(replica, position) of the leaves of n_reps full clouds run to time t,
+    one pair of arrays per block of the wave core, in node order.
+
+    Their concatenation is `leaves`.  The guards of `simulate_forest` are
+    taken on the call, before any draw.  A per-replica sum over the leaves
+    adds each block into an n_reps accumulator with np.add.at, which adds
+    in index order as np.bincount does, so it has the bits of one bincount
+    over all the leaves while it holds no more than a block of them.
+    """
+    return map(_block_leaves, _full_waves(mu, t, n_reps, rng))
+
+
+def _block_leaves(b):
+    """(replica, position) of the leaves of one block of `_waves`."""
+    leaf = np.flatnonzero(b.leaf)
+    return b.root[leaf], b.x_new[leaf]
+
+
 def leaves(mu: float, t: float, n_reps: int, rng):
     """(replica, position) of every leaf of n_reps full clouds run to time t.
 
     The leaves of `simulate_forest(mu, t, n_reps, rng)`, bit for bit and in
-    its order, under its guards and node cap, without storing the tree.
+    its order, under its guards and node cap, without storing the tree: the
+    blocks of `leaf_blocks`, joined.  A per-replica sum reads the blocks
+    instead, and holds no leaf array of a whole cloud.
     """
-    reps, xs = [], []
-    for b in _full_waves(mu, t, n_reps, rng):
-        leaf = np.flatnonzero(b.leaf)
-        reps.append(b.root[leaf])
-        xs.append(b.x_new[leaf])
+    reps, xs = zip(*leaf_blocks(mu, t, n_reps, rng))
     return np.concatenate(reps), np.concatenate(xs)
 
 
-def additive_martingale_per_rep(rep, x, t: float, n_reps: int, beta: float) -> np.ndarray:
-    """Per-replica additive martingale of Brownian leaves (rep, x) at time t."""
+def _add_per_rep(out, rep, weights, n_reps):
+    """`out`, fresh zeros of n_reps when None, plus the weights summed per
+    replica, in index order (`leaf_blocks`)."""
+    if out is None:
+        out = np.zeros(n_reps)
+    np.add.at(out, rep, weights)
+    return out
+
+
+def additive_martingale_per_rep(rep, x, t: float, n_reps: int, beta: float,
+                                out=None) -> np.ndarray:
+    """Per-replica additive martingale of Brownian leaves (rep, x) at time t.
+
+    The leaves' terms are added into `out` (fresh zeros by default), which
+    is returned, so the sum may be taken one block of `leaf_blocks` at a time.
+    """
     w = np.exp(beta * x - (0.5 * beta * beta + 1.0) * t)
-    return np.bincount(rep, weights=w, minlength=n_reps)
+    return _add_per_rep(out, rep, w, n_reps)
 
 
-def derivative_martingale_per_rep(rep, x, t: float, n_reps: int) -> np.ndarray:
-    """Per-replica derivative martingale of Brownian leaves (rep, x) at time t."""
+def derivative_martingale_per_rep(rep, x, t: float, n_reps: int, out=None) -> np.ndarray:
+    """Per-replica derivative martingale of Brownian leaves (rep, x) at time t,
+    added into `out` as `additive_martingale_per_rep` adds."""
     w = (SQRT2 * t - x) * np.exp(SQRT2 * x - 2.0 * t)
-    return np.bincount(rep, weights=w, minlength=n_reps)
+    return _add_per_rep(out, rep, w, n_reps)

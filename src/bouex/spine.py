@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cloud import additive_martingale_per_rep, leaves
+from .cloud import additive_martingale_per_rep, leaf_blocks
 from .errors import RejectionBudgetError, ResourceLimitError
 from .gaussian import SQRT2, INV_SQRT_4PI, gamma_constants
 from .results import EstimatorResult
@@ -277,8 +277,10 @@ def sample_limit_process(gamma: float, window_a: float, rng,
             raise ValueError("finite gamma needs c_value (see limit_intensity)")
         if not 0.0 < c_value < math.inf:
             raise ValueError(f"c_value must be finite and positive, got {c_value}")
-        rep, x = leaves(0.0, proxy_horizon, 1, rng)
-        w = float(additive_martingale_per_rep(rep, x, proxy_horizon, 1, SQRT2 * gc.c_gamma)[0])
+        w = np.zeros(1)
+        for rep, x in leaf_blocks(0.0, proxy_horizon, 1, rng):
+            additive_martingale_per_rep(rep, x, proxy_horizon, 1, SQRT2 * gc.c_gamma, out=w)
+        w = float(w[0])
         c = float(c_value)
     mean = c * w * density
     if not mean <= _POISSON_MAX:

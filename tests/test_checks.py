@@ -414,7 +414,7 @@ class TestChecksReduced:
     def test_yule_counts_with_one_bin_is_inconclusive(self, monkeypatch):
         # n e^{-t} = 0.034 < 5 leaves one bin, and a chi-square with no
         # degree of freedom; no tree is drawn for it
-        monkeypatch.setattr(checks, "leaves", None)
+        monkeypatch.setattr(checks, "leaf_blocks", None)
         r = check_yule_counts(8.0, 100, 1)
         assert (r.inconclusive, r.failed, r.details["bins"]) == (True, False, 1)
         assert r.statistic == math.inf and "n e^{-t} < 5" in r.details["note"]

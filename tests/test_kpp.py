@@ -241,8 +241,9 @@ class TestEstimate:
 
 
 # c(t) at every checkpoint, then the extrapolated c and its Richardson spread,
-# from the (2, 1)-banded LU solve (LAPACK gbsv) of every implicit step.  A
-# change of the linear solver may move them at rounding level only.
+# from the tridiagonal LDL^T solve of every implicit step (LAPACK dpttrf once,
+# dpttrs per step).  A change of the linear solver may move them at rounding
+# level only.
 _PINNED_PREFACTORS = {
     "coarse_field": {  # the smoke grid: kpp --t-max 6 --dx 0.1
         1.5: ((0.18375150331147871, 0.1816801710743324, 0.18012517724956406,

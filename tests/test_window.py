@@ -17,12 +17,12 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import log_ndtr
 
-from bouex import checks, cli, cloud, window as window_mod
+from bouex import checks, cli, cloud, spine as spine_mod, window as window_mod
 from bouex.checks import _leaf_sums, smooth_step, spine_identity_sides
 from bouex.cloud import (additive_martingale_per_rep, derivative_martingale_per_rep,
                          leaves, simulate_forest)
 from bouex.errors import ResourceLimitError
-from bouex.gaussian import SQRT2, normalization_factor, ou_variance
+from bouex.gaussian import SQRT2, gamma_constants, normalization_factor, ou_variance
 from bouex.measure import Centering
 from bouex.rng import substream
 from bouex.spine import _draw_branches, _spine_atoms, sample_decoration, sample_limit_process
@@ -453,6 +453,11 @@ _CLI_TABLES = {
     "simulate-atoms-above": (
         _SIMULATE + ("--emit", "atoms-above", "--window=1.0"),
         "434a296bd0b6edd6bf42e1c40038121be1947a2507f3c1b78ea49bf7ba740bce"),
+    # two chunks of at most 8,696 nodes, so every cut of `_cuts` runs it
+    "simulate-martingales": (
+        ("simulate", "--mu", "0", "--t", "1.5", "--replicas", "1100", "--emit", "martingales",
+         "--betas", "0", "0.5", "1.2", "--seed", "31"),
+        "450d18f78f769d4b8538d4a663dea3b81d8ff9d816da09756ef27ce4d1d9be11"),
     "decorate": (
         ("decorate", "--rho", "3.0", "--window-a", "-2.0", "--samples", "20", "--seed", "30"),
         "0ccac8a71379a830195cccff1bf5fe88f9ee736cb6e7b67032c2e17a6f71abea"),
@@ -525,6 +530,81 @@ class TestPinnedBits:
         assert _digest(*decorations) == _DECORATIONS
 
 
+def _bincounts(mu, t, n, size, seed, weight):
+    """The per-replica sums of weight(x) over the leaves of `chunks(n, size)`,
+    each chunk from `leaves` and one np.bincount, as the sums were taken
+    before they went block by block."""
+    sums = []
+    for j in range((n + size - 1) // size):
+        m = min(size, n - size * j)
+        rep, x = leaves(mu, t, m, substream(seed, j))
+        sums.append(np.bincount(rep, weights=weight(x), minlength=m))
+    return np.concatenate(sums)
+
+
+def _additive_terms(beta, t):
+    return lambda x: np.exp(beta * x - (0.5 * beta * beta + 1.0) * t)
+
+
+class TestLeafBlocks:
+    """The leaves come block by block from `leaf_blocks`, and every
+    per-replica sum over them, added block by block with np.add.at, has the
+    bits of one np.bincount over all the leaves of the same stream."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(cloud, "_BLOCK_ROWS", 16)
+
+    @pytest.mark.parametrize("mu", [0.0, 1.0])
+    def test_leaves_join_the_blocks(self, mu):
+        reps, xs = zip(*cloud.leaf_blocks(mu, 4.0, 50, substream(36, 0)))
+        rep, x = leaves(mu, 4.0, 50, substream(36, 0))
+        f = simulate_forest(mu, 4.0, 50, substream(36, 0))
+        assert len(reps) > 1
+        for joined, whole, stored in ((np.concatenate(reps), rep, f.rep[f.leaf_index]),
+                                      (np.concatenate(xs), x, f.leaf_positions)):
+            assert joined.tobytes() == whole.tobytes() == stored.tobytes()
+
+    @pytest.mark.parametrize("mu", [0.0, 1.0])
+    def test_leaf_sums(self, mu):
+        f = smooth_step(0.0, 1.0)
+        assert _leaf_sums(mu, 3.0, f, 700, 37).tobytes() == \
+            _bincounts(mu, 3.0, 700, 512, 37, f).tobytes()
+
+    def test_yule_counts(self, monkeypatch):
+        counts = _yule_counts(monkeypatch)
+        expected = _bincounts(0.0, 4.0, 700, 512, 22, lambda x: None)
+        assert counts.dtype == expected.dtype and counts.tobytes() == expected.tobytes()
+
+    def test_martingales(self):
+        t, m = 4.0, 300
+        ws, z = np.zeros((3, m)), np.zeros(m)
+        for rep, x in cloud.leaf_blocks(0.0, t, m, substream(38, 0)):
+            for w, beta in zip(ws, (0.0, 0.5, SQRT2)):
+                assert additive_martingale_per_rep(rep, x, t, m, beta, out=w) is w
+            derivative_martingale_per_rep(rep, x, t, m, out=z)
+        for w, beta in zip(ws, (0.0, 0.5, SQRT2)):
+            assert w.tobytes() == _bincounts(0.0, t, m, m, 38, _additive_terms(beta, t)).tobytes()
+        derivative = _bincounts(0.0, t, m, m, 38,
+                                lambda x: (SQRT2 * t - x) * np.exp(SQRT2 * x - 2.0 * t))
+        assert z.tobytes() == derivative.tobytes()
+
+    def test_limit_process_w_proxy(self, monkeypatch):
+        sums = []
+        add = spine_mod.additive_martingale_per_rep
+
+        def recording(*args, **kwargs):
+            sums.append(add(*args, **kwargs))
+            return sums[-1]
+
+        monkeypatch.setattr(spine_mod, "additive_martingale_per_rep", recording)
+        _limit_process_atoms()  # gamma 2, proxy horizon 6, one replica
+        beta = SQRT2 * gamma_constants(2.0).c_gamma
+        assert len(sums) > 1 and all(w is sums[0] for w in sums)
+        assert sums[0].tobytes() == \
+            _bincounts(0.0, 6.0, 1, 1, 24, _additive_terms(beta, 6.0)).tobytes()
+
+
 _DEFAULT_BLOCK = cloud._BLOCK_ROWS
 
 
@@ -582,6 +662,28 @@ class TestSplitWaves:
     def test_simulate_max_table(self, tmp_path, split_waves):
         argv, digest = _CLI_TABLES["simulate-max"]
         assert _digest(_cli_table(tmp_path, *argv)) == digest
+
+    @pytest.mark.parametrize("split_waves", [
+        pytest.param(cut, id=cut_id) for cut_id, cut in _cuts(8696)], indirect=True)
+    def test_simulate_martingales_table(self, tmp_path, split_waves):
+        argv, digest = _CLI_TABLES["simulate-martingales"]
+        assert _digest(_cli_table(tmp_path, *argv)) == digest
+
+    def test_martingale_sums_hold_no_leaf_array(self, tmp_path, monkeypatch):
+        # the sums take the leaves block by block: in blocks of 1,024 rows the
+        # traced peak of a 256-replica table at t 7 (about 280,000 leaves)
+        # stays under 16 bytes per leaf; sums over every leaf at once took 40
+        monkeypatch.setattr(cloud, "_BLOCK_ROWS", 1024)
+        n_leaves = leaves(0.0, 7.0, 256, substream(35, 0))[0].size
+        argv = ["simulate", "--mu", "0", "--t", "7", "--replicas", "256",
+                "--emit", "martingales", "--seed", "35", "-o", str(tmp_path / "table.csv")]
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * n_leaves
 
     def test_blocks_hold_a_bounded_share_of_the_largest_wave(self, monkeypatch):
         # in blocks of 1,024 rows the extremes pin's traced peak stays under
