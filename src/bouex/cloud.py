@@ -4,7 +4,7 @@ Genealogy is a rate-1 binary Yule tree; motion between branch events is one
 exact OU transition, so there is no time discretization anywhere.
 
 `_waves` is the one wave core that samples this law, for `simulate_forest`,
-`leaves` and the windowed collector in `window.py` alike; each reads the
+`leaf_blocks` and the windowed collector in `window.py` alike; each reads the
 waves it yields.  Its clock is each node's remaining time tau: a node is a
 leaf when its exponential lifetime is at least tau, and its children start
 with tau minus that lifetime.  The OU step over a segment is `_ou_step`,

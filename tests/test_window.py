@@ -672,7 +672,8 @@ class TestSplitWaves:
     def test_martingale_sums_hold_no_leaf_array(self, tmp_path, monkeypatch):
         # the sums take the leaves block by block: in blocks of 1,024 rows the
         # traced peak of a 256-replica table at t 7 (about 280,000 leaves)
-        # stays under 16 bytes per leaf; sums over every leaf at once took 40
+        # stays under 16 bytes per leaf (about 7); a sum over all the leaves
+        # of a chunk at once holds about 40
         monkeypatch.setattr(cloud, "_BLOCK_ROWS", 1024)
         n_leaves = leaves(0.0, 7.0, 256, substream(35, 0))[0].size
         argv = ["simulate", "--mu", "0", "--t", "7", "--replicas", "256",
