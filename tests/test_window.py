@@ -24,7 +24,7 @@ from bouex.cloud import (additive_martingale_per_rep, derivative_martingale_per_
 from bouex.errors import ResourceLimitError
 from bouex.gaussian import SQRT2, gamma_constants, normalization_factor, ou_variance
 from bouex.measure import Centering
-from bouex.rng import substream
+from bouex.rng import chunks, substream
 from bouex.spine import _draw_branches, _spine_atoms, sample_decoration, sample_limit_process
 from bouex.window import (CollectedAtoms, _exceedance_log_bound, _log_tail_floor,
                           _prunable, _standard_score, collect_atoms_above,
@@ -532,11 +532,10 @@ class TestPinnedBits:
 
 def _bincounts(mu, t, n, size, seed, weight):
     """The per-replica sums of weight(x) over the leaves of `chunks(n, size)`,
-    each chunk from `leaves` and one np.bincount, as the sums were taken
-    before they went block by block."""
+    each chunk from `leaves` and one np.bincount: the reference that the
+    block-by-block sums must match bit for bit."""
     sums = []
-    for j in range((n + size - 1) // size):
-        m = min(size, n - size * j)
+    for j, _, m in chunks(n, size):
         rep, x = leaves(mu, t, m, substream(seed, j))
         sums.append(np.bincount(rep, weights=weight(x), minlength=m))
     return np.concatenate(sums)
